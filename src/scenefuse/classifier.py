@@ -112,7 +112,10 @@ def loss_and_grad(
 def train(
     model: ClassifierModel, data: Sequence[LabeledExample], cfg: TrainConfig
 ) -> tuple[ClassifierModel, list[float]]:
-    """Mini-batch SGD over shuffled epochs; returns the trained copy and per-epoch mean loss."""
+    """Mini-batch SGD over shuffled epochs; returns the trained copy and per-epoch mean loss.
+
+    Raises ValueError as soon as a batch loss is not finite (training diverged).
+    """
     if not data:
         raise ValueError("no training data")
     X, y = _stack(data, model)
@@ -121,12 +124,17 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     history: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grad_w, grad_b = _loss_grad(W, b, X[idx], y[idx], cfg.l2)
+            if not np.isfinite(loss):
+                raise ValueError(
+                    f"training diverged in epoch {epoch}: loss is {loss}; "
+                    f"lower the learning rate (now {cfg.learning_rate:g})"
+                )
             W -= cfg.learning_rate * grad_w
             b -= cfg.learning_rate * grad_b
             epoch_loss += loss * idx.size

@@ -45,7 +45,7 @@ from .io import (
     write_transcriptions,
     write_vqa,
 )
-from .sketch import FUSION_SCHEMES, FusionSpec, fuse_rows
+from .sketch import FUSION_SCHEMES, FusionSpec, fuse_rows, support_mask
 from .text import (
     EmbeddingTable,
     TranscribedWord,
@@ -157,6 +157,12 @@ def _cmd_fuse(args) -> int:
     b_rows = np.stack([feats_b[i] for i in ids])
     fused = fuse_rows(a_rows, b_rows, spec)
     write_features(args.out, dict(zip(ids, fused)), dim=fused.shape[1])
+    results = {
+        "rows": len(ids), "dim_a": a_rows.shape[1], "dim_b": b_rows.shape[1], "dim_out": fused.shape[1],
+    }
+    if spec.scheme == "mcb":
+        px, py = spec.sketch_params(a_rows.shape[1], b_rows.shape[1])
+        results["sketch_occupancy"] = float(support_mask(px, py).mean())
     manifest = _run_manifest(
         "fuse",
         params={
@@ -170,7 +176,7 @@ def _cmd_fuse(args) -> int:
             "normalize": spec.normalize,
             "seed": args.seed,
         },
-        results={"rows": len(ids), "dim_a": a_rows.shape[1], "dim_b": b_rows.shape[1], "dim_out": fused.shape[1]},
+        results=results,
     )
     write_run_manifest(str(args.out) + ".run.json", manifest)
     print(f"wrote {args.out}: {len(ids)} x {fused.shape[1]} ({spec.scheme})")
@@ -270,7 +276,7 @@ def _cmd_train_eval(args) -> int:
     if args.report_json:
         write_run_manifest(args.report_json, report)
     else:
-        print(json.dumps({"results": report.results}, sort_keys=True))
+        print(json.dumps({"results": report.results}, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -389,7 +395,7 @@ def _cmd_vqa(args) -> int:
     if args.report_json:
         write_run_manifest(args.report_json, report)
     else:
-        print(json.dumps({"results": report.results}, sort_keys=True))
+        print(json.dumps({"results": report.results}, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -125,6 +125,13 @@ def write_features(path, features: Mapping[str, np.ndarray], dim: int | None = N
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}
 
 
+def _confidence(value) -> float:
+    # JSON true/false and numeric strings would otherwise pass float()
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"conf must be a number, got {value!r}")
+    return float(value)
+
+
 def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
     records: dict[str, TranscriptionRecord] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
@@ -135,7 +142,7 @@ def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
         try:
             image_id = obj["image_id"]
             words = tuple(
-                TranscribedWord(token=w["token"], confidence=float(w["conf"]))
+                TranscribedWord(token=w["token"], confidence=_confidence(w["conf"]))
                 for w in obj["words"]
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -302,7 +309,8 @@ def write_run_manifest(path, manifest: RunManifest) -> None:
         "params": manifest.params,
         "results": manifest.results,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_run_manifest(path) -> RunManifest:

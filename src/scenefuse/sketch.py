@@ -90,43 +90,16 @@ def count_sketch(x, params: SketchParams) -> np.ndarray:
     return _sketch_rows(_as_vector(x)[np.newaxis, :], params)[0]
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _fft_pow2(values: np.ndarray) -> np.ndarray:
-    # recursive radix-2 along the last axis; length must be a power of two
-    n = values.shape[-1]
-    if n == 1:
-        return values
-    even = _fft_pow2(values[..., 0::2])
-    odd = _fft_pow2(values[..., 1::2])
-    lifted = np.exp(-2j * np.pi * np.arange(n // 2) / n) * odd
-    return np.concatenate([even + lifted, even - lifted], axis=-1)
-
-
-def _ifft_pow2(values: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(values))) / values.shape[-1]
-
-
 def _convolve_rows(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     d = a_rows.shape[-1]
-    if _is_pow2(d):
-        freq = _fft_pow2(a_rows.astype(complex)) * _fft_pow2(b_rows.astype(complex))
-        return _ifft_pow2(freq).real
-    # non-power-of-two length: direct circulant product, vectorized per row
-    shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # [i, j] -> (j - i) mod d
-    out = np.empty_like(a_rows)
-    for r in range(a_rows.shape[0]):
-        out[r] = a_rows[r] @ b_rows[r][shift]
-    return out
+    freq = np.fft.rfft(a_rows, axis=-1) * np.fft.rfft(b_rows, axis=-1)
+    return np.fft.irfft(freq, n=d, axis=-1)
 
 
 def circular_convolve(a, b) -> np.ndarray:
     """Circular convolution out[j] = sum_i a[i] * b[(j - i) mod d].
 
-    Power-of-two lengths go through a radix-2 FFT; other lengths are computed
-    directly.
+    Computed for every length d as one real FFT product, ``irfft(rfft(a) * rfft(b))``.
     """
     a = _as_vector(a)
     b = _as_vector(b)
@@ -166,10 +139,25 @@ def _signed_sqrt_l2_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.where(norms == 0.0, 1.0, norms)
 
 
-def mcb_fuse_batch(xs, ys, px: SketchParams, py: SketchParams, normalize: bool = True) -> np.ndarray:
-    """Row-wise compact bilinear fusion of two stacked feature batches."""
+def support_mask(px: SketchParams, py: SketchParams) -> np.ndarray:
+    """Buckets of the fused sketch that some pair hash (px.h[i] + py.h[j]) mod d reaches.
+
+    Every other bucket of ``mcb_fuse`` is exactly zero for any input.
+    """
     _check_pair(px, py)
+    pair_h = (px.h[:, np.newaxis] + py.h[np.newaxis, :]) % px.sketch_dim
+    return np.bincount(pair_h.ravel(), minlength=px.sketch_dim) > 0
+
+
+def mcb_fuse_batch(xs, ys, px: SketchParams, py: SketchParams, normalize: bool = True) -> np.ndarray:
+    """Row-wise compact bilinear fusion of two stacked feature batches.
+
+    Buckets outside ``support_mask(px, py)`` are set to exactly 0.0, so FFT
+    round-off never shows up where the sketch has no support.
+    """
+    reachable = support_mask(px, py)
     fused = _convolve_rows(_sketch_rows(_as_rows(xs), px), _sketch_rows(_as_rows(ys), py))
+    fused[:, ~reachable] = 0.0
     if normalize:
         fused = _signed_sqrt_l2_rows(fused)
     return fused
@@ -236,6 +224,13 @@ class FusionSpec:
             if self.seeds[0] == self.seeds[1]:
                 raise ValueError("mcb requires two distinct seeds")
 
+    def sketch_params(self, dim_a: int, dim_b: int) -> tuple[SketchParams, SketchParams]:
+        """The hash pair that mcb fusion of dim_a- and dim_b-wide inputs uses."""
+        return (
+            make_sketch_params(dim_a, self.sketch_dim, self.seeds[0]),
+            make_sketch_params(dim_b, self.sketch_dim, self.seeds[1]),
+        )
+
 
 def fuse_rows(a_rows, b_rows, spec: FusionSpec) -> np.ndarray:
     """Apply a FusionSpec row-by-row to two aligned feature batches."""
@@ -249,6 +244,5 @@ def fuse_rows(a_rows, b_rows, spec: FusionSpec) -> np.ndarray:
         if a_rows.shape[1] != b_rows.shape[1]:
             raise ValueError("average requires equal dims")
         return (a_rows + b_rows) / 2.0
-    px = make_sketch_params(a_rows.shape[1], spec.sketch_dim, spec.seeds[0])
-    py = make_sketch_params(b_rows.shape[1], spec.sketch_dim, spec.seeds[1])
+    px, py = spec.sketch_params(a_rows.shape[1], b_rows.shape[1])
     return mcb_fuse_batch(a_rows, b_rows, px, py, normalize=spec.normalize)

@@ -65,7 +65,7 @@ def test_tensor_sketch_identity():
     for trial in range(200):
         n1 = int(rng.integers(1, 33))
         n2 = int(rng.integers(1, 33))
-        d = int(rng.choice([8, 16, 64]))
+        d = int(rng.choice([7, 8, 12, 16, 33, 64]))
         seed = int(rng.integers(0, 2**62))
         px = make_sketch_params(n1, d, seed=seed)
         py = make_sketch_params(n2, d, seed=seed + 1)
@@ -87,7 +87,7 @@ def test_fft_convolution_matches_naive_oracle():
     rng = np.random.default_rng(31_337)
     worst = 0.0
     for trial in range(100):
-        d = int(rng.choice([2, 4, 8, 16, 32, 64]))  # powers of two exercise the FFT path
+        d = int(rng.choice([2, 4, 7, 8, 12, 16, 32, 33, 64]))  # any length takes the FFT path
         a = rng.standard_normal(d)
         b = rng.standard_normal(d)
         diff = np.abs(circular_convolve(a, b) - circular_convolve_naive(a, b)).max()

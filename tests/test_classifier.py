@@ -197,6 +197,14 @@ class TestTrain:
         train(m, make_batch(rng, m, 8), TrainConfig(epochs=2, seed=0))
         assert np.array_equal(m.W, w_before)
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_divergence_raises(self):
+        rng = np.random.default_rng(14)
+        m = init_model(3, ["a", "b"], seed=15)
+        data = make_batch(rng, m, 16)
+        with pytest.raises(ValueError, match="diverged"):
+            train(m, data, TrainConfig(learning_rate=1e300, epochs=5, batch_size=4, seed=0))
+
     def test_rejects_negative_learning_rate(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)

@@ -14,6 +14,7 @@ from scenefuse.io import (
     load_run_manifest,
     load_transcriptions,
 )
+from scenefuse.sketch import make_sketch_params
 from scenefuse.text import fit_tfidf, select_top_k
 
 
@@ -189,6 +190,33 @@ class TestFuse:
         manifest = load_run_manifest(str(out) + ".run.json")
         assert manifest.params["seed_a"] != manifest.params["seed_b"]
 
+    def test_mcb_records_sketch_occupancy(self, fixtures_dir, tmp_path):
+        text = self.featurize(fixtures_dir, tmp_path)
+        out = tmp_path / "fused.txt"
+        run_cli(
+            "fuse", "--a", fixtures_dir / "image_features.txt", "--b", text,
+            "--out", out, "--scheme", "mcb", "--d", 64,
+        )
+        run = load_run_manifest(str(out) + ".run.json")
+        px = make_sketch_params(5, 64, run.params["seed_a"])
+        py = make_sketch_params(6, 64, run.params["seed_b"])
+        reach = np.bincount(((px.h[:, None] + py.h[None, :]) % 64).ravel(), minlength=64)
+        occupancy = run.results["sketch_occupancy"]
+        assert occupancy == np.count_nonzero(reach) / 64
+        assert 0.0 < occupancy < 1.0
+        # buckets no hash pair reaches are written as exact zeros
+        fused = np.stack(list(load_features(out).values()))
+        assert np.all(fused[:, reach == 0] == 0.0)
+
+    def test_concat_records_no_sketch_occupancy(self, fixtures_dir, tmp_path):
+        text = self.featurize(fixtures_dir, tmp_path)
+        out = tmp_path / "fused.txt"
+        run_cli(
+            "fuse", "--a", fixtures_dir / "image_features.txt", "--b", text,
+            "--out", out, "--scheme", "concat",
+        )
+        assert "sketch_occupancy" not in load_run_manifest(str(out) + ".run.json").results
+
     def test_rerun_is_byte_identical(self, fixtures_dir, tmp_path):
         text = self.featurize(fixtures_dir, tmp_path)
         out = tmp_path / "fused.txt"
@@ -280,6 +308,21 @@ class TestTrainEval:
         assert rc == 0
         report = load_run_manifest(report_path)
         assert report.results["cells"][0]["accuracy"] > 0.95
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_divergence_fails_without_report(self, fixtures_dir, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        rc = run_cli(
+            "train-eval",
+            "--manifest", fixtures_dir / "manifest.tsv",
+            "--features", fixtures_dir / "image_features.txt",
+            "--report-json", report_path, "--lr", 1e300,
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "training diverged" in captured.err
+        assert "test accuracy" not in captured.out
+        assert not report_path.exists()
 
     def test_missing_feature_id_fails(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"

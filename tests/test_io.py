@@ -147,6 +147,17 @@ class TestTranscriptionFormat:
             load_transcriptions(bad)
 
 
+    @pytest.mark.parametrize("conf", ["true", "false", '"0.9"', "null"])
+    def test_non_numeric_confidence_rejected(self, tmp_path, conf):
+        bad = tmp_path / "t.jsonl"
+        bad.write_text(
+            '{"image_id": "a", "words": []}\n'
+            f'{{"image_id": "b", "words": [{{"token": "x", "conf": {conf}}}]}}\n'
+        )
+        with pytest.raises(ValueError, match=r"t\.jsonl:2: .*conf must be a number"):
+            load_transcriptions(bad)
+
+
 class TestManifestFormat:
     def test_fixture_loads(self, fixtures_dir):
         manifest = load_manifest(fixtures_dir / "manifest.tsv")
@@ -248,3 +259,12 @@ class TestReportFormats:
         twice = tmp_path / "run2.json"
         write_run_manifest(twice, load_run_manifest(out))
         assert out.read_bytes() == twice.read_bytes()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_run_manifest_rejects_non_finite_floats(self, tmp_path, value):
+        manifest = RunManifest(
+            tool="scenefuse", version="0.1.0", command="train-eval",
+            params={}, results={"final_train_loss": value},
+        )
+        with pytest.raises(ValueError):
+            write_run_manifest(tmp_path / "run.json", manifest)

@@ -17,6 +17,7 @@ from scenefuse.sketch import (
     mcb_fuse_batch,
     outer_sketch_oracle,
     splitmix64,
+    support_mask,
 )
 
 
@@ -201,6 +202,35 @@ class TestMcbFuse:
         for r in range(4):
             single = mcb_fuse(xs[r], ys[r], px, py, normalize=False)
             assert batch[r].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("d", [7, 16, 1000, 1024])
+    def test_unreachable_buckets_are_exactly_zero(self, d, normalize):
+        # few input dims at small d, so some buckets stay out of reach at every d
+        n1, n2 = (3, 2) if d < 100 else (32, 32)
+        px = make_sketch_params(n1, d, seed=41)
+        py = make_sketch_params(n2, d, seed=42)
+        recount = np.bincount(((px.h[:, None] + py.h[None, :]) % d).ravel(), minlength=d)
+        unreachable = recount == 0
+        assert unreachable.any()
+        assert np.array_equal(support_mask(px, py), ~unreachable)
+        rng = np.random.default_rng(d)
+        fused = mcb_fuse_batch(
+            rng.standard_normal((6, n1)), rng.standard_normal((6, n2)), px, py, normalize=normalize
+        )
+        assert fused[:, unreachable].tobytes() == np.zeros((6, unreachable.sum())).tobytes()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("d", [1000, 1024])
+    def test_batch_matches_single_at_fusion_sizes(self, d, normalize):
+        rng = np.random.default_rng(d + 1)
+        px = make_sketch_params(32, d, seed=51)
+        py = make_sketch_params(32, d, seed=52)
+        xs = rng.standard_normal((8, 32))
+        ys = rng.standard_normal((8, 32))
+        batch = mcb_fuse_batch(xs, ys, px, py, normalize=normalize)
+        for r in range(8):
+            assert batch[r].tobytes() == mcb_fuse(xs[r], ys[r], px, py, normalize=normalize).tobytes()
 
     def test_unbiased_inner_product_small(self):
         # quick version of the estimator check; the acceptance suite runs M=10000
