@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .classifier import (
     ClassifierModel,
-    LabeledExample,
+    LabeledSet,
     TrainConfig,
     evaluate,
     forward,
@@ -24,7 +24,6 @@ from .data import (
     CleaningReport,
     Manifest,
     ManifestRow,
-    PairedExample,
     SynthConfig,
     VqaRecord,
     clean_corpus,
@@ -34,14 +33,11 @@ from .data import (
 from .sketch import (
     FusionSpec,
     SketchParams,
-    average_fuse,
     circular_convolve,
     circular_convolve_naive,
-    concat_fuse,
     count_sketch,
     fuse_rows,
     make_sketch_params,
-    mcb_fuse,
     mcb_fuse_batch,
     outer_sketch_oracle,
     splitmix64,
@@ -65,10 +61,9 @@ __all__ = [
     "CleaningReport",
     "EmbeddingTable",
     "FusionSpec",
-    "LabeledExample",
+    "LabeledSet",
     "Manifest",
     "ManifestRow",
-    "PairedExample",
     "SketchParams",
     "SynthConfig",
     "TextFeature",
@@ -78,11 +73,9 @@ __all__ = [
     "TranscriptionRecord",
     "VqaRecord",
     "aggregate",
-    "average_fuse",
     "circular_convolve",
     "circular_convolve_naive",
     "clean_corpus",
-    "concat_fuse",
     "count_sketch",
     "evaluate",
     "filter_by_confidence",
@@ -94,7 +87,6 @@ __all__ = [
     "loss_and_grad",
     "make_sketch_params",
     "make_synthetic",
-    "mcb_fuse",
     "mcb_fuse_batch",
     "outer_sketch_oracle",
     "select_top_k",

@@ -43,9 +43,26 @@ class ClassifierModel:
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    feature: np.ndarray
-    label: int
+class LabeledSet:
+    """Feature rows X (n, dim) with their class indices y (n,)."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        X = np.ascontiguousarray(self.X, dtype=float)
+        y = np.asarray(self.y)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-d, got shape {X.shape}")
+        if y.ndim != 1 or y.dtype.kind not in "iu":
+            raise ValueError(f"y must be a 1-d integer array, got {y.dtype} of shape {y.shape}")
+        if y.shape[0] != X.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} labels")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y.astype(np.int64))
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
 
 
 def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierModel:
@@ -76,14 +93,11 @@ def forward(model: ClassifierModel, x) -> np.ndarray:
     return _softmax_rows((model.W @ x + model.b)[np.newaxis, :])[0]
 
 
-def _stack(data: Sequence[LabeledExample], model: ClassifierModel) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([np.asarray(ex.feature, dtype=float) for ex in data])
-    if X.shape[1] != model.dim:
-        raise ValueError(f"feature dim {X.shape[1]} does not match model dim {model.dim}")
-    y = np.array([ex.label for ex in data], dtype=np.int64)
-    if y.min() < 0 or y.max() >= model.n_classes:
+def _check_fits(data: LabeledSet, model: ClassifierModel) -> None:
+    if data.X.shape[1] != model.dim:
+        raise ValueError(f"feature dim {data.X.shape[1]} does not match model dim {model.dim}")
+    if data.y.min() < 0 or data.y.max() >= model.n_classes:
         raise ValueError("label out of range")
-    return X, y
 
 
 def _loss_grad(
@@ -100,17 +114,17 @@ def _loss_grad(
 
 
 def loss_and_grad(
-    model: ClassifierModel, batch: Sequence[LabeledExample], l2: float = 0.0
+    model: ClassifierModel, batch: LabeledSet, l2: float = 0.0
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy plus (l2/2)*||W||_F^2, with its exact analytic gradients."""
     if not batch:
         raise ValueError("empty batch")
-    X, y = _stack(batch, model)
-    return _loss_grad(model.W, model.b, X, y, l2)
+    _check_fits(batch, model)
+    return _loss_grad(model.W, model.b, batch.X, batch.y, l2)
 
 
 def train(
-    model: ClassifierModel, data: Sequence[LabeledExample], cfg: TrainConfig
+    model: ClassifierModel, data: LabeledSet, cfg: TrainConfig
 ) -> tuple[ClassifierModel, list[float]]:
     """Mini-batch SGD over shuffled epochs; returns the trained copy and per-epoch mean loss.
 
@@ -118,7 +132,8 @@ def train(
     """
     if not data:
         raise ValueError("no training data")
-    X, y = _stack(data, model)
+    _check_fits(data, model)
+    X, y = data.X, data.y
     W = model.W.copy()
     b = model.b.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -142,17 +157,16 @@ def train(
     return ClassifierModel(W=W, b=b, class_names=list(model.class_names)), history
 
 
-def evaluate(
-    model: ClassifierModel, data: Sequence[LabeledExample]
-) -> tuple[float, np.ndarray]:
+def evaluate(model: ClassifierModel, data: LabeledSet) -> tuple[float, np.ndarray]:
     """Top-1 accuracy and a (true, predicted) confusion count matrix.
 
     Argmax ties resolve to the lowest class index.
     """
     if not data:
         raise ValueError("no evaluation data")
-    X, y = _stack(data, model)
-    pred = np.argmax(X @ model.W.T + model.b, axis=1)
+    _check_fits(data, model)
+    y = data.y
+    pred = np.argmax(data.X @ model.W.T + model.b, axis=1)
     confusion = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
     np.add.at(confusion, (y, pred), 1)
     return float((pred == y).mean()), confusion

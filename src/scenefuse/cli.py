@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import LabeledExample, TrainConfig, evaluate, init_model, train
+from .classifier import LabeledSet, TrainConfig, evaluate, init_model, train
 from .data import (
     Manifest,
     ManifestRow,
@@ -110,7 +110,6 @@ def _cmd_featurize_text(args) -> int:
                 "k": k,
                 "threshold": args.threshold,
                 "drop_empty": bool(args.drop_empty),
-                "seed": args.seed,
             },
             results={
                 "images": len(features),
@@ -186,14 +185,23 @@ def _cmd_fuse(args) -> int:
 # -- train-eval ------------------------------------------------------------------
 
 
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch,
+        seed=args.seed,
+        l2=args.l2,
+    )
+
+
 def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_names):
     features = load_features(features_path)
-    train_examples = join_labeled(manifest, features, "train", class_names)
-    test_examples = join_labeled(manifest, features, "test", class_names)
-    dim = train_examples[0].feature.size
-    model = init_model(dim, class_names, cfg.seed)
-    trained, history = train(model, train_examples, cfg)
-    accuracy, confusion = evaluate(trained, test_examples)
+    train_set = join_labeled(manifest, features, "train", class_names)
+    test_set = join_labeled(manifest, features, "test", class_names)
+    model = init_model(train_set.X.shape[1], class_names, cfg.seed)
+    trained, history = train(model, train_set, cfg)
+    accuracy, confusion = evaluate(trained, test_set)
     return trained, accuracy, confusion, history
 
 
@@ -223,13 +231,9 @@ def _cmd_train_eval(args) -> int:
         cells.append((parts[0], parts[1], parts[2]))
     if not cells:
         raise ValueError("provide --features or at least one --cell")
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        l2=args.l2,
-    )
+    if args.save_model and len(cells) > 1:
+        raise ValueError(f"--save-model keeps one model, but {len(cells)} cells were given")
+    cfg = _train_config(args)
     class_names = manifest.class_names()
     cell_results = []
     values: dict[tuple[str, str], str] = {}
@@ -260,18 +264,19 @@ def _cmd_train_eval(args) -> int:
         row_labels = list(dict.fromkeys(r for r, _, _ in cells))
         col_labels = list(dict.fromkeys(c for _, c, _ in cells))
         print(_format_grid(row_labels, col_labels, values))
+    params = {
+        "manifest": str(args.manifest),
+        "cells": [{"row": r, "col": c, "features": str(p)} for r, c, p in cells],
+        "lr": args.lr,
+        "epochs": args.epochs,
+        "batch": args.batch,
+        "l2": args.l2,
+        "seed": args.seed,
+    }
+    if args.save_model:  # only when given, so reports of runs without a model stay as they were
+        params["save_model"] = str(args.save_model)
     report = _run_manifest(
-        "train-eval",
-        params={
-            "manifest": str(args.manifest),
-            "cells": [{"row": r, "col": c, "features": str(p)} for r, c, p in cells],
-            "lr": args.lr,
-            "epochs": args.epochs,
-            "batch": args.batch,
-            "l2": args.l2,
-            "seed": args.seed,
-        },
-        results={"class_names": class_names, "cells": cell_results},
+        "train-eval", params=params, results={"class_names": class_names, "cells": cell_results}
     )
     if args.report_json:
         write_run_manifest(args.report_json, report)
@@ -333,30 +338,21 @@ def _cmd_vqa(args) -> int:
         raise ValueError("answer vocabulary needs at least two distinct training answers")
     answer_index = {answer: i for i, answer in enumerate(vocab)}
 
-    train_examples = [
-        LabeledExample(feature=feature_for(r), label=answer_index[r.answer])
-        for r in train_records
-        if r.answer in answer_index
-    ]
-    dropped_train = len(train_records) - len(train_examples)
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        l2=args.l2,
-    )
-    model = init_model(train_examples[0].feature.size, vocab, args.seed)
-    trained, _ = train(model, train_examples, cfg)
+    def labeled(rows) -> LabeledSet:
+        return LabeledSet(
+            X=np.stack([feature_for(r) for r in rows]),
+            y=np.array([answer_index[r.answer] for r in rows]),
+        )
 
-    test_matrix = np.stack([feature_for(r) for r in test_records])
-    predictions = np.argmax(test_matrix @ trained.W.T + trained.b, axis=1)
-    correct = sum(
-        1
-        for record, pred in zip(test_records, predictions)
-        if answer_index.get(record.answer) == pred
-    )
-    oov_test = sum(1 for r in test_records if r.answer not in answer_index)
+    train_set = labeled([r for r in train_records if r.answer in answer_index])
+    dropped_train = len(train_records) - len(train_set)
+    model = init_model(train_set.X.shape[1], vocab, args.seed)
+    trained, _ = train(model, train_set, _train_config(args))
+
+    # out-of-vocabulary test answers stay in the denominator and count as wrong
+    test_in_vocab = [r for r in test_records if r.answer in answer_index]
+    correct = int(np.trace(evaluate(trained, labeled(test_in_vocab))[1])) if test_in_vocab else 0
+    oov_test = len(test_records) - len(test_in_vocab)
     accuracy = correct / len(test_records)
 
     print(f"mode: {args.mode}")
@@ -364,7 +360,7 @@ def _cmd_vqa(args) -> int:
         f"test accuracy: {_pct(accuracy)}% ({correct}/{len(test_records)}; "
         f"{oov_test} out-of-vocabulary answers counted wrong)"
     )
-    print(f"train: {len(train_examples)} used, {dropped_train} dropped (answer outside top-{len(vocab)})")
+    print(f"train: {len(train_set)} used, {dropped_train} dropped (answer outside top-{len(vocab)})")
 
     report = _run_manifest(
         "vqa",
@@ -387,7 +383,7 @@ def _cmd_vqa(args) -> int:
             "accuracy_percent": float(_pct(accuracy)),
             "n_test": len(test_records),
             "n_test_oov": oov_test,
-            "n_train_used": len(train_examples),
+            "n_train_used": len(train_set),
             "n_train_dropped": dropped_train,
             "vocab_size": len(vocab),
         },
@@ -413,19 +409,18 @@ def _cmd_synth(args) -> int:
         noise_sigma=args.sigma,
         seed=args.seed,
     )
-    train_examples, test_examples = make_synthetic(cfg)
+    (a_train, b_train, y_train), (a_test, b_test, y_test) = make_synthetic(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    features_a: dict[str, np.ndarray] = {}
-    features_b: dict[str, np.ndarray] = {}
-    rows = []
-    for index, (example, split) in enumerate(
-        [(e, "train") for e in train_examples] + [(e, "test") for e in test_examples]
-    ):
-        image_id = f"synth-{index:06d}"
-        features_a[image_id] = example.a
-        features_b[image_id] = example.b
-        rows.append(ManifestRow(image_id=image_id, label=f"class{example.label:03d}", split=split))
+    labels = np.concatenate([y_train, y_test]).tolist()
+    splits = ["train"] * len(y_train) + ["test"] * len(y_test)
+    ids = [f"synth-{index:06d}" for index in range(len(labels))]
+    rows = [
+        ManifestRow(image_id=image_id, label=f"class{label:03d}", split=split)
+        for image_id, label, split in zip(ids, labels, splits)
+    ]
+    features_a = dict(zip(ids, np.concatenate([a_train, a_test])))
+    features_b = dict(zip(ids, np.concatenate([b_train, b_test])))
     write_features(out_dir / "features_a.txt", features_a, dim=cfg.dim_a)
     write_features(out_dir / "features_b.txt", features_b, dim=cfg.dim_b)
     write_manifest(out_dir / "manifest.tsv", Manifest(rows=tuple(rows)))
@@ -457,9 +452,7 @@ def _features_equal(a: dict, b: dict) -> bool:
 
 
 def _embeddings_equal(a: EmbeddingTable, b: EmbeddingTable) -> bool:
-    return a.dim == b.dim and list(a.entries) == list(b.entries) and all(
-        np.array_equal(a.entries[k], b.entries[k]) for k in a.entries
-    )
+    return list(a.index) == list(b.index) and np.array_equal(a.matrix, b.matrix)
 
 
 def _model_equal(a, b) -> bool:
@@ -471,7 +464,7 @@ def _model_equal(a, b) -> bool:
 
 
 def _demo_structures():
-    table = EmbeddingTable(3, {"sun": [0.1, -0.2, 0.3], "sea": [0.4, 0.5, -0.6]})
+    table = EmbeddingTable(["sun", "sea"], [[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
     transcriptions = {
         "img-1": TranscriptionRecord(
             "img-1", (TranscribedWord("sun", 0.9), TranscribedWord("sea", 0.4))
@@ -582,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.70, help="confidence cutoff (default 0.70)")
     p.add_argument("--drop-empty", action="store_true", help="drop images with no surviving words")
     p.add_argument("--cleaning-report", help="optional cleaning report JSON path")
-    _add_seed(p)
     p.set_defaults(func=_cmd_featurize_text)
 
     p = sub.add_parser("fuse", help="fuse two aligned feature files")

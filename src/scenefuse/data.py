@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import LabeledExample
+from .classifier import LabeledSet
 from .text import TranscriptionRecord, filter_by_confidence
 
 SPLITS = ("train", "test")
@@ -101,8 +101,8 @@ def join_labeled(
     features: Mapping[str, np.ndarray],
     split: str,
     class_names: Sequence[str] | None = None,
-) -> list[LabeledExample]:
-    """Line up one split's manifest rows with their feature vectors.
+) -> LabeledSet:
+    """Stack one split's feature vectors, in manifest order, with their class indices.
 
     Every row must have a feature vector of consistent dimension; missing ids
     are reported together.
@@ -119,15 +119,13 @@ def join_labeled(
     if unknown:
         raise ValueError(f"labels missing from class set: {', '.join(unknown)}")
     dim = next(iter(features.values())).shape[0] if features else 0
-    examples = []
-    for row in rows:
-        vec = np.asarray(features[row.image_id], dtype=float)
+    vectors = [np.asarray(features[row.image_id], dtype=float) for row in rows]
+    for row, vec in zip(rows, vectors):
         if vec.shape != (dim,):
             raise ValueError(
                 f"feature for {row.image_id!r} has dim {vec.size}, expected {dim}"
             )
-        examples.append(LabeledExample(feature=vec, label=index[row.label]))
-    return examples
+    return LabeledSet(X=np.stack(vectors), y=np.array([index[row.label] for row in rows]))
 
 
 @dataclass(frozen=True)
@@ -154,15 +152,14 @@ class SynthConfig:
             raise ValueError("noise_sigma must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PairedExample:
-    a: np.ndarray
-    b: np.ndarray
-    label: int
+SynthSplit = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def make_synthetic(cfg: SynthConfig) -> tuple[list[PairedExample], list[PairedExample]]:
+def make_synthetic(cfg: SynthConfig) -> tuple[SynthSplit, SynthSplit]:
     """Two-modality benchmark around per-class Gaussian prototypes.
+
+    Returns ``(A, B, y)`` for the train split and then the test split: modality
+    rows A (n, dim_a) and B (n, dim_b) with their class indices y (n,).
 
     additive: both modalities carry the label, so either alone suffices.
     multiplicative: prototype indices i, j are drawn independently and the
@@ -173,7 +170,7 @@ def make_synthetic(cfg: SynthConfig) -> tuple[list[PairedExample], list[PairedEx
     protos_a = rng.standard_normal((cfg.n_classes, cfg.dim_a))
     protos_b = rng.standard_normal((cfg.n_classes, cfg.dim_b))
 
-    def draw(count: int) -> list[PairedExample]:
+    def draw(count: int) -> SynthSplit:
         if cfg.interaction == "additive":
             labels = rng.integers(0, cfg.n_classes, size=count)
             ia, ib = labels, labels
@@ -183,6 +180,6 @@ def make_synthetic(cfg: SynthConfig) -> tuple[list[PairedExample], list[PairedEx
             labels = (ia + ib) % cfg.n_classes
         a = protos_a[ia] + cfg.noise_sigma * rng.standard_normal((count, cfg.dim_a))
         b = protos_b[ib] + cfg.noise_sigma * rng.standard_normal((count, cfg.dim_b))
-        return [PairedExample(a=a[i], b=b[i], label=int(labels[i])) for i in range(count)]
+        return a, b, labels
 
     return draw(cfg.n_train), draw(cfg.n_test)

@@ -59,9 +59,11 @@ def _parse_count_dim_header(lines: list[str], path) -> tuple[int, int]:
 
 def load_embeddings(path) -> EmbeddingTable:
     lines = _read_lines(path)
-    _, dim = _parse_count_dim_header(lines, path)
-    entries: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    count, dim = _parse_count_dim_header(lines, path)
+    index: dict[str, int] = {}
+    matrix = np.empty((count, dim))
+    for row, line in enumerate(lines[1:]):
+        lineno = row + 2
         parts = line.split(" ")
         if len(parts) != dim + 1:
             raise ValueError(
@@ -70,15 +72,16 @@ def load_embeddings(path) -> EmbeddingTable:
         token = parts[0]
         if not token:
             raise ValueError(f"{path}:{lineno}: empty token")
-        if token in entries:
+        if token in index:
             raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-        entries[token] = _parse_floats(parts[1:], path, lineno)
-    return EmbeddingTable(dim=dim, entries=entries)
+        index[token] = row
+        matrix[row] = _parse_floats(parts[1:], path, lineno)
+    return EmbeddingTable(index, matrix)
 
 
 def write_embeddings(path, table: EmbeddingTable) -> None:
     lines = [f"{len(table)} {table.dim}"]
-    for token, vec in table.entries.items():
+    for token, vec in zip(table.index, table.matrix):
         lines.append(token + " " + " ".join(_fmt(v) for v in vec))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -129,7 +132,16 @@ def _confidence(value) -> float:
     # JSON true/false and numeric strings would otherwise pass float()
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"conf must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"conf {value} is out of range") from None
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
@@ -142,7 +154,7 @@ def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
         try:
             image_id = obj["image_id"]
             words = tuple(
-                TranscribedWord(token=w["token"], confidence=_confidence(w["conf"]))
+                TranscribedWord(_string(w["token"], "token"), _confidence(w["conf"]))
                 for w in obj["words"]
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -206,9 +218,7 @@ def load_vqa(path) -> list[VqaRecord]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: bad JSON: {exc.msg}") from None
         try:
-            record = VqaRecord(
-                image_id=obj["image_id"], question=obj["question"], answer=obj["answer"]
-            )
+            record = VqaRecord(*(_string(obj[f], f) for f in ("image_id", "question", "answer")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad VQA record: {exc}") from None
         records.append(record)

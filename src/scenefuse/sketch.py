@@ -61,57 +61,48 @@ def make_sketch_params(input_dim: int, sketch_dim: int, seed: int) -> SketchPara
     return SketchParams(input_dim=input_dim, sketch_dim=sketch_dim, h=h, s=s, seed=seed)
 
 
-def _as_vector(values) -> np.ndarray:
+def _as_vectors(values, batch: bool = True) -> np.ndarray:
+    """values as float64: one vector or, with ``batch``, a 2-d batch of row vectors."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
+    if arr.ndim != 1 and not (batch and arr.ndim == 2):
+        expected = "a 1-d vector or a 2-d batch of vectors" if batch else "a 1-d vector"
+        raise ValueError(f"expected {expected}, got shape {arr.shape}")
     return arr
-
-
-def _as_rows(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d batch of vectors, got shape {arr.shape}")
-    return arr
-
-
-def _sketch_rows(rows: np.ndarray, params: SketchParams) -> np.ndarray:
-    if rows.shape[1] != params.input_dim:
-        raise ValueError(
-            f"input dim {rows.shape[1]} does not match sketch input_dim {params.input_dim}"
-        )
-    out = np.zeros((rows.shape[0], params.sketch_dim))
-    np.add.at(out.T, params.h, (rows * params.s).T)
-    return out
 
 
 def count_sketch(x, params: SketchParams) -> np.ndarray:
-    """Project x into sketch_dim buckets: out[j] = sum over h[i]=j of s[i]*x[i]."""
-    return _sketch_rows(_as_vector(x)[np.newaxis, :], params)[0]
+    """Project x into sketch_dim buckets: out[j] = sum over h[i]=j of s[i]*x[i].
 
-
-def _convolve_rows(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    d = a_rows.shape[-1]
-    freq = np.fft.rfft(a_rows, axis=-1) * np.fft.rfft(b_rows, axis=-1)
-    return np.fft.irfft(freq, n=d, axis=-1)
+    x is one vector or a batch of row vectors; the sketch runs along the last axis.
+    """
+    x = _as_vectors(x)
+    if x.shape[-1] != params.input_dim:
+        raise ValueError(
+            f"input dim {x.shape[-1]} does not match sketch input_dim {params.input_dim}"
+        )
+    out = np.zeros(x.shape[:-1] + (params.sketch_dim,))
+    np.add.at(out.T, params.h, (x * params.s).T)
+    return out
 
 
 def circular_convolve(a, b) -> np.ndarray:
-    """Circular convolution out[j] = sum_i a[i] * b[(j - i) mod d].
+    """Circular convolution out[j] = sum_i a[i] * b[(j - i) mod d] along the last axis.
 
-    Computed for every length d as one real FFT product, ``irfft(rfft(a) * rfft(b))``.
+    a and b are two vectors or two row batches of the same shape.  Computed for
+    every length d as one real FFT product, ``irfft(rfft(a) * rfft(b))``.
     """
-    a = _as_vector(a)
-    b = _as_vector(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return _convolve_rows(a[np.newaxis, :], b[np.newaxis, :])[0]
+    a = _as_vectors(a)
+    b = _as_vectors(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    freq = np.fft.rfft(a, axis=-1) * np.fft.rfft(b, axis=-1)
+    return np.fft.irfft(freq, n=a.shape[-1], axis=-1)
 
 
 def circular_convolve_naive(a, b) -> np.ndarray:
     """Plain O(d^2) circular convolution, kept independent as the reference oracle."""
-    a = _as_vector(a)
-    b = _as_vector(b)
+    a = _as_vectors(a, batch=False)
+    b = _as_vectors(b, batch=False)
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     d = a.size
@@ -133,16 +124,16 @@ def _check_pair(px: SketchParams, py: SketchParams) -> None:
         raise ValueError("the two sketches must use distinct seeds")
 
 
-def _signed_sqrt_l2_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.sign(rows) * np.sqrt(np.abs(rows))
-    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
-    return rows / np.where(norms == 0.0, 1.0, norms)
+def _signed_sqrt_l2(values: np.ndarray) -> np.ndarray:
+    values = np.sign(values) * np.sqrt(np.abs(values))
+    norms = np.linalg.norm(values, axis=-1, keepdims=True)
+    return values / np.where(norms == 0.0, 1.0, norms)
 
 
 def support_mask(px: SketchParams, py: SketchParams) -> np.ndarray:
     """Buckets of the fused sketch that some pair hash (px.h[i] + py.h[j]) mod d reaches.
 
-    Every other bucket of ``mcb_fuse`` is exactly zero for any input.
+    Every other bucket of ``mcb_fuse_batch`` is exactly zero for any input.
     """
     _check_pair(px, py)
     pair_h = (px.h[:, np.newaxis] + py.h[np.newaxis, :]) % px.sketch_dim
@@ -150,37 +141,29 @@ def support_mask(px: SketchParams, py: SketchParams) -> np.ndarray:
 
 
 def mcb_fuse_batch(xs, ys, px: SketchParams, py: SketchParams, normalize: bool = True) -> np.ndarray:
-    """Row-wise compact bilinear fusion of two stacked feature batches.
+    """Compact bilinear fusion: convolve the count sketches of xs and ys.
 
+    xs and ys are one vector each or two batches with the same number of rows.
+    Each output row equals a count sketch of the outer product x (x) y under
+    the pair hash h(i,j) = (px.h[i] + py.h[j]) mod d, s(i,j) = px.s[i] * py.s[j].
     Buckets outside ``support_mask(px, py)`` are set to exactly 0.0, so FFT
-    round-off never shows up where the sketch has no support.
+    round-off never shows up where the sketch has no support.  With
+    ``normalize`` each row is passed through elementwise signed square root and
+    then L2-normalized (a zero row is left unchanged).
     """
     reachable = support_mask(px, py)
-    fused = _convolve_rows(_sketch_rows(_as_rows(xs), px), _sketch_rows(_as_rows(ys), py))
-    fused[:, ~reachable] = 0.0
+    fused = circular_convolve(count_sketch(xs, px), count_sketch(ys, py))
+    fused[..., ~reachable] = 0.0
     if normalize:
-        fused = _signed_sqrt_l2_rows(fused)
+        fused = _signed_sqrt_l2(fused)
     return fused
-
-
-def mcb_fuse(x, y, px: SketchParams, py: SketchParams, normalize: bool = True) -> np.ndarray:
-    """Compact bilinear fusion: convolve the count sketches of x and y.
-
-    Equals a count sketch of the outer product x (x) y under the pair hash
-    h(i,j) = (px.h[i] + py.h[j]) mod d, s(i,j) = px.s[i] * py.s[j].  With
-    ``normalize`` the result is passed through elementwise signed square root
-    and then L2-normalized (a zero vector is left unchanged).
-    """
-    return mcb_fuse_batch(
-        _as_vector(x)[np.newaxis, :], _as_vector(y)[np.newaxis, :], px, py, normalize
-    )[0]
 
 
 def outer_sketch_oracle(x, y, px: SketchParams, py: SketchParams) -> np.ndarray:
     """Sketch the materialized outer product directly. Verification only: O(n1*n2)."""
     _check_pair(px, py)
-    x = _as_vector(x)
-    y = _as_vector(y)
+    x = _as_vectors(x, batch=False)
+    y = _as_vectors(y, batch=False)
     if x.size != px.input_dim:
         raise ValueError(f"input dim {x.size} does not match sketch input_dim {px.input_dim}")
     if y.size != py.input_dim:
@@ -190,20 +173,6 @@ def outer_sketch_oracle(x, y, px: SketchParams, py: SketchParams) -> np.ndarray:
     pair_s = px.s[:, np.newaxis] * py.s[np.newaxis, :]
     weights = pair_s * np.outer(x, y)
     return np.bincount(pair_h.ravel(), weights=weights.ravel(), minlength=d)
-
-
-def concat_fuse(x, y) -> np.ndarray:
-    """x's entries followed by y's."""
-    return np.concatenate([_as_vector(x), _as_vector(y)])
-
-
-def average_fuse(x, y) -> np.ndarray:
-    """Elementwise mean of two equal-length vectors."""
-    x = _as_vector(x)
-    y = _as_vector(y)
-    if x.size != y.size:
-        raise ValueError("average requires equal dims")
-    return (x + y) / 2.0
 
 
 @dataclass(frozen=True)
@@ -233,16 +202,20 @@ class FusionSpec:
 
 
 def fuse_rows(a_rows, b_rows, spec: FusionSpec) -> np.ndarray:
-    """Apply a FusionSpec row-by-row to two aligned feature batches."""
-    a_rows = _as_rows(a_rows)
-    b_rows = _as_rows(b_rows)
-    if a_rows.shape[0] != b_rows.shape[0]:
-        raise ValueError(f"row count mismatch: {a_rows.shape[0]} vs {b_rows.shape[0]}")
+    """Apply a FusionSpec along the last axis of two aligned vectors or row batches.
+
+    concat puts a's entries before b's, average takes the elementwise mean of
+    equal-width inputs, and mcb is ``mcb_fuse_batch`` with ``spec.sketch_params``.
+    """
+    a_rows = _as_vectors(a_rows)
+    b_rows = _as_vectors(b_rows)
+    if a_rows.shape[:-1] != b_rows.shape[:-1]:
+        raise ValueError(f"row count mismatch: {a_rows.shape[:-1]} vs {b_rows.shape[:-1]}")
     if spec.scheme == "concat":
-        return np.concatenate([a_rows, b_rows], axis=1)
+        return np.concatenate([a_rows, b_rows], axis=-1)
     if spec.scheme == "average":
-        if a_rows.shape[1] != b_rows.shape[1]:
+        if a_rows.shape[-1] != b_rows.shape[-1]:
             raise ValueError("average requires equal dims")
         return (a_rows + b_rows) / 2.0
-    px, py = spec.sketch_params(a_rows.shape[1], b_rows.shape[1])
+    px, py = spec.sketch_params(a_rows.shape[-1], b_rows.shape[-1])
     return mcb_fuse_batch(a_rows, b_rows, px, py, normalize=spec.normalize)

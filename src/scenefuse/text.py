@@ -51,31 +51,40 @@ class TranscriptionRecord:
 
 
 class EmbeddingTable:
-    """Token -> dense vector lexicon with a fixed dimension; read-only after construction."""
+    """Token -> dense vector lexicon: a token -> row index over one read-only (count, dim) matrix.
 
-    def __init__(self, dim: int, entries: dict[str, Sequence[float]]):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        table: dict[str, np.ndarray] = {}
-        for token, values in entries.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.shape != (dim,):
-                raise ValueError(
-                    f"embedding for {token!r} has length {arr.size}, expected {dim}"
-                )
-            arr.flags.writeable = False
-            table[token] = arr
-        self.dim = dim
-        self.entries = table
+    ``tokens`` and the rows of ``vectors`` line up; tokens must be distinct.
+    The table keeps a read-only view of ``vectors`` rather than a copy.
+    """
+
+    def __init__(self, tokens: Sequence[str], vectors):
+        matrix = np.asarray(vectors, dtype=float).view()
+        tokens = list(tokens)
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValueError(f"vectors must be a (count, dim >= 1) matrix, not {matrix.shape}")
+        if matrix.shape[0] != len(tokens):
+            raise ValueError(f"{len(tokens)} tokens but {matrix.shape[0]} vectors")
+        index = {token: row for row, token in enumerate(tokens)}
+        if len(index) != len(tokens):
+            duplicates = sorted(t for t, n in Counter(tokens).items() if n > 1)
+            raise ValueError(f"duplicate tokens: {', '.join(map(repr, duplicates))}")
+        matrix.flags.writeable = False
+        self.index = index
+        self.matrix = matrix
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.index
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
 
     def get(self, token: str) -> np.ndarray | None:
-        return self.entries.get(token)
+        row = self.index.get(token)
+        return None if row is None else self.matrix[row]
 
 
 @dataclass(frozen=True)
@@ -133,15 +142,12 @@ def aggregate(tokens: Sequence[str], table: EmbeddingTable) -> TextFeature:
     if len(table) == 0:
         raise ValueError("embedding table is empty")
     tokens = list(tokens)
-    total = np.zeros(table.dim)
-    misses = 0
-    for token in sorted(tokens):
-        vec = table.get(token)
-        if vec is None:
-            misses += 1
-        else:
-            total += vec
-    return TextFeature(vector=total, selected=tuple(tokens), miss_count=misses)
+    rows = [table.index[t] for t in sorted(tokens) if t in table.index]
+    vector = np.zeros(table.dim)
+    # row by row: matrix[rows].sum(axis=0) sums pairwise, in another order, when dim is 1
+    for row in rows:
+        vector += table.matrix[row]
+    return TextFeature(vector=vector, selected=tuple(tokens), miss_count=len(tokens) - len(rows))
 
 
 def filter_by_confidence(record: TranscriptionRecord, threshold: float) -> TranscriptionRecord:

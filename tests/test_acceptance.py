@@ -10,7 +10,7 @@ import numpy as np
 
 from scenefuse.classifier import (
     ClassifierModel,
-    LabeledExample,
+    LabeledSet,
     TrainConfig,
     evaluate,
     init_model,
@@ -45,7 +45,7 @@ from scenefuse.sketch import (
     count_sketch,
     fuse_rows,
     make_sketch_params,
-    mcb_fuse,
+    mcb_fuse_batch,
     outer_sketch_oracle,
 )
 
@@ -71,7 +71,7 @@ def test_tensor_sketch_identity():
         py = make_sketch_params(n2, d, seed=seed + 1)
         x = rng.standard_normal(n1)
         y = rng.standard_normal(n2)
-        fused = mcb_fuse(x, y, px, py, normalize=False)
+        fused = mcb_fuse_batch(x, y, px, py, normalize=False)
         oracle = outer_sketch_oracle(x, y, px, py)
         worst = max(worst, float(np.abs(fused - oracle).max()))
     elapsed = time.perf_counter() - started
@@ -135,12 +135,11 @@ def test_gradient_matches_central_differences():
             b=rng.standard_normal(classes) * 0.2,
             class_names=[f"c{i}" for i in range(classes)],
         )
-        batch = [
-            LabeledExample(
-                feature=rng.standard_normal(dims), label=int(rng.integers(0, classes))
-            )
-            for _ in range(int(rng.integers(1, 7)))
-        ]
+        rows, labels = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            rows.append(rng.standard_normal(dims))
+            labels.append(int(rng.integers(0, classes)))
+        batch = LabeledSet(X=np.stack(rows), y=np.array(labels))
         l2 = float(rng.choice([0.0, 0.05, 0.3]))
         _, grad_w, grad_b = loss_and_grad(model, batch, l2)
 
@@ -225,8 +224,8 @@ def test_tfidf_selection_matches_brute_force(fixtures_dir):
 
 def _fit_and_score(x_train, y_train, x_test, y_test, n_classes, seed=7):
     names = [f"class{i:03d}" for i in range(n_classes)]
-    train_set = [LabeledExample(feature=v, label=int(l)) for v, l in zip(x_train, y_train)]
-    test_set = [LabeledExample(feature=v, label=int(l)) for v, l in zip(x_test, y_test)]
+    train_set = LabeledSet(X=x_train, y=y_train)
+    test_set = LabeledSet(X=x_test, y=y_test)
     cfg = TrainConfig(learning_rate=0.1, epochs=50, batch_size=64, seed=seed)
     trained, _ = train(init_model(x_train.shape[1], names, seed=seed), train_set, cfg)
     accuracy, _ = evaluate(trained, test_set)
@@ -239,13 +238,7 @@ def test_fusion_ordering_on_multiplicative_synthetic():
         n_train=4000, n_test=1000, dim_a=32, dim_b=32, n_classes=8,
         interaction="multiplicative", noise_sigma=0.1, seed=2024,
     )
-    train_set, test_set = make_synthetic(cfg)
-    a_train = np.stack([e.a for e in train_set])
-    b_train = np.stack([e.b for e in train_set])
-    a_test = np.stack([e.a for e in test_set])
-    b_test = np.stack([e.b for e in test_set])
-    y_train = np.array([e.label for e in train_set])
-    y_test = np.array([e.label for e in test_set])
+    (a_train, b_train, y_train), (a_test, b_test, y_test) = make_synthetic(cfg)
 
     acc_a = _fit_and_score(a_train, y_train, a_test, y_test, cfg.n_classes)
     acc_b = _fit_and_score(b_train, y_train, b_test, y_test, cfg.n_classes)
@@ -339,11 +332,7 @@ def test_every_format_round_trips_on_fixture_corpus(fixtures_dir, tmp_path):
     table = load_embeddings(fixtures_dir / "embeddings.txt")
     write_embeddings(tmp_path / "emb.txt", table)
     again = load_embeddings(tmp_path / "emb.txt")
-    if not (
-        again.dim == table.dim
-        and list(again.entries) == list(table.entries)
-        and all(np.array_equal(again.entries[k], table.entries[k]) for k in table.entries)
-    ):
+    if not (list(again.index) == list(table.index) and np.array_equal(again.matrix, table.matrix)):
         failures.append("embeddings")
 
     transcriptions = load_transcriptions(fixtures_dir / "transcriptions.jsonl")

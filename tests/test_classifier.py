@@ -5,7 +5,7 @@ import pytest
 
 from scenefuse.classifier import (
     ClassifierModel,
-    LabeledExample,
+    LabeledSet,
     TrainConfig,
     evaluate,
     forward,
@@ -16,13 +16,38 @@ from scenefuse.classifier import (
 
 
 def make_batch(rng, model, size):
-    return [
-        LabeledExample(
-            feature=rng.standard_normal(model.dim),
-            label=int(rng.integers(0, model.n_classes)),
-        )
-        for _ in range(size)
-    ]
+    # one row then its label, row by row, so the draws interleave
+    rows, labels = [], []
+    for _ in range(size):
+        rows.append(rng.standard_normal(model.dim))
+        labels.append(int(rng.integers(0, model.n_classes)))
+    return LabeledSet(X=np.stack(rows), y=np.array(labels))
+
+
+class TestLabeledSet:
+    def test_len_is_row_count_and_labels_are_int64(self):
+        data = LabeledSet(X=[[1, 2], [3, 4], [5, 6]], y=[0, 1, 0])
+        assert len(data) == 3
+        assert data.X.dtype == np.float64 and data.y.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "X,y,match",
+        [
+            (np.zeros(3), [0, 1, 0], "X must be 2-d"),
+            (np.zeros((3, 2)), [[0], [1], [0]], "y must be a 1-d integer array"),
+            (np.zeros((3, 2)), [0.0, 1.0, 0.0], "y must be a 1-d integer array"),
+            (np.zeros((3, 2)), [True, False, True], "y must be a 1-d integer array"),
+            (np.zeros((3, 2)), [0, 1], "3 rows but y has 2 labels"),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, X, y, match):
+        with pytest.raises(ValueError, match=match):
+            LabeledSet(X=X, y=y)
+
+    def test_feature_dim_checked_against_model(self):
+        m = init_model(3, ["a", "b"], seed=0)
+        with pytest.raises(ValueError, match="feature dim 2 does not match model dim 3"):
+            train(m, LabeledSet(X=np.zeros((4, 2)), y=[0, 1, 0, 1]), TrainConfig(epochs=1))
 
 
 class TestInitModel:
@@ -86,7 +111,7 @@ class TestForward:
 class TestLossAndGrad:
     def test_uniform_loss_is_log_c(self):
         m = ClassifierModel(W=np.zeros((4, 3)), b=np.zeros(4), class_names=list("abcd"))
-        batch = [LabeledExample(feature=np.ones(3), label=2)]
+        batch = LabeledSet(X=np.ones((1, 3)), y=[2])
         loss, _, _ = loss_and_grad(m, batch)
         assert loss == pytest.approx(math.log(4))
 
@@ -94,18 +119,18 @@ class TestLossAndGrad:
         m = ClassifierModel(
             W=np.array([[50.0], [-50.0]]), b=np.zeros(2), class_names=["a", "b"]
         )
-        loss, _, _ = loss_and_grad(m, [LabeledExample(feature=np.array([1.0]), label=0)])
+        loss, _, _ = loss_and_grad(m, LabeledSet(X=[[1.0]], y=[0]))
         assert loss < 1e-12
 
     def test_empty_batch(self):
         m = init_model(2, ["a", "b"], seed=0)
         with pytest.raises(ValueError, match="empty batch"):
-            loss_and_grad(m, [])
+            loss_and_grad(m, LabeledSet(X=np.zeros((0, 2)), y=np.zeros(0, dtype=int)))
 
     def test_l2_term_included(self):
         W = np.array([[1.0, -2.0], [0.5, 0.0]])
         m = ClassifierModel(W=W, b=np.zeros(2), class_names=["a", "b"])
-        batch = [LabeledExample(feature=np.zeros(2), label=0)]
+        batch = LabeledSet(X=np.zeros((1, 2)), y=[0])
         loss0, _, _ = loss_and_grad(m, batch, l2=0.0)
         loss1, _, _ = loss_and_grad(m, batch, l2=0.4)
         assert loss1 - loss0 == pytest.approx(0.2 * np.sum(W * W))
@@ -161,9 +186,7 @@ class TestTrain:
             (-2.0, 0.5), (-1.5, -1.0), (-1.0, 2.0), (-0.5, -0.5),
             (0.5, 1.0), (1.0, -2.0), (1.5, 0.0), (2.0, 1.5),
         ]
-        data = [
-            LabeledExample(feature=np.array(f), label=0 if f[0] < 0 else 1) for f in feats
-        ]
+        data = LabeledSet(X=feats, y=[0 if f[0] < 0 else 1 for f in feats])
         m = init_model(2, ["neg", "pos"], seed=3)
         cfg = TrainConfig(learning_rate=0.5, epochs=200, batch_size=8, seed=4)
         trained, _ = train(m, data, cfg)
@@ -215,17 +238,14 @@ class TestEvaluate:
         m = ClassifierModel(
             W=np.array([[10.0, 0.0], [0.0, 10.0]]), b=np.zeros(2), class_names=["a", "b"]
         )
-        data = [
-            LabeledExample(feature=np.array([1.0, 0.0]), label=0),
-            LabeledExample(feature=np.array([0.0, 1.0]), label=1),
-        ]
+        data = LabeledSet(X=[[1.0, 0.0], [0.0, 1.0]], y=[0, 1])
         accuracy, confusion = evaluate(m, data)
         assert accuracy == 1.0
         assert np.array_equal(confusion, [[1, 0], [0, 1]])
 
     def test_tie_breaks_to_lowest_index(self):
         m = ClassifierModel(W=np.zeros((3, 2)), b=np.zeros(3), class_names=["a", "b", "c"])
-        data = [LabeledExample(feature=np.array([1.0, 1.0]), label=i) for i in range(3)]
+        data = LabeledSet(X=np.ones((3, 2)), y=[0, 1, 2])
         _, confusion = evaluate(m, data)
         assert confusion[:, 0].sum() == 3  # everything predicted as class 0
 
@@ -234,15 +254,15 @@ class TestEvaluate:
         m = init_model(3, ["a", "b", "c"], seed=15)
         data = make_batch(rng, m, 50)
         _, confusion = evaluate(m, data)
-        per_class = np.bincount([ex.label for ex in data], minlength=3)
+        per_class = np.bincount(data.y, minlength=3)
         assert np.array_equal(confusion.sum(axis=1), per_class)
 
     def test_empty_data(self):
         m = init_model(2, ["a", "b"], seed=0)
         with pytest.raises(ValueError):
-            evaluate(m, [])
+            evaluate(m, LabeledSet(X=np.zeros((0, 2)), y=np.zeros(0, dtype=int)))
 
     def test_label_out_of_range(self):
         m = init_model(2, ["a", "b"], seed=0)
         with pytest.raises(ValueError):
-            evaluate(m, [LabeledExample(feature=np.zeros(2), label=5)])
+            evaluate(m, LabeledSet(X=np.zeros((1, 2)), y=[5]))

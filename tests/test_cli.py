@@ -5,12 +5,14 @@ import sys
 import numpy as np
 import pytest
 
+from scenefuse.classifier import evaluate
 from scenefuse.cli import main
-from scenefuse.data import clean_corpus
+from scenefuse.data import clean_corpus, join_labeled
 from scenefuse.io import (
     load_embeddings,
     load_features,
     load_manifest,
+    load_model,
     load_run_manifest,
     load_transcriptions,
 )
@@ -139,6 +141,20 @@ class TestFeaturizeText:
         features = load_features(out)
         assert len(features) == 13
         assert np.array_equal(features["ad-9999"], np.zeros(6))
+
+    def test_seed_option_is_gone(self, fixtures_dir, tmp_path):
+        out = tmp_path / "text.txt"
+        args = (
+            "featurize-text",
+            "--transcriptions", fixtures_dir / "transcriptions.jsonl",
+            "--embeddings", fixtures_dir / "embeddings.txt",
+            "--out", out,
+        )
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--seed", 3)
+        assert exc.value.code == 2
+        assert run_cli(*args) == 0
+        assert "seed" not in load_run_manifest(str(out) + ".run.json").params
 
     def test_cleaning_report_written(self, fixtures_dir, tmp_path):
         report_path = tmp_path / "cleaning.json"
@@ -323,6 +339,43 @@ class TestTrainEval:
         assert "training diverged" in captured.err
         assert "test accuracy" not in captured.out
         assert not report_path.exists()
+
+    def test_saved_model_reproduces_reported_accuracy(self, fixtures_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        report_path = tmp_path / "report.json"
+        text = TestFuse().featurize(fixtures_dir, tmp_path)
+        assert run_cli(
+            "train-eval", "--manifest", fixtures_dir / "manifest.tsv", "--features", text,
+            "--save-model", model_path, "--report-json", report_path, "--seed", 4,
+        ) == 0
+        report = load_run_manifest(report_path)
+        assert report.params["save_model"] == str(model_path)
+        manifest = load_manifest(fixtures_dir / "manifest.tsv")
+        test_set = join_labeled(manifest, load_features(text), "test")
+        accuracy, confusion = evaluate(load_model(model_path), test_set)
+        assert accuracy == report.results["cells"][0]["accuracy"]
+        assert confusion.tolist() == report.results["cells"][0]["confusion"]
+
+    def test_save_model_with_two_cells_fails_before_training(self, fixtures_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        report_path = tmp_path / "report.json"
+        image = fixtures_dir / "image_features.txt"
+        rc = run_cli(
+            "train-eval", "--manifest", fixtures_dir / "manifest.tsv",
+            "--cell", f"a:acc:{image}", "--cell", f"b:acc:{tmp_path / 'never-read.txt'}",
+            "--save-model", model_path, "--report-json", report_path,
+        )
+        assert rc == 2
+        assert "--save-model" in capsys.readouterr().err
+        assert not model_path.exists() and not report_path.exists()
+
+    def test_report_without_save_model_has_no_save_model_key(self, fixtures_dir, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert run_cli(
+            "train-eval", "--manifest", fixtures_dir / "manifest.tsv",
+            "--features", fixtures_dir / "image_features.txt", "--report-json", report_path,
+        ) == 0
+        assert "save_model" not in load_run_manifest(report_path).params
 
     def test_missing_feature_id_fails(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scenefuse.classifier import TrainConfig, evaluate, init_model, train
+from scenefuse.classifier import LabeledSet, TrainConfig, evaluate, init_model, train
 from scenefuse.data import (
     CleaningReport,
     Manifest,
@@ -104,8 +104,9 @@ class TestJoinLabeled:
         feats = {k: np.array([1.0, float(i)]) for i, k in enumerate(["i1", "i2", "i3"])}
         examples = join_labeled(self.make_manifest(), feats, "train")
         assert len(examples) == 2
-        assert examples[0].label == 0  # cat sorts first
-        assert examples[1].label == 1
+        assert np.array_equal(examples.X, [[1.0, 0.0], [1.0, 1.0]])  # manifest order
+        assert examples.y[0] == 0  # cat sorts first
+        assert examples.y[1] == 1
 
     def test_missing_id_named_in_error(self):
         feats = {"i1": np.zeros(2)}
@@ -143,24 +144,24 @@ class TestMakeSynthetic:
         cfg = SynthConfig(n_train=20, n_test=10, dim_a=4, dim_b=3, n_classes=3, seed=42)
         t1, e1 = make_synthetic(cfg)
         t2, e2 = make_synthetic(cfg)
-        assert all(np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b) for a, b in zip(t1, t2))
-        assert [x.label for x in e1] == [x.label for x in e2]
+        assert all(np.array_equal(a, b) for a, b in zip(t1[:2], t2[:2]))
+        assert np.array_equal(e1[2], e2[2])
 
     def test_shapes_and_label_range(self):
         cfg = SynthConfig(n_train=15, n_test=5, dim_a=6, dim_b=4, n_classes=3, seed=1)
-        train_set, test_set = make_synthetic(cfg)
-        assert len(train_set) == 15 and len(test_set) == 5
-        for ex in train_set + test_set:
-            assert ex.a.shape == (6,) and ex.b.shape == (4,)
-            assert 0 <= ex.label < 3
+        (a_train, b_train, y_train), (a_test, b_test, y_test) = make_synthetic(cfg)
+        assert a_train.shape == (15, 6) and b_train.shape == (15, 4) and y_train.shape == (15,)
+        assert a_test.shape == (5, 6) and b_test.shape == (5, 4) and y_test.shape == (5,)
+        for y in (y_train, y_test):
+            assert y.dtype.kind == "i" and y.min() >= 0 and y.max() < 3
 
     def _single_modality_accuracy(self, cfg, modality):
         train_set, test_set = make_synthetic(cfg)
+        column = "ab".index(modality)
+
         def examples(split):
-            from scenefuse.classifier import LabeledExample
-            return [
-                LabeledExample(feature=getattr(ex, modality), label=ex.label) for ex in split
-            ]
+            return LabeledSet(X=split[column], y=split[2])
+
         model = init_model(getattr(cfg, f"dim_{modality}"), [f"c{i}" for i in range(cfg.n_classes)], seed=0)
         trained, _ = train(
             model,
@@ -195,11 +196,11 @@ class TestMakeSynthetic:
         rng = np.random.default_rng(cfg.seed)
         protos_a = rng.standard_normal((cfg.n_classes, cfg.dim_a))
         protos_b = rng.standard_normal((cfg.n_classes, cfg.dim_b))
-        train_set, _ = make_synthetic(cfg)
-        for ex in train_set:
-            i = int(np.argmin(np.linalg.norm(protos_a - ex.a, axis=1)))
-            j = int(np.argmin(np.linalg.norm(protos_b - ex.b, axis=1)))
-            assert ex.label == (i + j) % cfg.n_classes
+        (a_train, b_train, y_train), _ = make_synthetic(cfg)
+        for a, b, label in zip(a_train, b_train, y_train):
+            i = int(np.argmin(np.linalg.norm(protos_a - a, axis=1)))
+            j = int(np.argmin(np.linalg.norm(protos_b - b, axis=1)))
+            assert label == (i + j) % cfg.n_classes
 
 
 class TestCleaningReport:

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenefuse.classifier import init_model
 from scenefuse.data import CleaningReport, Manifest, ManifestRow, VqaRecord
@@ -22,7 +26,24 @@ from scenefuse.io import (
     write_transcriptions,
     write_vqa,
 )
-from scenefuse.text import EmbeddingTable, TranscribedWord, TranscriptionRecord
+from scenefuse.text import TranscribedWord
+
+# any value a JSON document can hold, nested a little
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _load_or_name_line(loader, path, lines):
+    """Load ``lines``; a rejection must be a ValueError that starts with ``path:2:``."""
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
+    try:
+        return loader(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:2: "), str(exc)
+        return None
 
 
 class TestEmbeddingsFormat:
@@ -37,9 +58,8 @@ class TestEmbeddingsFormat:
         out = tmp_path / "emb.txt"
         write_embeddings(out, table)
         again = load_embeddings(out)
-        assert again.dim == table.dim
-        assert list(again.entries) == list(table.entries)
-        assert all(np.array_equal(again.entries[k], table.entries[k]) for k in table.entries)
+        assert list(again.index) == list(table.index)
+        assert again.matrix.tobytes() == table.matrix.tobytes()
         twice = tmp_path / "emb2.txt"
         write_embeddings(twice, again)
         assert out.read_bytes() == twice.read_bytes()
@@ -158,6 +178,31 @@ class TestTranscriptionFormat:
             load_transcriptions(bad)
 
 
+    @given(field=st.sampled_from(["image_id", "token", "conf"]), value=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_loads_or_names_its_line(self, tmp_path_factory, field, value):
+        word = {"token": "x", "conf": 0.5}
+        record = {"image_id": "b", "words": [word]}
+        (record if field == "image_id" else word)[field] = value
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        loaded = _load_or_name_line(
+            load_transcriptions, path, [{"image_id": "a", "words": []}, record]
+        )
+        if loaded is not None:
+            (got,) = loaded[value if field == "image_id" else "b"].words
+            assert isinstance(got.token, str) and isinstance(got.confidence, float)
+
+    @pytest.mark.parametrize("token", ["5", "[\"sale\"]", "null", "true"])
+    def test_non_string_token_rejected(self, tmp_path, token):
+        bad = tmp_path / "t.jsonl"
+        bad.write_text(
+            '{"image_id": "a", "words": []}\n'
+            f'{{"image_id": "b", "words": [{{"token": {token}, "conf": 0.9}}]}}\n'
+        )
+        with pytest.raises(ValueError, match=r"t\.jsonl:2: .*token must be a string"):
+            load_transcriptions(bad)
+
+
 class TestManifestFormat:
     def test_fixture_loads(self, fixtures_dir):
         manifest = load_manifest(fixtures_dir / "manifest.tsv")
@@ -208,6 +253,23 @@ class TestVqaFormat:
         bad = tmp_path / "v.jsonl"
         bad.write_text('{"image_id": "a", "question": "q", "answer": ""}\n')
         with pytest.raises(ValueError, match=r":1"):
+            load_vqa(bad)
+
+
+    @given(field=st.sampled_from(["image_id", "question", "answer"]), value=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_loads_or_names_its_line(self, tmp_path_factory, field, value):
+        record = {"image_id": "b", "question": "what is it", "answer": "nike"}
+        record[field] = value
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        loaded = _load_or_name_line(load_vqa, path, [VqaRecord("a", "q", "x").__dict__, record])
+        if loaded is not None:
+            assert all(isinstance(getattr(loaded[1], f), str) for f in record)
+
+    def test_non_string_question_rejected(self, tmp_path):
+        bad = tmp_path / "v.jsonl"
+        bad.write_text('{"image_id": "a", "question": ["what"], "answer": "x"}\n')
+        with pytest.raises(ValueError, match=r"v\.jsonl:1: .*question must be a string"):
             load_vqa(bad)
 
 

@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from scenefuse.sketch import (
     FusionSpec,
     SketchParams,
-    average_fuse,
     circular_convolve,
     circular_convolve_naive,
-    concat_fuse,
     count_sketch,
     fuse_rows,
     make_sketch_params,
-    mcb_fuse,
     mcb_fuse_batch,
     outer_sketch_oracle,
     splitmix64,
@@ -110,6 +107,20 @@ class TestCountSketch:
         b = count_sketch(x, p)
         assert a.tobytes() == b.tobytes()
 
+    def test_batch_rows_match_single_vectors(self):
+        xs = np.random.default_rng(1).standard_normal((5, 12))
+        p = make_sketch_params(12, 7, seed=78)
+        batch = count_sketch(xs, p)
+        assert batch.shape == (5, 7)
+        for r in range(5):
+            assert batch[r].tobytes() == count_sketch(xs[r], p).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 8)])
+    def test_rejects_scalars_and_3d(self, shape):
+        p = make_sketch_params(8, 4, seed=5)
+        with pytest.raises(ValueError, match="1-d vector or a 2-d batch"):
+            count_sketch(np.zeros(shape), p)
+
 
 class TestCircularConvolve:
     def test_impulse_identity(self):
@@ -140,14 +151,28 @@ class TestCircularConvolve:
         with pytest.raises(ValueError):
             circular_convolve([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_batch_rows_match_single_vectors(self):
+        rng = np.random.default_rng(8)
+        for d in (7, 16):
+            a = rng.standard_normal((4, d))
+            b = rng.standard_normal((4, d))
+            batch = circular_convolve(a, b)
+            for r in range(4):
+                assert batch[r].tobytes() == circular_convolve(a[r], b[r]).tobytes()
+                assert np.abs(batch[r] - circular_convolve_naive(a[r], b[r])).max() < 1e-12
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            circular_convolve(np.zeros((2, 4)), np.zeros((3, 4)))
+
 
 class TestMcbFuse:
     def test_zero_input_gives_zero(self):
         px = make_sketch_params(6, 8, seed=1)
         py = make_sketch_params(4, 8, seed=2)
         y = np.random.default_rng(0).standard_normal(4)
-        assert np.array_equal(mcb_fuse(np.zeros(6), y, px, py), np.zeros(8))
-        assert np.array_equal(mcb_fuse(np.zeros(6), y, px, py, normalize=False), np.zeros(8))
+        assert np.array_equal(mcb_fuse_batch(np.zeros(6), y, px, py), np.zeros(8))
+        assert np.array_equal(mcb_fuse_batch(np.zeros(6), y, px, py, normalize=False), np.zeros(8))
 
     def test_matches_outer_product_oracle(self):
         rng = np.random.default_rng(123)
@@ -159,7 +184,7 @@ class TestMcbFuse:
             py = make_sketch_params(n2, d, seed=seed_a + 1)
             x = rng.standard_normal(n1)
             y = rng.standard_normal(n2)
-            fused = mcb_fuse(x, y, px, py, normalize=False)
+            fused = mcb_fuse_batch(x, y, px, py, normalize=False)
             oracle = outer_sketch_oracle(x, y, px, py)
             assert np.abs(fused - oracle).max() < 1e-9
 
@@ -167,7 +192,7 @@ class TestMcbFuse:
         rng = np.random.default_rng(3)
         px = make_sketch_params(10, 16, seed=4)
         py = make_sketch_params(10, 16, seed=5)
-        fused = mcb_fuse(rng.standard_normal(10), rng.standard_normal(10), px, py, normalize=True)
+        fused = mcb_fuse_batch(rng.standard_normal(10), rng.standard_normal(10), px, py, normalize=True)
         assert abs(np.linalg.norm(fused) - 1.0) < 1e-12
 
     def test_bilinear_in_each_argument(self):
@@ -176,21 +201,21 @@ class TestMcbFuse:
         py = make_sketch_params(9, 8, seed=22)
         x1, x2 = rng.standard_normal(7), rng.standard_normal(7)
         y = rng.standard_normal(9)
-        lhs = mcb_fuse(2.5 * x1 + x2, y, px, py, normalize=False)
-        rhs = 2.5 * mcb_fuse(x1, y, px, py, normalize=False) + mcb_fuse(x2, y, px, py, normalize=False)
+        lhs = mcb_fuse_batch(2.5 * x1 + x2, y, px, py, normalize=False)
+        rhs = 2.5 * mcb_fuse_batch(x1, y, px, py, normalize=False) + mcb_fuse_batch(x2, y, px, py, normalize=False)
         assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_equal_seeds_rejected(self):
         px = make_sketch_params(4, 8, seed=9)
         py = make_sketch_params(4, 8, seed=9)
         with pytest.raises(ValueError):
-            mcb_fuse(np.ones(4), np.ones(4), px, py)
+            mcb_fuse_batch(np.ones(4), np.ones(4), px, py)
 
     def test_mismatched_sketch_dims_rejected(self):
         px = make_sketch_params(4, 8, seed=1)
         py = make_sketch_params(4, 16, seed=2)
         with pytest.raises(ValueError):
-            mcb_fuse(np.ones(4), np.ones(4), px, py)
+            mcb_fuse_batch(np.ones(4), np.ones(4), px, py)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
@@ -200,7 +225,7 @@ class TestMcbFuse:
         ys = rng.standard_normal((4, 5))
         batch = mcb_fuse_batch(xs, ys, px, py, normalize=False)
         for r in range(4):
-            single = mcb_fuse(xs[r], ys[r], px, py, normalize=False)
+            single = mcb_fuse_batch(xs[r], ys[r], px, py, normalize=False)
             assert batch[r].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("normalize", [True, False])
@@ -230,7 +255,7 @@ class TestMcbFuse:
         ys = rng.standard_normal((8, 32))
         batch = mcb_fuse_batch(xs, ys, px, py, normalize=normalize)
         for r in range(8):
-            assert batch[r].tobytes() == mcb_fuse(xs[r], ys[r], px, py, normalize=normalize).tobytes()
+            assert batch[r].tobytes() == mcb_fuse_batch(xs[r], ys[r], px, py, normalize=normalize).tobytes()
 
     def test_unbiased_inner_product_small(self):
         # quick version of the estimator check; the acceptance suite runs M=10000
@@ -264,27 +289,31 @@ class TestOuterSketchOracle:
         assert np.abs(scaled - 3.0 * base).max() < 1e-12
 
 
+CONCAT = FusionSpec(scheme="concat")
+AVERAGE = FusionSpec(scheme="average")
+
+
 class TestBaselineFusion:
     def test_concat(self):
-        assert np.array_equal(concat_fuse([1.0, 2.0], [3.0]), [1.0, 2.0, 3.0])
+        assert np.array_equal(fuse_rows([1.0, 2.0], [3.0], CONCAT), [1.0, 2.0, 3.0])
 
     def test_concat_empty_right(self):
-        assert np.array_equal(concat_fuse([1.0, 2.0], []), [1.0, 2.0])
+        assert np.array_equal(fuse_rows([1.0, 2.0], [], CONCAT), [1.0, 2.0])
 
     def test_concat_dims_add(self):
-        out = concat_fuse(np.zeros(1024), np.zeros(300))
+        out = fuse_rows(np.zeros(1024), np.zeros(300), CONCAT)
         assert out.shape == (1324,)
 
     def test_average_idempotent(self):
         x = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(average_fuse(x, x), x)
+        assert np.array_equal(fuse_rows(x, x, AVERAGE), x)
 
     def test_average_mean(self):
-        assert np.array_equal(average_fuse([2.0, 0.0], [0.0, 2.0]), [1.0, 1.0])
+        assert np.array_equal(fuse_rows([2.0, 0.0], [0.0, 2.0], AVERAGE), [1.0, 1.0])
 
     def test_average_dim_mismatch_message(self):
         with pytest.raises(ValueError, match="average requires equal dims"):
-            average_fuse(np.zeros(1024), np.zeros(300))
+            fuse_rows(np.zeros(1024), np.zeros(300), AVERAGE)
 
 
 class TestFusionSpec:
@@ -309,3 +338,5 @@ class TestFusionSpec:
         assert mcb.shape == (3, 8)
         with pytest.raises(ValueError, match="average requires equal dims"):
             fuse_rows(a, b, FusionSpec(scheme="average"))
+        with pytest.raises(ValueError, match="row count mismatch"):
+            fuse_rows(a, b[:2], FusionSpec(scheme="concat"))

@@ -138,7 +138,7 @@ class TestSelectTopK:
 
 class TestAggregate:
     def setup_method(self):
-        self.table = EmbeddingTable(2, {"a": [1.0, 2.0], "b": [3.0, -1.0]})
+        self.table = EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, -1.0]])
 
     def test_single_token(self):
         feat = aggregate(["a"], self.table)
@@ -161,7 +161,7 @@ class TestAggregate:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(["a"], EmbeddingTable(2, {}))
+            aggregate(["a"], EmbeddingTable([], np.zeros((0, 2))))
 
     @given(st.permutations(["a", "b", "a", "zzz", "b"]))
     def test_permutation_invariant_bitwise(self, shuffled):
@@ -169,6 +169,28 @@ class TestAggregate:
         other = aggregate(list(shuffled), self.table)
         assert base.vector.tobytes() == other.vector.tobytes()
         assert base.miss_count == other.miss_count
+
+    @given(
+        st.lists(st.integers(0, 11), max_size=10),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200)
+    def test_gather_sum_equals_sequential_loop_bitwise(self, picks, dim, seed):
+        # reference: the one-row-at-a-time loop in sorted token order, from +0.0
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((10, dim)) * 10.0 ** rng.integers(-8, 8, (10, 1))
+        matrix[rng.random((10, dim)) < 0.3] = -0.0
+        tokens = [f"w{i}" for i in range(10)]
+        table = EmbeddingTable(tokens, matrix)
+        query = [f"w{i}" for i in picks]  # w10 and w11 miss the lexicon
+        total = np.zeros(dim)
+        for token in sorted(query):
+            if token in table:
+                total += table.get(token)
+        feat = aggregate(query, table)
+        assert feat.vector.tobytes() == total.tobytes()
+        assert feat.miss_count == sum(i >= 10 for i in picks)
 
     @given(
         st.lists(st.sampled_from(["a", "b", "zzz"]), max_size=8),
@@ -184,12 +206,29 @@ class TestAggregate:
 class TestEmbeddingTable:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            EmbeddingTable(3, {"a": [1.0, 2.0]})
+            EmbeddingTable(["a", "b"], [[1.0, 2.0, 3.0], [1.0, 2.0]])
+
+    def test_rejects_token_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 tokens but 1 vectors"):
+            EmbeddingTable(["a", "b"], [[1.0, 2.0]])
+
+    def test_rejects_duplicate_tokens(self):
+        with pytest.raises(ValueError, match="duplicate tokens: 'a'"):
+            EmbeddingTable(["a", "b", "a"], np.zeros((3, 2)))
 
     def test_vectors_read_only(self):
-        table = EmbeddingTable(2, {"a": [1.0, 2.0]})
+        table = EmbeddingTable(["a"], [[1.0, 2.0]])
         with pytest.raises(ValueError):
             table.get("a")[0] = 5.0
+        with pytest.raises(ValueError):
+            table.matrix[0, 0] = 5.0
+
+    def test_keeps_a_view_and_leaves_the_callers_array_writable(self):
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
+        table = EmbeddingTable(["a", "b"], vectors)
+        assert np.shares_memory(table.matrix, vectors)
+        assert vectors.flags.writeable
+        assert table.dim == 2 and len(table) == 2 and "b" in table and table.get("c") is None
 
 
 class TestFilterByConfidence:
@@ -227,7 +266,7 @@ class TestFilterByConfidence:
 class TestTextFeaturePipeline:
     def test_select_then_embed_misses_consume_slots(self):
         # a selected token missing from the lexicon still uses one of the k slots
-        table = EmbeddingTable(2, {"common": [1.0, 1.0]})
+        table = EmbeddingTable(["common"], [[1.0, 1.0]])
         corpus = [
             record_of("1", "rare", "common"),
             record_of("2", "common"),
