@@ -291,6 +291,8 @@ def _cmd_train_eval(args) -> int:
 def _cmd_vqa(args) -> int:
     if args.mode not in VQA_MODES:
         raise ValueError(f"mode must be one of {VQA_MODES}")
+    if args.answer_vocab < 2:
+        raise ValueError(f"--answer-vocab must be at least 2, got {args.answer_vocab}")
     needs_image = args.mode in ("question-image", "question-image-text")
     needs_text = args.mode == "question-image-text"
     if needs_image and not args.image_features:

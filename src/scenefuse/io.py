@@ -8,7 +8,9 @@ structure and rewriting produces byte-identical files.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,10 +21,6 @@ from .data import CleaningReport, Manifest, ManifestRow, VqaRecord
 from .text import EmbeddingTable, TranscribedWord, TranscriptionRecord
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
     try:
         arr = np.array([float(p) for p in parts], dtype=float)
@@ -31,6 +29,74 @@ def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}:{lineno}: non-finite value")
     return arr
+
+
+def _parse_values(path, lines: list[str], start: int, stop: int, dim: int, sep) -> np.ndarray:
+    """The ``(stop - start, dim)`` values of ``lines[start:stop]``, their fields already counted.
+
+    A row's values follow its first ``sep`` (the whole row when ``sep`` is None).
+    One ``np.loadtxt`` call parses every row with the same correctly rounded
+    routine ``float()`` uses, fed by a generator so that no copy of the values is
+    kept.  Whatever it rejects, or reads differently (a blank row it skips, a
+    U+001F it strips as whitespace), goes line by line through ``float()``
+    instead, which takes ``float()``'s full syntax (``1_0``, non-ASCII digits)
+    and names the first bad line.
+    """
+
+    def blobs():
+        rows = islice(lines, start, stop)
+        return rows if sep is None else (line.partition(sep)[2] for line in rows)
+
+    count = stop - start
+    matrix = None
+    if count and not any("\x1f" in line for line in islice(lines, start, stop)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input line contained no data"
+                matrix = np.loadtxt(
+                    blobs(), dtype=float, delimiter=" ", comments=None, ndmin=2, max_rows=count
+                )
+        except (ValueError, UserWarning):
+            pass  # read line by line below
+    if matrix is None or matrix.shape != (count, dim):
+        matrix = np.empty((count, dim))
+        for row, blob in enumerate(blobs()):
+            matrix[row] = _parse_floats(blob.split(" "), path, start + row + 1)
+        return matrix
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{start + bad[0] + 1}: non-finite value")
+    return matrix
+
+
+def _parse_rows(path, lines: list[str], first: int, dim: int, sep, check_row) -> np.ndarray:
+    """The ``(len(lines) - first, dim)`` values of ``lines[first:]``; line numbers start at 1.
+
+    ``check_row(line, lineno)`` raises ``ValueError`` on a row whose structure is
+    wrong, and may record the row's key.  Errors come out in line order, as a
+    line-by-line reader gives them: a structural fault raises only after the
+    values of every earlier row have parsed.
+    """
+    for row in range(first, len(lines)):
+        try:
+            check_row(lines[row], row + 1)
+        except ValueError:
+            _parse_values(path, lines, first, row, dim, sep)
+            raise
+    return _parse_values(path, lines, first, len(lines), dim, sep)
+
+
+def _write_table(path, header: str, keyed_rows, sep: str) -> None:
+    """Write ``header`` then one ``key + sep + values`` line per row, rows streamed.
+
+    Values are ``repr`` of Python floats: the shortest decimal that reads back
+    to the same float64.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(
+            key + sep + " ".join(map(repr, row.tolist())) + "\n" for key, row in keyed_rows
+        )
 
 
 def _read_lines(path) -> list[str]:
@@ -59,31 +125,32 @@ def _parse_count_dim_header(lines: list[str], path) -> tuple[int, int]:
 
 def load_embeddings(path) -> EmbeddingTable:
     lines = _read_lines(path)
-    count, dim = _parse_count_dim_header(lines, path)
+    _, dim = _parse_count_dim_header(lines, path)
     index: dict[str, int] = {}
-    matrix = np.empty((count, dim))
-    for row, line in enumerate(lines[1:]):
-        lineno = row + 2
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
+
+    def check_row(line: str, lineno: int) -> None:
+        fields = line.count(" ") + 1
+        if fields != dim + 1:
             raise ValueError(
-                f"{path}:{lineno}: expected token plus {dim} values, got {len(parts)} fields"
+                f"{path}:{lineno}: expected token plus {dim} values, got {fields} fields"
             )
-        token = parts[0]
+        token = line.partition(" ")[0]
         if not token:
             raise ValueError(f"{path}:{lineno}: empty token")
         if token in index:
             raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-        index[token] = row
-        matrix[row] = _parse_floats(parts[1:], path, lineno)
+        index[token] = len(index)
+
+    matrix = _parse_rows(path, lines, 1, dim, " ", check_row)
     return EmbeddingTable(index, matrix)
 
 
 def write_embeddings(path, table: EmbeddingTable) -> None:
-    lines = [f"{len(table)} {table.dim}"]
-    for token, vec in zip(table.index, table.matrix):
-        lines.append(token + " " + " ".join(_fmt(v) for v in vec))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    finite = np.isfinite(table.matrix).all(axis=1)
+    if not finite.all():
+        token = list(table.index)[int(np.argmin(finite))]
+        raise ValueError(f"embedding for {token!r} has non-finite values")
+    _write_table(path, f"{len(table)} {table.dim}", zip(table.index, table.matrix), " ")
 
 
 # -- feature file: "<count> <dim>" then "<image_id>\t<v1> <v2> ..." -----------
@@ -92,21 +159,23 @@ def write_embeddings(path, table: EmbeddingTable) -> None:
 def load_features(path) -> dict[str, np.ndarray]:
     lines = _read_lines(path)
     _, dim = _parse_count_dim_header(lines, path)
-    features: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != 2:
+    ids: dict[str, None] = {}
+
+    def check_row(line: str, lineno: int) -> None:
+        if line.count("\t") != 1:
             raise ValueError(f"{path}:{lineno}: expected '<image_id>\\t<values>'")
-        image_id, blob = fields
+        image_id, _, blob = line.partition("\t")
         if not image_id:
             raise ValueError(f"{path}:{lineno}: empty image_id")
-        if image_id in features:
+        if image_id in ids:
             raise ValueError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-        parts = blob.split(" ")
-        if len(parts) != dim:
-            raise ValueError(f"{path}:{lineno}: expected {dim} values, got {len(parts)}")
-        features[image_id] = _parse_floats(parts, path, lineno)
-    return features
+        fields = blob.count(" ") + 1
+        if fields != dim:
+            raise ValueError(f"{path}:{lineno}: expected {dim} values, got {fields}")
+        ids[image_id] = None
+
+    matrix = _parse_rows(path, lines, 1, dim, "\t", check_row)
+    return dict(zip(ids, matrix))
 
 
 def write_features(path, features: Mapping[str, np.ndarray], dim: int | None = None) -> None:
@@ -115,14 +184,12 @@ def write_features(path, features: Mapping[str, np.ndarray], dim: int | None = N
         if not vectors:
             raise ValueError("cannot infer dim for an empty feature map")
         dim = next(iter(vectors.values())).size
-    lines = [f"{len(vectors)} {dim}"]
     for image_id, vec in vectors.items():
         if vec.shape != (dim,):
             raise ValueError(f"feature for {image_id!r} has dim {vec.size}, expected {dim}")
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"feature for {image_id!r} has non-finite values")
-        lines.append(image_id + "\t" + " ".join(_fmt(v) for v in vec))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, f"{len(vectors)} {dim}", vectors.items(), "\t")
 
 
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}
@@ -257,21 +324,23 @@ def load_model(path) -> ClassifierModel:
         n_classes, dim = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError(f"{path}:1: header must hold two integers") from None
+    if n_classes < 2 or dim < 1:
+        raise ValueError(
+            f"{path}:1: bad header values C={n_classes} D={dim}, need C >= 2 and D >= 1"
+        )
     names = lines[1].split("\t")
     if len(names) != n_classes:
         raise ValueError(f"{path}:2: expected {n_classes} class names, got {len(names)}")
     if len(lines) != 2 + n_classes:
         raise ValueError(f"{path}: expected {n_classes} weight rows, got {len(lines) - 2}")
-    W = np.empty((n_classes, dim))
-    b = np.empty(n_classes)
-    for i, line in enumerate(lines[2:], start=0):
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            raise ValueError(f"{path}:{i + 3}: expected {dim + 1} values, got {len(parts)}")
-        values = _parse_floats(parts, path, i + 3)
-        W[i] = values[:dim]
-        b[i] = values[dim]
-    return ClassifierModel(W=W, b=b, class_names=names)
+
+    def check_row(line: str, lineno: int) -> None:
+        fields = line.count(" ") + 1
+        if fields != dim + 1:
+            raise ValueError(f"{path}:{lineno}: expected {dim + 1} values, got {fields}")
+
+    values = _parse_rows(path, lines, 2, dim + 1, None, check_row)
+    return ClassifierModel(W=values[:, :dim].copy(), b=values[:, dim].copy(), class_names=names)
 
 
 # -- cleaning report (JSON) ---------------------------------------------------
@@ -288,15 +357,41 @@ def write_cleaning_report(path, report: CleaningReport) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _load_json_object(path, fields: Mapping[str, type]) -> dict:
+    """The top-level JSON object of ``path``, holding at least ``fields`` with their types."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise ValueError(f"{path}: missing key {key!r}")
+        _check_type(path, key, obj[key], kind)
+    return obj
+
+
+def _check_type(path, name: str, value, kind: type) -> None:
+    # JSON true/false would otherwise pass as the integers 1/0
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{path}: {name} must be {kind.__name__}, got {value!r}")
+
+
+_CLEANING_FIELDS = {
+    "total_words": int,
+    "kept_words": int,
+    "removed_words": int,
+    "emptied_records": int,
+    "removed_per_image": dict,
+}
+
+
 def load_cleaning_report(path) -> CleaningReport:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return CleaningReport(
-        total_words=obj["total_words"],
-        kept_words=obj["kept_words"],
-        removed_words=obj["removed_words"],
-        emptied_records=obj["emptied_records"],
-        removed_per_image=dict(obj["removed_per_image"]),
-    )
+    obj = _load_json_object(path, _CLEANING_FIELDS)
+    for image_id, removed in obj["removed_per_image"].items():
+        _check_type(path, f"removed_per_image[{image_id!r}]", removed, int)
+    return CleaningReport(**{key: obj[key] for key in _CLEANING_FIELDS})
 
 
 # -- run manifest (JSON): config echo + results + tool version ----------------
@@ -323,12 +418,9 @@ def write_run_manifest(path, manifest: RunManifest) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+_RUN_FIELDS = {"tool": str, "version": str, "command": str, "params": dict, "results": dict}
+
+
 def load_run_manifest(path) -> RunManifest:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunManifest(
-        tool=obj["tool"],
-        version=obj["version"],
-        command=obj["command"],
-        params=obj["params"],
-        results=obj["results"],
-    )
+    obj = _load_json_object(path, _RUN_FIELDS)
+    return RunManifest(**{key: obj[key] for key in _RUN_FIELDS})

@@ -455,6 +455,23 @@ class TestVqa:
         assert results["n_train_dropped"] == 3
         assert results["accuracy"] == 0.0  # every test answer is now out of vocabulary
 
+    @pytest.mark.parametrize("size", [-1, 0, 1])
+    def test_answer_vocab_below_two_fails_before_reading_input(self, tmp_path, capsys, size):
+        # a negative size used to slice from the end: -1 trained on the top 4 of 5 answers
+        report_path = tmp_path / "report.json"
+        rc = run_cli(
+            "vqa",
+            "--vqa", tmp_path / "never-read.jsonl",
+            "--manifest", tmp_path / "never-read.tsv",
+            "--embeddings", tmp_path / "never-read.txt",
+            "--mode", "question",
+            "--answer-vocab", size,
+            "--report-json", report_path,
+        )
+        assert rc == 2
+        assert f"--answer-vocab must be at least 2, got {size}" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_vocab_shrinks_to_distinct_answers(self, fixtures_dir, tmp_path):
         # two distinct training answers with the default 1000-answer cap -> vocab of 2
         from scenefuse.data import VqaRecord

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from scenefuse.classifier import init_model
+from scenefuse.classifier import ClassifierModel, init_model
 from scenefuse.data import CleaningReport, Manifest, ManifestRow, VqaRecord
 from scenefuse.io import (
     RunManifest,
@@ -26,7 +27,7 @@ from scenefuse.io import (
     write_transcriptions,
     write_vqa,
 )
-from scenefuse.text import TranscribedWord
+from scenefuse.text import EmbeddingTable, TranscribedWord
 
 # any value a JSON document can hold, nested a little
 JSON_VALUES = st.recursive(
@@ -34,6 +35,15 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
+
+
+CLEANING_REPORT = {
+    "total_words": 3, "kept_words": 2, "removed_words": 1, "emptied_records": 0,
+    "removed_per_image": {"a": 1},
+}
+RUN_MANIFEST = {
+    "tool": "scenefuse", "version": "0.1.0", "command": "fuse", "params": {}, "results": {},
+}
 
 
 def _load_or_name_line(loader, path, lines):
@@ -44,6 +54,137 @@ def _load_or_name_line(loader, path, lines):
     except ValueError as exc:
         assert str(exc).startswith(f"{path}:2: "), str(exc)
         return None
+
+
+# a float field: five times in six a finite float's repr, else a short run of float-ish
+# characters and words, including those where np.loadtxt and float() disagree
+# (U+001F, "1_0", a non-ASCII digit)
+FLOAT_FIELDS = st.integers(0, 5).flatmap(
+    lambda draw: st.floats(allow_nan=False, allow_infinity=False).map(repr) if draw else st.lists(
+        st.sampled_from([*"0123456789.eE+-_ \t\n\x1f", "nan", "inf", "\u0661"]), max_size=6
+    ).map("".join)
+)
+
+# finite float64 matrices, with the signed zero and both ends of the float range
+FINITE_MATRICES = arrays(
+    np.float64,
+    st.tuples(st.integers(2, 5), st.integers(2, 4)),
+    elements=st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+)
+
+# per float table: loader, first data line, separator before the values (None: the whole line)
+FLOAT_TABLES = {
+    "embeddings": (load_embeddings, 1, " "),
+    "features": (load_features, 1, "\t"),
+    "model": (load_model, 2, None),
+}
+
+
+def _table_text(kind: str, rows: list[list[str]]) -> str:
+    """A float table whose header fits ``rows``; the fields themselves may be anything."""
+    dim = len(rows[0])
+    if kind == "model":
+        head = [f"{len(rows)} {dim - 1}", "\t".join(f"c{i}" for i in range(len(rows)))]
+        return "\n".join(head + [" ".join(row) for row in rows]) + "\n"
+    sep = FLOAT_TABLES[kind][2]
+    lines = [f"k{i}{sep}" + " ".join(row) for i, row in enumerate(rows)]
+    return "\n".join([f"{len(rows)} {dim}"] + lines) + "\n"
+
+
+def _loaded_matrix(kind: str, loaded) -> np.ndarray:
+    if kind == "embeddings":
+        return loaded.matrix
+    if kind == "features":
+        return np.stack(list(loaded.values()))
+    return np.column_stack([loaded.W, loaded.b])
+
+
+def _float_reference(text: str, first: int, sep) -> list[list[float]]:
+    """Each data line's values through float(), one line at a time."""
+    return [
+        [float(v) for v in (line if sep is None else line.partition(sep)[2]).split(" ")]
+        for line in text.splitlines()[first:]
+    ]
+
+
+class TestFloatTables:
+    @given(
+        kind=st.sampled_from(sorted(FLOAT_TABLES)),
+        rows=st.integers(2, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(FLOAT_FIELDS, min_size=dim, max_size=dim), min_size=2, max_size=4
+            )
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_loads_as_float_reads_it_or_names_the_file(self, tmp_path_factory, kind, rows):
+        loader, first, sep = FLOAT_TABLES[kind]
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.txt"
+        text = _table_text(kind, rows)
+        path.write_text(text, encoding="utf-8")
+        try:
+            loaded = loader(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            if "unparseable float" in str(exc):  # float() itself rejects that line
+                lineno = int(str(exc)[len(f"{path}:") :].split(":")[0])
+                with pytest.raises(ValueError):
+                    _float_reference(text.splitlines()[lineno - 1], 0, sep)
+            return
+        expected = np.array(_float_reference(text, first, sep))
+        assert _loaded_matrix(kind, loaded).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "\u00a02.5", "+.5e1", "1e999", "\x1f1", ""])
+    def test_fields_read_exactly_as_float_reads_them(self, tmp_path, kind, field):
+        loader, first, sep = FLOAT_TABLES[kind]
+        path = tmp_path / "table.txt"
+        text = _table_text(kind, [["0.5", "1.5"], ["2.5", field]])
+        path.write_text(text, encoding="utf-8")
+        try:
+            value = float(field)
+        except ValueError:
+            with pytest.raises(ValueError, match=rf"table\.txt:{first + 2}: unparseable float"):
+                loader(path)
+            return
+        if not np.isfinite(value):
+            with pytest.raises(ValueError, match=rf"table\.txt:{first + 2}: non-finite value"):
+                loader(path)
+            return
+        assert _loaded_matrix(kind, loader(path)).tolist() == [[0.5, 1.5], [2.5, value]]
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_features(path, {"a": np.ones(2), "b": np.array([1.0, np.inf])}),
+            lambda path: write_features(path, {"a": np.ones(2), "b": np.ones(3)}),
+            lambda path: write_embeddings(path, EmbeddingTable(["a", "b"], [[1.0], [np.nan]])),
+        ],
+        ids=["features-non-finite", "features-dim", "embeddings-non-finite"],
+    )
+    def test_a_bad_last_row_leaves_no_file(self, tmp_path, write):
+        path = tmp_path / "table.txt"
+        with pytest.raises(ValueError, match="'b' has"):
+            write(path)
+        assert not path.exists()
+
+    @given(kind=st.sampled_from(sorted(FLOAT_TABLES)), matrix=FINITE_MATRICES)
+    @settings(max_examples=150, deadline=None)
+    def test_finite_matrices_round_trip_bit_exactly(self, tmp_path_factory, kind, matrix):
+        loader = FLOAT_TABLES[kind][0]
+        keys = [f"k{i}" for i in range(len(matrix))]
+        writer = {
+            "embeddings": lambda path, m: write_embeddings(path, EmbeddingTable(keys, m)),
+            "features": lambda path, m: write_features(path, dict(zip(keys, m))),
+            "model": lambda path, m: save_model(path, ClassifierModel(m[:, :-1], m[:, -1], keys)),
+        }[kind]
+        base = tmp_path_factory.getbasetemp()
+        writer(base / "once.txt", matrix)
+        again = _loaded_matrix(kind, loader(base / "once.txt"))
+        assert again.tobytes() == matrix.tobytes()
+        writer(base / "twice.txt", again)
+        assert (base / "once.txt").read_bytes() == (base / "twice.txt").read_bytes()
 
 
 class TestEmbeddingsFormat:
@@ -293,6 +434,21 @@ class TestModelFormat:
         with pytest.raises(ValueError, match="rows"):
             load_model(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 -3\na\tb\n1.0\n2.0\n",  # numpy's "negative dimensions", naming no file
+            "2 0\na\tb\n1.0\n2.0\n",  # would load a zero-width model
+            "1 2\na\n1.0 2.0 3.0\n",  # would load a one-class model
+            "0 2\n\n",
+        ],
+    )
+    def test_header_needs_two_classes_and_one_dim(self, tmp_path, text):
+        bad = tmp_path / "model.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=r"model\.txt:1: bad header values"):
+            load_model(bad)
+
     def test_tab_in_class_name_rejected(self, tmp_path):
         model = init_model(2, ["ok", "bad\tname"], seed=0)
         with pytest.raises(ValueError, match="tab"):
@@ -330,3 +486,35 @@ class TestReportFormats:
         )
         with pytest.raises(ValueError):
             write_run_manifest(tmp_path / "run.json", manifest)
+
+    @pytest.mark.parametrize("loader", [load_cleaning_report, load_run_manifest])
+    @pytest.mark.parametrize("text", ["{}", "[]", "1", '"x"', "null", "{"])
+    def test_reports_that_are_not_the_expected_object_name_the_file(self, tmp_path, loader, text):
+        bad = tmp_path / "report.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=r"report\.json:"):
+            loader(bad)
+
+    @given(
+        loader=st.sampled_from([load_cleaning_report, load_run_manifest]),
+        field=st.sampled_from([None, *CLEANING_REPORT, *RUN_MANIFEST]),
+        value=JSON_VALUES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_loads_or_names_the_file(self, tmp_path_factory, loader, field, value):
+        valid = CLEANING_REPORT if loader is load_cleaning_report else RUN_MANIFEST
+        doc = value if field is None else {**valid, field: value}
+        path = tmp_path_factory.getbasetemp() / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            loaded = loader(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            return
+        for key, expected in valid.items():
+            got = getattr(loaded, key)
+            assert type(got) is type(expected)
+            if key == field:  # compared as JSON text: a NaN inside never equals itself
+                assert json.dumps(got) == json.dumps(value)
+        if loader is load_cleaning_report:
+            assert all(type(n) is int for n in loaded.removed_per_image.values())
