@@ -43,7 +43,7 @@ from .sketch import (
     splitmix64,
 )
 from .text import (
-    EmbeddingTable,
+    RowTable,
     TextFeature,
     TfIdfModel,
     TranscribedWord,
@@ -59,11 +59,11 @@ from .text import (
 __all__ = [
     "ClassifierModel",
     "CleaningReport",
-    "EmbeddingTable",
     "FusionSpec",
     "LabeledSet",
     "Manifest",
     "ManifestRow",
+    "RowTable",
     "SketchParams",
     "SynthConfig",
     "TextFeature",

@@ -47,7 +47,7 @@ from .io import (
 )
 from .sketch import FUSION_SCHEMES, FusionSpec, fuse_rows, support_mask
 from .text import (
-    EmbeddingTable,
+    RowTable,
     TranscribedWord,
     TranscriptionRecord,
     aggregate,
@@ -73,6 +73,11 @@ def _pct(accuracy: float) -> str:
 
 
 def _cmd_featurize_text(args) -> int:
+    ks = args.k or [5]
+    if len(ks) > 1 and "{k}" not in str(args.out):
+        raise ValueError("multiple --k values require a '{k}' placeholder in --out")
+    if min(ks) < 1:
+        raise ValueError(f"--k must be >= 1, got {min(ks)}")
     transcriptions = load_transcriptions(args.transcriptions)
     table = load_embeddings(args.embeddings)
     cleaned, report = clean_corpus(transcriptions, args.threshold)
@@ -86,20 +91,17 @@ def _cmd_featurize_text(args) -> int:
     else:
         corpus = cleaned
     model = fit_tfidf(corpus.values())
-    ks = args.k or [5]
-    if len(ks) > 1 and "{k}" not in str(args.out):
-        raise ValueError("multiple --k values require a '{k}' placeholder in --out")
     if args.cleaning_report:
         write_cleaning_report(args.cleaning_report, report)
     for k in ks:
-        features: dict[str, np.ndarray] = {}
+        matrix = np.empty((len(corpus), table.dim))
         misses = 0
-        for image_id, record in corpus.items():
+        for row, record in enumerate(corpus.values()):
             feat = text_feature(record, model, table, k)
-            features[image_id] = feat.vector
+            matrix[row] = feat.vector
             misses += feat.miss_count
         out = Path(str(args.out).replace("{k}", str(k)))
-        write_features(out, features, dim=table.dim)
+        write_features(out, RowTable(corpus, matrix))
         manifest = _run_manifest(
             "featurize-text",
             params={
@@ -112,7 +114,7 @@ def _cmd_featurize_text(args) -> int:
                 "drop_empty": bool(args.drop_empty),
             },
             results={
-                "images": len(features),
+                "images": len(corpus),
                 "dim": table.dim,
                 "lexicon_misses": misses,
                 "cleaning": {
@@ -124,7 +126,7 @@ def _cmd_featurize_text(args) -> int:
             },
         )
         write_run_manifest(str(out) + ".run.json", manifest)
-        print(f"wrote {out}: {len(features)} x {table.dim}, lexicon misses {misses}")
+        print(f"wrote {out}: {len(corpus)} x {table.dim}, lexicon misses {misses}")
     return 0
 
 
@@ -134,15 +136,14 @@ def _cmd_featurize_text(args) -> int:
 def _cmd_fuse(args) -> int:
     feats_a = load_features(args.a)
     feats_b = load_features(args.b)
-    only_a = sorted(set(feats_a) - set(feats_b))
-    only_b = sorted(set(feats_b) - set(feats_a))
+    only_a = sorted(feats_a.keys() - feats_b.keys())
+    only_b = sorted(feats_b.keys() - feats_a.keys())
     if only_a or only_b:
         raise ValueError(
             f"feature ids do not align; only in {args.a}: {only_a or '[]'}; "
             f"only in {args.b}: {only_b or '[]'}"
         )
-    ids = list(feats_a)
-    if not ids:
+    if not feats_a:
         raise ValueError("no feature rows to fuse")
     seed_a = args.seed_a if args.seed_a is not None else args.seed + 1
     seed_b = args.seed_b if args.seed_b is not None else args.seed + 2
@@ -152,15 +153,13 @@ def _cmd_fuse(args) -> int:
         seeds=(seed_a, seed_b),
         normalize=not args.no_normalize,
     )
-    a_rows = np.stack([feats_a[i] for i in ids])
-    b_rows = np.stack([feats_b[i] for i in ids])
-    fused = fuse_rows(a_rows, b_rows, spec)
-    write_features(args.out, dict(zip(ids, fused)), dim=fused.shape[1])
+    fused = RowTable(feats_a, fuse_rows(feats_a.matrix, feats_b.rows(feats_a), spec))
+    write_features(args.out, fused)
     results = {
-        "rows": len(ids), "dim_a": a_rows.shape[1], "dim_b": b_rows.shape[1], "dim_out": fused.shape[1],
+        "rows": len(fused), "dim_a": feats_a.dim, "dim_b": feats_b.dim, "dim_out": fused.dim,
     }
     if spec.scheme == "mcb":
-        px, py = spec.sketch_params(a_rows.shape[1], b_rows.shape[1])
+        px, py = spec.sketch_params(feats_a.dim, feats_b.dim)
         results["sketch_occupancy"] = float(support_mask(px, py).mean())
     manifest = _run_manifest(
         "fuse",
@@ -178,7 +177,7 @@ def _cmd_fuse(args) -> int:
         results=results,
     )
     write_run_manifest(str(args.out) + ".run.json", manifest)
-    print(f"wrote {args.out}: {len(ids)} x {fused.shape[1]} ({spec.scheme})")
+    print(f"wrote {args.out}: {len(fused)} x {fused.dim} ({spec.scheme})")
     return 0
 
 
@@ -195,17 +194,27 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_names):
+def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_names, model_path):
+    """Accuracy, confusion and final loss of one cell; the model goes to ``model_path`` if set.
+
+    The model must not outlive the cell: alive while the next cell's file is read, it
+    can split the heap that file would reuse (+11 MB peak RSS on synth_mcb).
+    """
     features = load_features(features_path)
     train_set = join_labeled(manifest, features, "train", class_names)
     test_set = join_labeled(manifest, features, "test", class_names)
     model = init_model(train_set.X.shape[1], class_names, cfg.seed)
     trained, history = train(model, train_set, cfg)
     accuracy, confusion = evaluate(trained, test_set)
-    return trained, accuracy, confusion, history
+    if model_path:
+        save_model(model_path, trained)
+    return accuracy, confusion, history[-1]
 
 
-def _format_grid(row_labels, col_labels, values: dict) -> str:
+def _format_grid(cell_results: list[dict]) -> str:
+    row_labels = list(dict.fromkeys(cell["row"] for cell in cell_results))
+    col_labels = list(dict.fromkeys(cell["col"] for cell in cell_results))
+    values = {(cell["row"], cell["col"]): _pct(cell["accuracy"]) for cell in cell_results}
     width = max([len(r) for r in row_labels] + [6])
     col_width = max([len(c) for c in col_labels] + [7])
     header = " " * width + "".join(f"  {c:>{col_width}}" for c in col_labels)
@@ -226,22 +235,24 @@ def _cmd_train_eval(args) -> int:
         cells.append(("features", "-", args.features))
     for raw in args.cell or []:
         parts = raw.split(":", 2)
-        if len(parts) != 3:
-            raise ValueError("--cell must look like ROW:COL:PATH")
+        if len(parts) != 3 or not parts[0] or not parts[1]:
+            raise ValueError(f"--cell must be ROW:COL:PATH, ROW and COL non-empty, not {raw!r}")
         cells.append((parts[0], parts[1], parts[2]))
     if not cells:
         raise ValueError("provide --features or at least one --cell")
+    pairs = Counter(f"{row}:{col}" for row, col, _ in cells)
+    repeated = [pair for pair, count in pairs.items() if count > 1]
+    if repeated:
+        raise ValueError(f"ROW:COL pairs must be distinct, but these repeat: {', '.join(repeated)}")
     if args.save_model and len(cells) > 1:
         raise ValueError(f"--save-model keeps one model, but {len(cells)} cells were given")
     cfg = _train_config(args)
     class_names = manifest.class_names()
     cell_results = []
-    values: dict[tuple[str, str], str] = {}
     for row_label, col_label, path in cells:
-        trained, accuracy, confusion, history = _train_eval_cell(manifest, path, cfg, class_names)
-        if args.save_model:
-            save_model(args.save_model, trained)
-        values[(row_label, col_label)] = _pct(accuracy)
+        accuracy, confusion, final_loss = _train_eval_cell(
+            manifest, path, cfg, class_names, args.save_model
+        )
         cell_results.append(
             {
                 "row": row_label,
@@ -250,7 +261,7 @@ def _cmd_train_eval(args) -> int:
                 "accuracy": accuracy,
                 "accuracy_percent": float(_pct(accuracy)),
                 "confusion": confusion.tolist(),
-                "final_train_loss": history[-1],
+                "final_train_loss": final_loss,
             }
         )
     if len(cells) == 1:
@@ -261,9 +272,7 @@ def _cmd_train_eval(args) -> int:
         for row in confusion:
             print("  " + " ".join(f"{v:5d}" for v in row))
     else:
-        row_labels = list(dict.fromkeys(r for r, _, _ in cells))
-        col_labels = list(dict.fromkeys(c for _, c, _ in cells))
-        print(_format_grid(row_labels, col_labels, values))
+        print(_format_grid(cell_results))
     params = {
         "manifest": str(args.manifest),
         "cells": [{"row": r, "col": c, "features": str(p)} for r, c, p in cells],
@@ -308,23 +317,16 @@ def _cmd_vqa(args) -> int:
     if missing:
         raise ValueError(f"vqa image ids missing from manifest: {', '.join(missing)}")
 
-    image_feats = load_features(args.image_features) if needs_image else None
-    text_feats = load_features(args.text_features) if needs_text else None
+    blocks: dict[str, RowTable] = {}  # the feature blocks after the question, in order
+    if needs_image:
+        blocks["image"] = load_features(args.image_features)
+    if needs_text:
+        blocks["text"] = load_features(args.text_features)
     needed_ids = {r.image_id for r in records}
-    for name, feats in (("image", image_feats), ("text", text_feats)):
-        if feats is None:
-            continue
-        absent = sorted(needed_ids - set(feats))
+    for name, feats in blocks.items():
+        absent = sorted(needed_ids.difference(feats))
         if absent:
             raise ValueError(f"vqa image ids missing from {name} features: {', '.join(absent)}")
-
-    def feature_for(record) -> np.ndarray:
-        parts = [aggregate(tokenize(record.question), table).vector]
-        if needs_image:
-            parts.append(image_feats[record.image_id])
-        if needs_text:
-            parts.append(text_feats[record.image_id])
-        return np.concatenate(parts)
 
     train_records = [r for r in records if split_of[r.image_id] == "train"]
     test_records = [r for r in records if split_of[r.image_id] == "test"]
@@ -341,8 +343,10 @@ def _cmd_vqa(args) -> int:
     answer_index = {answer: i for i, answer in enumerate(vocab)}
 
     def labeled(rows) -> LabeledSet:
+        ids = [r.image_id for r in rows]
+        question = np.stack([aggregate(tokenize(r.question), table).vector for r in rows])
         return LabeledSet(
-            X=np.stack([feature_for(r) for r in rows]),
+            X=np.concatenate([question, *(feats.rows(ids) for feats in blocks.values())], axis=1),
             y=np.array([answer_index[r.answer] for r in rows]),
         )
 
@@ -421,10 +425,8 @@ def _cmd_synth(args) -> int:
         ManifestRow(image_id=image_id, label=f"class{label:03d}", split=split)
         for image_id, label, split in zip(ids, labels, splits)
     ]
-    features_a = dict(zip(ids, np.concatenate([a_train, a_test])))
-    features_b = dict(zip(ids, np.concatenate([b_train, b_test])))
-    write_features(out_dir / "features_a.txt", features_a, dim=cfg.dim_a)
-    write_features(out_dir / "features_b.txt", features_b, dim=cfg.dim_b)
+    write_features(out_dir / "features_a.txt", RowTable(ids, np.concatenate([a_train, a_test])))
+    write_features(out_dir / "features_b.txt", RowTable(ids, np.concatenate([b_train, b_test])))
     write_manifest(out_dir / "manifest.tsv", Manifest(rows=tuple(rows)))
     manifest = _run_manifest(
         "synth",
@@ -449,14 +451,6 @@ def _cmd_synth(args) -> int:
 # -- formats-check -----------------------------------------------------------------
 
 
-def _features_equal(a: dict, b: dict) -> bool:
-    return list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
-
-
-def _embeddings_equal(a: EmbeddingTable, b: EmbeddingTable) -> bool:
-    return list(a.index) == list(b.index) and np.array_equal(a.matrix, b.matrix)
-
-
 def _model_equal(a, b) -> bool:
     return (
         a.class_names == b.class_names
@@ -466,14 +460,14 @@ def _model_equal(a, b) -> bool:
 
 
 def _demo_structures():
-    table = EmbeddingTable(["sun", "sea"], [[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
+    table = RowTable(["sun", "sea"], [[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
     transcriptions = {
         "img-1": TranscriptionRecord(
             "img-1", (TranscribedWord("sun", 0.9), TranscribedWord("sea", 0.4))
         ),
         "img-2": TranscriptionRecord("img-2", ()),
     }
-    features = {"img-1": np.array([1.5, -2.25]), "img-2": np.array([0.0, 3.125])}
+    features = RowTable(["img-1", "img-2"], [[1.5, -2.25], [0.0, 3.125]])
     manifest = Manifest(
         rows=(
             ManifestRow("img-1", "beach", "train"),
@@ -510,7 +504,7 @@ def _cmd_formats_check(args) -> int:
             table, transcriptions, features, manifest, vqa, model, report, run = _demo_structures()
 
         write_embeddings(out / "embeddings.txt", table)
-        check("embeddings", _embeddings_equal(table, load_embeddings(out / "embeddings.txt")))
+        check("embeddings", load_embeddings(out / "embeddings.txt") == table)
 
         write_transcriptions(out / "transcriptions.jsonl", transcriptions)
         check(
@@ -519,7 +513,7 @@ def _cmd_formats_check(args) -> int:
         )
 
         write_features(out / "features.txt", features)
-        check("features", _features_equal(features, load_features(out / "features.txt")))
+        check("features", load_features(out / "features.txt") == features)
 
         write_manifest(out / "manifest.tsv", manifest)
         check("manifest", load_manifest(out / "manifest.tsv") == manifest)

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classifier import LabeledSet
-from .text import TranscriptionRecord, filter_by_confidence
+from .text import RowTable, TranscriptionRecord, filter_by_confidence
 
 SPLITS = ("train", "test")
 INTERACTIONS = ("additive", "multiplicative")
@@ -98,14 +98,14 @@ def clean_corpus(
 
 def join_labeled(
     manifest: Manifest,
-    features: Mapping[str, np.ndarray],
+    features: RowTable,
     split: str,
     class_names: Sequence[str] | None = None,
 ) -> LabeledSet:
-    """Stack one split's feature vectors, in manifest order, with their class indices.
+    """Gather one split's feature rows, in manifest order, with their class indices.
 
-    Every row must have a feature vector of consistent dimension; missing ids
-    are reported together.
+    Every manifest row of the split must have a feature row; missing ids are
+    reported together.
     """
     rows = manifest.split_rows(split)
     if not rows:
@@ -118,14 +118,8 @@ def join_labeled(
     unknown = sorted({row.label for row in rows} - set(index))
     if unknown:
         raise ValueError(f"labels missing from class set: {', '.join(unknown)}")
-    dim = next(iter(features.values())).shape[0] if features else 0
-    vectors = [np.asarray(features[row.image_id], dtype=float) for row in rows]
-    for row, vec in zip(rows, vectors):
-        if vec.shape != (dim,):
-            raise ValueError(
-                f"feature for {row.image_id!r} has dim {vec.size}, expected {dim}"
-            )
-    return LabeledSet(X=np.stack(vectors), y=np.array([index[row.label] for row in rows]))
+    labels = np.array([index[row.label] for row in rows])
+    return LabeledSet(X=features.rows(row.image_id for row in rows), y=labels)
 
 
 @dataclass(frozen=True)

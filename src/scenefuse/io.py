@@ -12,13 +12,13 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .classifier import ClassifierModel
 from .data import CleaningReport, Manifest, ManifestRow, VqaRecord
-from .text import EmbeddingTable, TranscribedWord, TranscriptionRecord
+from .text import RowTable, TranscribedWord, TranscriptionRecord
 
 
 def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
@@ -86,21 +86,46 @@ def _parse_rows(path, lines: list[str], first: int, dim: int, sep, check_row) ->
     return _parse_values(path, lines, first, len(lines), dim, sep)
 
 
-def _write_table(path, header: str, keyed_rows, sep: str) -> None:
-    """Write ``header`` then one ``key + sep + values`` line per row, rows streamed.
+def _write_table(path, table: RowTable, sep: str, kind: str) -> None:
+    """Write a ``<count> <dim>`` header, then stream one ``key + sep + values`` line per row.
 
-    Values are ``repr`` of Python floats: the shortest decimal that reads back
-    to the same float64.
+    A non-finite row raises before the file is opened.  Values are ``repr`` of Python
+    floats, the shortest decimal that reads back to the same float64.
     """
+    finite = np.isfinite(table.matrix).all(axis=1)
+    if not finite.all():
+        key = next(islice(table, int(np.argmin(finite)), None))
+        raise ValueError(f"{kind} for {key!r} has non-finite values")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write(f"{len(table)} {table.dim}\n")
         fh.writelines(
-            key + sep + " ".join(map(repr, row.tolist())) + "\n" for key, row in keyed_rows
+            key + sep + " ".join(map(repr, row.tolist())) + "\n"
+            for key, row in zip(table, table.matrix)
         )
 
 
+def _read_text(path) -> str:
+    """UTF-8 text of ``path``; a bad byte raises ``path:LINE: not UTF-8 (byte 0x.. at column C)``.
+
+    LINE counts as ``str.splitlines`` does, as in every loader message; C counts characters
+    from 1.  Both come from the bytes the failed decode holds: ``read_text`` decodes the
+    whole file in one call, so ``exc.start`` is the bad byte's offset in the file.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (exc.object[: exc.start].decode("utf-8") + "?").splitlines()
+        byte, col = exc.object[exc.start], len(lines[-1])
+        message = f"not UTF-8 (byte 0x{byte:02x} at column {col})"
+        raise ValueError(f"{path}:{len(lines)}: {message}") from None
+
+
 def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return _read_text(path).splitlines()
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _parse_count_dim_header(lines: list[str], path) -> tuple[int, int]:
@@ -123,7 +148,7 @@ def _parse_count_dim_header(lines: list[str], path) -> tuple[int, int]:
 # -- embedding table: "<count> <dim>" then "<token> <v1> ... <vdim>" ----------
 
 
-def load_embeddings(path) -> EmbeddingTable:
+def load_embeddings(path) -> RowTable:
     lines = _read_lines(path)
     _, dim = _parse_count_dim_header(lines, path)
     index: dict[str, int] = {}
@@ -142,21 +167,17 @@ def load_embeddings(path) -> EmbeddingTable:
         index[token] = len(index)
 
     matrix = _parse_rows(path, lines, 1, dim, " ", check_row)
-    return EmbeddingTable(index, matrix)
+    return RowTable(index, matrix)
 
 
-def write_embeddings(path, table: EmbeddingTable) -> None:
-    finite = np.isfinite(table.matrix).all(axis=1)
-    if not finite.all():
-        token = list(table.index)[int(np.argmin(finite))]
-        raise ValueError(f"embedding for {token!r} has non-finite values")
-    _write_table(path, f"{len(table)} {table.dim}", zip(table.index, table.matrix), " ")
+def write_embeddings(path, table: RowTable) -> None:
+    _write_table(path, table, " ", "embedding")
 
 
 # -- feature file: "<count> <dim>" then "<image_id>\t<v1> <v2> ..." -----------
 
 
-def load_features(path) -> dict[str, np.ndarray]:
+def load_features(path) -> RowTable:
     lines = _read_lines(path)
     _, dim = _parse_count_dim_header(lines, path)
     ids: dict[str, None] = {}
@@ -175,21 +196,11 @@ def load_features(path) -> dict[str, np.ndarray]:
         ids[image_id] = None
 
     matrix = _parse_rows(path, lines, 1, dim, "\t", check_row)
-    return dict(zip(ids, matrix))
+    return RowTable(ids, matrix)
 
 
-def write_features(path, features: Mapping[str, np.ndarray], dim: int | None = None) -> None:
-    vectors = {k: np.asarray(v, dtype=float) for k, v in features.items()}
-    if dim is None:
-        if not vectors:
-            raise ValueError("cannot infer dim for an empty feature map")
-        dim = next(iter(vectors.values())).size
-    for image_id, vec in vectors.items():
-        if vec.shape != (dim,):
-            raise ValueError(f"feature for {image_id!r} has dim {vec.size}, expected {dim}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"feature for {image_id!r} has non-finite values")
-    _write_table(path, f"{len(vectors)} {dim}", vectors.items(), "\t")
+def write_features(path, features: RowTable) -> None:
+    _write_table(path, features, "\t", "feature")
 
 
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}
@@ -235,17 +246,11 @@ def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
 
 
 def write_transcriptions(path, records: Mapping[str, TranscriptionRecord]) -> None:
-    lines = []
-    for record in records.values():
-        lines.append(
-            json.dumps(
-                {
-                    "image_id": record.image_id,
-                    "words": [{"token": w.token, "conf": w.confidence} for w in record.words],
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    _write_lines(path, (
+        json.dumps({"image_id": r.image_id,
+                    "words": [{"token": w.token, "conf": w.confidence} for w in r.words]})
+        for r in records.values()
+    ))
 
 
 # -- manifest: TSV "image_id\tlabel\tsplit" -----------------------------------
@@ -270,8 +275,7 @@ def load_manifest(path) -> Manifest:
 
 
 def write_manifest(path, manifest: Manifest) -> None:
-    lines = [f"{row.image_id}\t{row.label}\t{row.split}" for row in manifest.rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    _write_lines(path, (f"{row.image_id}\t{row.label}\t{row.split}" for row in manifest.rows))
 
 
 # -- VQA: JSON lines {"image_id":…, "question":…, "answer":…} -----------------
@@ -293,11 +297,10 @@ def load_vqa(path) -> list[VqaRecord]:
 
 
 def write_vqa(path, records: Sequence[VqaRecord]) -> None:
-    lines = [
+    _write_lines(path, (
         json.dumps({"image_id": r.image_id, "question": r.question, "answer": r.answer})
         for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    ))
 
 
 # -- classifier model: "C D" / names / C rows of D+1 floats at 17 digits ------
@@ -307,10 +310,8 @@ def save_model(path, model: ClassifierModel) -> None:
     for name in model.class_names:
         if "\t" in name or "\n" in name:
             raise ValueError(f"class name {name!r} may not contain tabs or newlines")
-    lines = [f"{model.n_classes} {model.dim}", "\t".join(model.class_names)]
-    for row, bias in zip(model.W, model.b):
-        lines.append(" ".join(f"{v:.17g}" for v in (*row, bias)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (" ".join(f"{v:.17g}" for v in (*row, bias)) for row, bias in zip(model.W, model.b))
+    _write_lines(path, [f"{model.n_classes} {model.dim}", "\t".join(model.class_names), *rows])
 
 
 def load_model(path) -> ClassifierModel:
@@ -360,7 +361,7 @@ def write_cleaning_report(path, report: CleaningReport) -> None:
 def _load_json_object(path, fields: Mapping[str, type]) -> dict:
     """The top-level JSON object of ``path``, holding at least ``fields`` with their types."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
     if not isinstance(obj, dict):

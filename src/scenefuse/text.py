@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,24 +50,25 @@ class TranscriptionRecord:
         return [w.token for w in self.words]
 
 
-class EmbeddingTable:
-    """Token -> dense vector lexicon: a token -> row index over one read-only (count, dim) matrix.
+class RowTable(Mapping[str, np.ndarray]):
+    """Named rows (lexicon tokens, image ids): a key -> row index over one read-only matrix.
 
-    ``tokens`` and the rows of ``vectors`` line up; tokens must be distinct.
-    The table keeps a read-only view of ``vectors`` rather than a copy.
+    ``keys`` and the rows of ``rows`` line up; keys must be distinct.  The table
+    keeps a read-only view of ``rows`` rather than a copy.  Tables are equal when
+    their keys come in the same order and their matrices are equal.
     """
 
-    def __init__(self, tokens: Sequence[str], vectors):
-        matrix = np.asarray(vectors, dtype=float).view()
-        tokens = list(tokens)
+    def __init__(self, keys: Iterable[str], rows):
+        matrix = np.asarray(rows, dtype=float).view()
+        keys = list(keys)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
-            raise ValueError(f"vectors must be a (count, dim >= 1) matrix, not {matrix.shape}")
-        if matrix.shape[0] != len(tokens):
-            raise ValueError(f"{len(tokens)} tokens but {matrix.shape[0]} vectors")
-        index = {token: row for row, token in enumerate(tokens)}
-        if len(index) != len(tokens):
-            duplicates = sorted(t for t, n in Counter(tokens).items() if n > 1)
-            raise ValueError(f"duplicate tokens: {', '.join(map(repr, duplicates))}")
+            raise ValueError(f"rows must be a (count, dim >= 1) matrix, not {matrix.shape}")
+        if matrix.shape[0] != len(keys):
+            raise ValueError(f"{len(keys)} keys but {matrix.shape[0]} rows")
+        index = {key: row for row, key in enumerate(keys)}
+        if len(index) != len(keys):
+            duplicates = sorted(k for k, n in Counter(keys).items() if n > 1)
+            raise ValueError(f"duplicate keys: {', '.join(map(repr, duplicates))}")
         matrix.flags.writeable = False
         self.index = index
         self.matrix = matrix
@@ -76,15 +77,23 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.matrix[self.index[key]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def get(self, token: str) -> np.ndarray | None:
-        row = self.index.get(token)
-        return None if row is None else self.matrix[row]
+    def __eq__(self, other):
+        if not isinstance(other, RowTable):
+            return NotImplemented
+        return list(self.index) == list(other.index) and np.array_equal(self.matrix, other.matrix)
+
+    def rows(self, keys: Iterable[str]) -> np.ndarray:
+        """The rows of ``keys``, in that order, as a new (len(keys), dim) array."""
+        return self.matrix[[self.index[key] for key in keys]]
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,7 @@ class TextFeature:
     miss_count: int
 
 
-def aggregate(tokens: Sequence[str], table: EmbeddingTable) -> TextFeature:
+def aggregate(tokens: Sequence[str], table: RowTable) -> TextFeature:
     """Sum the embeddings of the given tokens; out-of-lexicon tokens are skipped.
 
     Summation runs in ascending lexicographic token order so any permutation
@@ -159,7 +168,7 @@ def filter_by_confidence(record: TranscriptionRecord, threshold: float) -> Trans
 
 
 def text_feature(
-    record: TranscriptionRecord, model: TfIdfModel, table: EmbeddingTable, k: int
+    record: TranscriptionRecord, model: TfIdfModel, table: RowTable, k: int
 ) -> TextFeature:
     """Select-then-embed: tf-idf top-k tokens, summed through the lexicon."""
     return aggregate(select_top_k(record, model, k), table)

@@ -331,8 +331,7 @@ def test_every_format_round_trips_on_fixture_corpus(fixtures_dir, tmp_path):
 
     table = load_embeddings(fixtures_dir / "embeddings.txt")
     write_embeddings(tmp_path / "emb.txt", table)
-    again = load_embeddings(tmp_path / "emb.txt")
-    if not (list(again.index) == list(table.index) and np.array_equal(again.matrix, table.matrix)):
+    if load_embeddings(tmp_path / "emb.txt") != table:
         failures.append("embeddings")
 
     transcriptions = load_transcriptions(fixtures_dir / "transcriptions.jsonl")
@@ -342,11 +341,7 @@ def test_every_format_round_trips_on_fixture_corpus(fixtures_dir, tmp_path):
 
     features = load_features(fixtures_dir / "image_features.txt")
     write_features(tmp_path / "f.txt", features)
-    again_features = load_features(tmp_path / "f.txt")
-    if not (
-        list(again_features) == list(features)
-        and all(np.array_equal(again_features[k], features[k]) for k in features)
-    ):
+    if load_features(tmp_path / "f.txt") != features:
         failures.append("features")
 
     manifest = load_manifest(fixtures_dir / "manifest.tsv")

@@ -17,7 +17,7 @@ from scenefuse.io import (
     load_transcriptions,
 )
 from scenefuse.sketch import make_sketch_params
-from scenefuse.text import fit_tfidf, select_top_k
+from scenefuse.text import RowTable, fit_tfidf, select_top_k
 
 
 def run_cli(*argv):
@@ -120,6 +120,33 @@ class TestFeaturizeText:
         assert rc == 2
         assert "{k}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ks", [(3, 0), (0,), (3, -1, 5)])
+    def test_every_k_is_checked_before_anything_is_read_or_written(self, tmp_path, capsys, ks):
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = run_cli(
+            "featurize-text",
+            "--transcriptions", tmp_path / "never-read.jsonl",
+            "--embeddings", tmp_path / "never-read.txt",
+            "--out", out / "t_k{k}.txt", *[a for k in ks for a in ("--k", k)],
+            "--cleaning-report", out / "clean.json",
+        )
+        assert rc == 2
+        assert "--k must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_placeholder_is_checked_before_anything_is_read(self, tmp_path, capsys):
+        rc = run_cli(
+            "featurize-text",
+            "--transcriptions", tmp_path / "never-read.jsonl",
+            "--embeddings", tmp_path / "never-read.txt",
+            "--out", tmp_path / "text.txt", "--k", 5, "--k", 10,
+            "--cleaning-report", tmp_path / "clean.json",
+        )
+        assert rc == 2
+        assert "{k}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_ids_without_transcription_get_zero_vectors(self, fixtures_dir, tmp_path):
         from scenefuse.data import Manifest, ManifestRow
         from scenefuse.io import load_manifest, write_manifest
@@ -221,7 +248,7 @@ class TestFuse:
         assert occupancy == np.count_nonzero(reach) / 64
         assert 0.0 < occupancy < 1.0
         # buckets no hash pair reaches are written as exact zeros
-        fused = np.stack(list(load_features(out).values()))
+        fused = load_features(out).matrix
         assert np.all(fused[:, reach == 0] == 0.0)
 
     def test_concat_records_no_sketch_occupancy(self, fixtures_dir, tmp_path):
@@ -248,10 +275,10 @@ class TestFuse:
     def test_id_mismatch_lists_difference(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"
         feats = load_features(fixtures_dir / "image_features.txt")
-        feats.pop("ad-0007")
+        kept = [image_id for image_id in feats if image_id != "ad-0007"]
         from scenefuse.io import write_features
 
-        write_features(partial, feats)
+        write_features(partial, RowTable(kept, feats.rows(kept)))
         rc = run_cli(
             "fuse", "--a", fixtures_dir / "image_features.txt", "--b", partial,
             "--out", tmp_path / "fused.txt",
@@ -278,6 +305,31 @@ class TestTrainEval:
         confusion = np.array(cell["confusion"])
         # test split: 1 drinks, 1 footwear, 2 vehicles, all on the diagonal
         assert np.array_equal(confusion, np.diag([1, 1, 2]))
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (["a:b:{x}", "a:b:{y}"], "repeat: a:b"),
+            (["features:-:{y}"], "repeat: features:-"),  # --features is the cell features:-
+            ([":b:{x}"], "ROW and COL non-empty"),
+            (["a::{x}"], "ROW and COL non-empty"),
+        ],
+    )
+    def test_cells_are_checked_before_any_feature_file_is_read(
+        self, fixtures_dir, tmp_path, capsys, cells, message
+    ):
+        # neither path exists: reading one would fail with another message
+        paths = {"x": tmp_path / "x.txt", "y": tmp_path / "y.txt"}
+        argv = [a for cell in cells for a in ("--cell", cell.format(**paths))]
+        if "features:-" in cells[0]:
+            argv += ["--features", paths["x"]]
+        rc = run_cli(
+            "train-eval", "--manifest", fixtures_dir / "manifest.tsv", *argv,
+            "--report-json", tmp_path / "report.json",
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_report_shape(self, fixtures_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -380,10 +432,10 @@ class TestTrainEval:
     def test_missing_feature_id_fails(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"
         feats = load_features(fixtures_dir / "image_features.txt")
-        feats.pop("ad-0001")
+        kept = [image_id for image_id in feats if image_id != "ad-0001"]
         from scenefuse.io import write_features
 
-        write_features(partial, feats)
+        write_features(partial, RowTable(kept, feats.rows(kept)))
         rc = run_cli(
             "train-eval", "--manifest", fixtures_dir / "manifest.tsv", "--features", partial,
         )

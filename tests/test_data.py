@@ -12,7 +12,7 @@ from scenefuse.data import (
     join_labeled,
     make_synthetic,
 )
-from scenefuse.text import TranscribedWord, TranscriptionRecord
+from scenefuse.text import RowTable, TranscribedWord, TranscriptionRecord
 
 
 def record(image_id, *tokens_with_conf):
@@ -101,7 +101,7 @@ class TestJoinLabeled:
         )
 
     def test_join(self):
-        feats = {k: np.array([1.0, float(i)]) for i, k in enumerate(["i1", "i2", "i3"])}
+        feats = RowTable(["i1", "i2", "i3"], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         examples = join_labeled(self.make_manifest(), feats, "train")
         assert len(examples) == 2
         assert np.array_equal(examples.X, [[1.0, 0.0], [1.0, 1.0]])  # manifest order
@@ -109,22 +109,17 @@ class TestJoinLabeled:
         assert examples.y[1] == 1
 
     def test_missing_id_named_in_error(self):
-        feats = {"i1": np.zeros(2)}
+        feats = RowTable(["i1"], np.zeros((1, 2)))
         with pytest.raises(ValueError, match="i2"):
             join_labeled(self.make_manifest(), feats, "train")
 
     def test_empty_split_rejected(self):
         manifest = Manifest(rows=(ManifestRow("i1", "cat", "train"),))
         with pytest.raises(ValueError, match="test"):
-            join_labeled(manifest, {"i1": np.zeros(2)}, "test")
-
-    def test_inconsistent_dims_rejected(self):
-        feats = {"i1": np.zeros(2), "i2": np.zeros(3), "i3": np.zeros(2)}
-        with pytest.raises(ValueError, match="dim"):
-            join_labeled(self.make_manifest(), feats, "train")
+            join_labeled(manifest, RowTable(["i1"], np.zeros((1, 2))), "test")
 
     def test_label_outside_class_set_rejected(self):
-        feats = {"i1": np.zeros(2), "i2": np.zeros(2), "i3": np.zeros(2)}
+        feats = RowTable(["i1", "i2", "i3"], np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dog"):
             join_labeled(self.make_manifest(), feats, "train", class_names=["cat"])
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from scenefuse.io import (
     write_transcriptions,
     write_vqa,
 )
-from scenefuse.text import EmbeddingTable, TranscribedWord
+from scenefuse.text import RowTable, TranscribedWord
 
 # any value a JSON document can hold, nested a little
 JSON_VALUES = st.recursive(
@@ -93,11 +94,9 @@ def _table_text(kind: str, rows: list[list[str]]) -> str:
 
 
 def _loaded_matrix(kind: str, loaded) -> np.ndarray:
-    if kind == "embeddings":
-        return loaded.matrix
-    if kind == "features":
-        return np.stack(list(loaded.values()))
-    return np.column_stack([loaded.W, loaded.b])
+    if kind == "model":
+        return np.column_stack([loaded.W, loaded.b])
+    return loaded.matrix
 
 
 def _float_reference(text: str, first: int, sep) -> list[list[float]]:
@@ -157,11 +156,10 @@ class TestFloatTables:
     @pytest.mark.parametrize(
         "write",
         [
-            lambda path: write_features(path, {"a": np.ones(2), "b": np.array([1.0, np.inf])}),
-            lambda path: write_features(path, {"a": np.ones(2), "b": np.ones(3)}),
-            lambda path: write_embeddings(path, EmbeddingTable(["a", "b"], [[1.0], [np.nan]])),
+            lambda path: write_features(path, RowTable(["a", "b"], [[1.0, 1.0], [1.0, np.inf]])),
+            lambda path: write_embeddings(path, RowTable(["a", "b"], [[1.0], [np.nan]])),
         ],
-        ids=["features-non-finite", "features-dim", "embeddings-non-finite"],
+        ids=["features-non-finite", "embeddings-non-finite"],
     )
     def test_a_bad_last_row_leaves_no_file(self, tmp_path, write):
         path = tmp_path / "table.txt"
@@ -175,8 +173,8 @@ class TestFloatTables:
         loader = FLOAT_TABLES[kind][0]
         keys = [f"k{i}" for i in range(len(matrix))]
         writer = {
-            "embeddings": lambda path, m: write_embeddings(path, EmbeddingTable(keys, m)),
-            "features": lambda path, m: write_features(path, dict(zip(keys, m))),
+            "embeddings": lambda path, m: write_embeddings(path, RowTable(keys, m)),
+            "features": lambda path, m: write_features(path, RowTable(keys, m)),
             "model": lambda path, m: save_model(path, ClassifierModel(m[:, :-1], m[:, -1], keys)),
         }[kind]
         base = tmp_path_factory.getbasetemp()
@@ -185,6 +183,42 @@ class TestFloatTables:
         assert again.tobytes() == matrix.tobytes()
         writer(base / "twice.txt", again)
         assert (base / "once.txt").read_bytes() == (base / "twice.txt").read_bytes()
+
+
+class TestDecodeErrors:
+    @pytest.mark.parametrize(
+        "loader, lines",
+        [
+            (load_features, [b"3 2", b"a\t1.0 2.0", b"b\t1.0 \xff2.0", b"c\t1.0 2.0"]),
+            (load_transcriptions, [b'{"image_id": "a", "words": []}'] * 2 + [b'{"image_id": "\xff"}']),
+            (load_manifest, [b"a\tcat\ttrain", b"b\tdog\ttest", b"c\tc\xffat\ttrain"]),
+            (load_cleaning_report, [b"{", b'  "total_words": 3,', b'  "kept\xff": 2', b"}"]),
+        ],
+        ids=["float-table", "jsonl", "manifest", "json-report"],
+    )
+    def test_a_bad_byte_names_the_file_line_and_column(self, tmp_path, loader, lines):
+        path = tmp_path / "input"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        column = lines[2].index(b"\xff") + 1  # every byte before it is ASCII
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+        assert str(exc.value) == f"{path}:3: not UTF-8 (byte 0xff at column {column})"
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"\xfe", "1: not UTF-8 (byte 0xfe at column 1)"),
+            (b"a\tb\ttrain\r\n\xc3(", "2: not UTF-8 (byte 0xc3 at column 1)"),
+            ("\u00e9\u2028x\x1c\u00e9".encode() + b"\xed\xa0\x80", "3: not UTF-8 (byte 0xed at column 2)"),
+            (b"a\rb\r\r\x80", "4: not UTF-8 (byte 0x80 at column 1)"),
+        ],
+        ids=["first-byte", "truncated-sequence", "unicode-line-breaks", "carriage-returns"],
+    )
+    def test_lines_are_numbered_as_splitlines_numbers_them(self, tmp_path, data, where):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{where}')}$"):
+            load_manifest(path)
 
 
 class TestEmbeddingsFormat:
@@ -233,7 +267,7 @@ class TestFeatureFormat:
 
     def test_round_trip_preserves_exact_floats(self, tmp_path):
         rng = np.random.default_rng(0)
-        feats = {f"id-{i}": rng.standard_normal(4) for i in range(5)}
+        feats = RowTable([f"id-{i}" for i in range(5)], rng.standard_normal((5, 4)))
         out = tmp_path / "f.txt"
         write_features(out, feats)
         again = load_features(out)
@@ -243,7 +277,7 @@ class TestFeatureFormat:
 
     def test_non_finite_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
-            write_features(tmp_path / "f.txt", {"a": np.array([1.0, np.inf])})
+            write_features(tmp_path / "f.txt", RowTable(["a"], [[1.0, np.inf]]))
 
     def test_non_finite_rejected_on_load(self, tmp_path):
         bad = tmp_path / "f.txt"
@@ -345,6 +379,26 @@ class TestTranscriptionFormat:
 
 
 class TestManifestFormat:
+    @given(
+        st.lists(
+            st.sampled_from([b"a", b"cat", b"train", b"test", b"\t", b"\n", b"\r", b"\x1c",
+                             "\u2028".encode(), "\u00e9".encode(), b"\xff", b"\xc3", b""])
+            | st.binary(max_size=4),
+            max_size=16,
+        ).map(b"".join)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_any_bytes_load_or_name_the_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.tsv"
+        path.write_bytes(data)
+        try:
+            manifest = load_manifest(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            return
+        text = data.decode("utf-8")
+        assert [r.image_id + "\t" + r.label + "\t" + r.split for r in manifest.rows] == text.splitlines()
+
     def test_fixture_loads(self, fixtures_dir):
         manifest = load_manifest(fixtures_dir / "manifest.tsv")
         assert len(manifest.rows) == 12

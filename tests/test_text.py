@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenefuse.text import (
-    EmbeddingTable,
+    RowTable,
     TfIdfModel,
     TranscribedWord,
     TranscriptionRecord,
@@ -138,7 +138,7 @@ class TestSelectTopK:
 
 class TestAggregate:
     def setup_method(self):
-        self.table = EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, -1.0]])
+        self.table = RowTable(["a", "b"], [[1.0, 2.0], [3.0, -1.0]])
 
     def test_single_token(self):
         feat = aggregate(["a"], self.table)
@@ -161,7 +161,7 @@ class TestAggregate:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(["a"], EmbeddingTable([], np.zeros((0, 2))))
+            aggregate(["a"], RowTable([], np.zeros((0, 2))))
 
     @given(st.permutations(["a", "b", "a", "zzz", "b"]))
     def test_permutation_invariant_bitwise(self, shuffled):
@@ -182,7 +182,7 @@ class TestAggregate:
         matrix = rng.standard_normal((10, dim)) * 10.0 ** rng.integers(-8, 8, (10, 1))
         matrix[rng.random((10, dim)) < 0.3] = -0.0
         tokens = [f"w{i}" for i in range(10)]
-        table = EmbeddingTable(tokens, matrix)
+        table = RowTable(tokens, matrix)
         query = [f"w{i}" for i in picks]  # w10 and w11 miss the lexicon
         total = np.zeros(dim)
         for token in sorted(query):
@@ -203,32 +203,55 @@ class TestAggregate:
         assert np.abs(combined - split).max() < 1e-12
 
 
-class TestEmbeddingTable:
-    def test_rejects_wrong_length(self):
+class TestRowTable:
+    def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            EmbeddingTable(["a", "b"], [[1.0, 2.0, 3.0], [1.0, 2.0]])
+            RowTable(["a", "b"], [[1.0, 2.0, 3.0], [1.0, 2.0]])
 
-    def test_rejects_token_count_mismatch(self):
-        with pytest.raises(ValueError, match="2 tokens but 1 vectors"):
-            EmbeddingTable(["a", "b"], [[1.0, 2.0]])
+    def test_rejects_key_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 keys but 1 rows"):
+            RowTable(["a", "b"], [[1.0, 2.0]])
 
-    def test_rejects_duplicate_tokens(self):
-        with pytest.raises(ValueError, match="duplicate tokens: 'a'"):
-            EmbeddingTable(["a", "b", "a"], np.zeros((3, 2)))
+    def test_rejects_duplicate_keys(self):
+        with pytest.raises(ValueError, match="duplicate keys: 'a'"):
+            RowTable(["a", "b", "a"], np.zeros((3, 2)))
 
     def test_vectors_read_only(self):
-        table = EmbeddingTable(["a"], [[1.0, 2.0]])
+        table = RowTable(["a"], [[1.0, 2.0]])
         with pytest.raises(ValueError):
-            table.get("a")[0] = 5.0
+            table["a"][0] = 5.0
         with pytest.raises(ValueError):
             table.matrix[0, 0] = 5.0
 
     def test_keeps_a_view_and_leaves_the_callers_array_writable(self):
         vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
-        table = EmbeddingTable(["a", "b"], vectors)
+        table = RowTable(["a", "b"], vectors)
         assert np.shares_memory(table.matrix, vectors)
         assert vectors.flags.writeable
         assert table.dim == 2 and len(table) == 2 and "b" in table and table.get("c") is None
+
+    def test_is_a_mapping_of_rows_in_key_order(self):
+        table = RowTable(["b", "a"], [[1.0, 2.0], [3.0, 4.0]])
+        assert list(table) == ["b", "a"]
+        assert [row.tolist() for row in table.values()] == [[1.0, 2.0], [3.0, 4.0]]
+        assert np.array_equal(table["a"], [3.0, 4.0])
+        with pytest.raises(KeyError):
+            table["c"]
+
+    def test_rows_gathers_in_the_order_asked(self):
+        table = RowTable(["a", "b", "c"], np.arange(6.0).reshape(3, 2))
+        assert table.rows(["c", "a", "c"]).tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
+        assert table.rows([]).shape == (0, 2)
+        with pytest.raises(KeyError):
+            table.rows(["z"])
+
+    def test_equal_means_same_keys_in_order_and_equal_matrices(self):
+        table = RowTable(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+        assert table == RowTable(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert table != RowTable(["b", "a"], [[3.0, 4.0], [1.0, 2.0]])
+        assert table != RowTable(["a", "b"], [[1.0, 2.0], [3.0, 5.0]])
+        assert table != {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+        assert RowTable([], np.zeros((0, 2))) != RowTable([], np.zeros((0, 3)))
 
 
 class TestFilterByConfidence:
@@ -266,7 +289,7 @@ class TestFilterByConfidence:
 class TestTextFeaturePipeline:
     def test_select_then_embed_misses_consume_slots(self):
         # a selected token missing from the lexicon still uses one of the k slots
-        table = EmbeddingTable(["common"], [[1.0, 1.0]])
+        table = RowTable(["common"], [[1.0, 1.0]])
         corpus = [
             record_of("1", "rare", "common"),
             record_of("2", "common"),
