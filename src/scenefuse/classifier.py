@@ -41,6 +41,16 @@ class ClassifierModel:
     def dim(self) -> int:
         return self.W.shape[1]
 
+    def __eq__(self, other):
+        """Same class names, and ``W`` and ``b`` equal bit for bit."""
+        if not isinstance(other, ClassifierModel):
+            return NotImplemented
+        return (
+            self.class_names == other.class_names
+            and self.W.tobytes() == other.W.tobytes()
+            and self.b.tobytes() == other.b.tobytes()
+        )
+
 
 @dataclass(frozen=True)
 class LabeledSet:

@@ -56,7 +56,8 @@ from .text import (
     tokenize,
 )
 
-VQA_MODES = ("question", "question-image", "question-image-text")
+# per vqa mode, the feature blocks concatenated after the question, in order
+VQA_MODES = {"question": (), "question-image": ("image",), "question-image-text": ("image", "text")}
 
 
 def _run_manifest(command: str, params: dict, results: dict) -> RunManifest:
@@ -69,6 +70,12 @@ def _pct(accuracy: float) -> str:
     return f"{accuracy * 100.0:.2f}"
 
 
+def _check_distinct(values, what: str) -> None:
+    repeated = [str(value) for value, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{what} must be distinct, but these repeat: {', '.join(repeated)}")
+
+
 # -- featurize-text ------------------------------------------------------------
 
 
@@ -78,6 +85,7 @@ def _cmd_featurize_text(args) -> int:
         raise ValueError("multiple --k values require a '{k}' placeholder in --out")
     if min(ks) < 1:
         raise ValueError(f"--k must be >= 1, got {min(ks)}")
+    _check_distinct(ks, "--k values")
     transcriptions = load_transcriptions(args.transcriptions)
     table = load_embeddings(args.embeddings)
     cleaned, report = clean_corpus(transcriptions, args.threshold)
@@ -145,12 +153,10 @@ def _cmd_fuse(args) -> int:
         )
     if not feats_a:
         raise ValueError("no feature rows to fuse")
-    seed_a = args.seed_a if args.seed_a is not None else args.seed + 1
-    seed_b = args.seed_b if args.seed_b is not None else args.seed + 2
     spec = FusionSpec(
         scheme=args.scheme,
         sketch_dim=args.d,
-        seeds=(seed_a, seed_b),
+        seeds=(args.seed + 1, args.seed + 2),
         normalize=not args.no_normalize,
     )
     fused = RowTable(feats_a, fuse_rows(feats_a.matrix, feats_b.rows(feats_a), spec))
@@ -169,8 +175,8 @@ def _cmd_fuse(args) -> int:
             "out": str(args.out),
             "scheme": spec.scheme,
             "d": spec.sketch_dim,
-            "seed_a": seed_a,
-            "seed_b": seed_b,
+            "seed_a": spec.seeds[0],
+            "seed_b": spec.seeds[1],
             "normalize": spec.normalize,
             "seed": args.seed,
         },
@@ -192,6 +198,16 @@ def _train_config(args) -> TrainConfig:
         seed=args.seed,
         l2=args.l2,
     )
+
+
+def _report(args, command: str, params: dict, results: dict) -> None:
+    """Echo the training flags into ``params``, then write ``--report-json`` or print the results."""
+    params = {**params, "lr": args.lr, "epochs": args.epochs, "batch": args.batch,
+              "l2": args.l2, "seed": args.seed}
+    if args.report_json:
+        write_run_manifest(args.report_json, _run_manifest(command, params, results))
+    else:
+        print(json.dumps({"results": results}, sort_keys=True, allow_nan=False))
 
 
 def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_names, model_path):
@@ -240,10 +256,7 @@ def _cmd_train_eval(args) -> int:
         cells.append((parts[0], parts[1], parts[2]))
     if not cells:
         raise ValueError("provide --features or at least one --cell")
-    pairs = Counter(f"{row}:{col}" for row, col, _ in cells)
-    repeated = [pair for pair, count in pairs.items() if count > 1]
-    if repeated:
-        raise ValueError(f"ROW:COL pairs must be distinct, but these repeat: {', '.join(repeated)}")
+    _check_distinct((f"{row}:{col}" for row, col, _ in cells), "ROW:COL pairs")
     if args.save_model and len(cells) > 1:
         raise ValueError(f"--save-model keeps one model, but {len(cells)} cells were given")
     cfg = _train_config(args)
@@ -276,21 +289,10 @@ def _cmd_train_eval(args) -> int:
     params = {
         "manifest": str(args.manifest),
         "cells": [{"row": r, "col": c, "features": str(p)} for r, c, p in cells],
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch": args.batch,
-        "l2": args.l2,
-        "seed": args.seed,
     }
     if args.save_model:  # only when given, so reports of runs without a model stay as they were
         params["save_model"] = str(args.save_model)
-    report = _run_manifest(
-        "train-eval", params=params, results={"class_names": class_names, "cells": cell_results}
-    )
-    if args.report_json:
-        write_run_manifest(args.report_json, report)
-    else:
-        print(json.dumps({"results": report.results}, sort_keys=True, allow_nan=False))
+    _report(args, "train-eval", params, {"class_names": class_names, "cells": cell_results})
     return 0
 
 
@@ -298,16 +300,12 @@ def _cmd_train_eval(args) -> int:
 
 
 def _cmd_vqa(args) -> int:
-    if args.mode not in VQA_MODES:
-        raise ValueError(f"mode must be one of {VQA_MODES}")
     if args.answer_vocab < 2:
         raise ValueError(f"--answer-vocab must be at least 2, got {args.answer_vocab}")
-    needs_image = args.mode in ("question-image", "question-image-text")
-    needs_text = args.mode == "question-image-text"
-    if needs_image and not args.image_features:
-        raise ValueError(f"--image-features is required for mode {args.mode!r}")
-    if needs_text and not args.text_features:
-        raise ValueError(f"--text-features is required for mode {args.mode!r}")
+    paths = {name: getattr(args, f"{name}_features") for name in VQA_MODES[args.mode]}
+    for name, path in paths.items():
+        if not path:
+            raise ValueError(f"--{name}-features is required for mode {args.mode!r}")
 
     records = load_vqa(args.vqa)
     manifest = load_manifest(args.manifest)
@@ -317,11 +315,7 @@ def _cmd_vqa(args) -> int:
     if missing:
         raise ValueError(f"vqa image ids missing from manifest: {', '.join(missing)}")
 
-    blocks: dict[str, RowTable] = {}  # the feature blocks after the question, in order
-    if needs_image:
-        blocks["image"] = load_features(args.image_features)
-    if needs_text:
-        blocks["text"] = load_features(args.text_features)
+    blocks = {name: load_features(path) for name, path in paths.items()}
     needed_ids = {r.image_id for r in records}
     for name, feats in blocks.items():
         absent = sorted(needed_ids.difference(feats))
@@ -368,36 +362,25 @@ def _cmd_vqa(args) -> int:
     )
     print(f"train: {len(train_set)} used, {dropped_train} dropped (answer outside top-{len(vocab)})")
 
-    report = _run_manifest(
-        "vqa",
-        params={
-            "vqa": str(args.vqa),
-            "manifest": str(args.manifest),
-            "embeddings": str(args.embeddings),
-            "image_features": str(args.image_features) if needs_image else None,
-            "text_features": str(args.text_features) if needs_text else None,
-            "mode": args.mode,
-            "answer_vocab": args.answer_vocab,
-            "lr": args.lr,
-            "epochs": args.epochs,
-            "batch": args.batch,
-            "l2": args.l2,
-            "seed": args.seed,
-        },
-        results={
-            "accuracy": accuracy,
-            "accuracy_percent": float(_pct(accuracy)),
-            "n_test": len(test_records),
-            "n_test_oov": oov_test,
-            "n_train_used": len(train_set),
-            "n_train_dropped": dropped_train,
-            "vocab_size": len(vocab),
-        },
-    )
-    if args.report_json:
-        write_run_manifest(args.report_json, report)
-    else:
-        print(json.dumps({"results": report.results}, sort_keys=True, allow_nan=False))
+    params = {
+        "vqa": str(args.vqa),
+        "manifest": str(args.manifest),
+        "embeddings": str(args.embeddings),
+        "image_features": str(paths["image"]) if "image" in paths else None,
+        "text_features": str(paths["text"]) if "text" in paths else None,
+        "mode": args.mode,
+        "answer_vocab": args.answer_vocab,
+    }
+    results = {
+        "accuracy": accuracy,
+        "accuracy_percent": float(_pct(accuracy)),
+        "n_test": len(test_records),
+        "n_test_oov": oov_test,
+        "n_train_used": len(train_set),
+        "n_train_dropped": dropped_train,
+        "vocab_size": len(vocab),
+    }
+    _report(args, "vqa", params, results)
     return 0
 
 
@@ -451,14 +434,6 @@ def _cmd_synth(args) -> int:
 # -- formats-check -----------------------------------------------------------------
 
 
-def _model_equal(a, b) -> bool:
-    return (
-        a.class_names == b.class_names
-        and a.W.tobytes() == b.W.tobytes()
-        and a.b.tobytes() == b.b.tobytes()
-    )
-
-
 def _demo_structures():
     table = RowTable(["sun", "sea"], [[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
     transcriptions = {
@@ -482,11 +457,6 @@ def _demo_structures():
 
 
 def _cmd_formats_check(args) -> int:
-    checks: list[tuple[str, bool]] = []
-
-    def check(name: str, ok: bool) -> None:
-        checks.append((name, ok))
-
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(args.out) if args.out else Path(tmp)
         out.mkdir(parents=True, exist_ok=True)
@@ -503,38 +473,26 @@ def _cmd_formats_check(args) -> int:
         else:
             table, transcriptions, features, manifest, vqa, model, report, run = _demo_structures()
 
-        write_embeddings(out / "embeddings.txt", table)
-        check("embeddings", load_embeddings(out / "embeddings.txt") == table)
+        formats = [
+            ("embeddings", "embeddings.txt", write_embeddings, load_embeddings, table),
+            ("transcriptions", "transcriptions.jsonl", write_transcriptions, load_transcriptions,
+             transcriptions),
+            ("features", "features.txt", write_features, load_features, features),
+            ("manifest", "manifest.tsv", write_manifest, load_manifest, manifest),
+            ("vqa", "vqa.jsonl", write_vqa, load_vqa, vqa),
+            ("model", "model.txt", save_model, load_model, model),
+            ("cleaning-report", "cleaning.json", write_cleaning_report, load_cleaning_report,
+             report),
+            ("run-manifest", "run.json", write_run_manifest, load_run_manifest, run),
+        ]
+        checks = []
+        for name, file, write, load, value in formats:
+            write(out / file, value)
+            checks.append((name, load(out / file) == value))
 
-        write_transcriptions(out / "transcriptions.jsonl", transcriptions)
-        check(
-            "transcriptions",
-            load_transcriptions(out / "transcriptions.jsonl") == transcriptions,
-        )
-
-        write_features(out / "features.txt", features)
-        check("features", load_features(out / "features.txt") == features)
-
-        write_manifest(out / "manifest.tsv", manifest)
-        check("manifest", load_manifest(out / "manifest.tsv") == manifest)
-
-        write_vqa(out / "vqa.jsonl", vqa)
-        check("vqa", load_vqa(out / "vqa.jsonl") == vqa)
-
-        save_model(out / "model.txt", model)
-        check("model", _model_equal(model, load_model(out / "model.txt")))
-
-        write_cleaning_report(out / "cleaning.json", report)
-        check("cleaning-report", load_cleaning_report(out / "cleaning.json") == report)
-
-        write_run_manifest(out / "run.json", run)
-        check("run-manifest", load_run_manifest(out / "run.json") == run)
-
-    failed = False
     for name, ok in checks:
         print(f"{name}: {'OK' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 # -- parser ------------------------------------------------------------------------
@@ -579,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--scheme", choices=FUSION_SCHEMES, default="mcb")
     p.add_argument("--d", type=int, default=1024, help="sketch dimension for mcb (default 1024)")
-    p.add_argument("--seed-a", type=int, default=None, help="sketch seed for --a (default seed+1)")
-    p.add_argument("--seed-b", type=int, default=None, help="sketch seed for --b (default seed+2)")
     p.add_argument("--no-normalize", action="store_true", help="skip signed sqrt + L2 after mcb")
     _add_seed(p)
     p.set_defaults(func=_cmd_fuse)

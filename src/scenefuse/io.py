@@ -7,10 +7,11 @@ structure and rewriting produces byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -86,22 +87,36 @@ def _parse_rows(path, lines: list[str], first: int, dim: int, sep, check_row) ->
     return _parse_values(path, lines, first, len(lines), dim, sep)
 
 
-def _write_table(path, table: RowTable, sep: str, kind: str) -> None:
-    """Write a ``<count> <dim>`` header, then stream one ``key + sep + values`` line per row.
+_SEPARATOR_NAMES = {"\t": "tab", " ": "space"}
 
-    A non-finite row raises before the file is opened.  Values are ``repr`` of Python
-    floats, the shortest decimal that reads back to the same float64.
+
+def _check_keys(keys: Iterable[str], sep: str, what: str) -> None:
+    """Reject a key that its loader would read differently: empty, holding ``sep``, or a line break.
+
+    A line break is any character at which ``str.splitlines`` (and so every loader)
+    splits a line.
     """
+    for key in keys:
+        if key.splitlines() != [key] or sep in key:
+            raise ValueError(
+                f"{what} {key!r} must be non-empty, with no {_SEPARATOR_NAMES[sep]} "
+                "and no line break"
+            )
+
+
+def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> None:
+    """Write a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
+
+    A bad key or a non-finite row raises before the file is opened.  Values are ``repr``
+    of Python floats, the shortest decimal that reads back to the same float64.
+    """
+    _check_keys(table, sep, f"{kind} {key_name}")
     finite = np.isfinite(table.matrix).all(axis=1)
     if not finite.all():
         key = next(islice(table, int(np.argmin(finite)), None))
         raise ValueError(f"{kind} for {key!r} has non-finite values")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        fh.writelines(
-            key + sep + " ".join(map(repr, row.tolist())) + "\n"
-            for key, row in zip(table, table.matrix)
-        )
+    rows = (key + sep + " ".join(map(repr, row.tolist())) for key, row in zip(table, table.matrix))
+    _write_lines(path, chain([f"{len(table)} {table.dim}"], rows))
 
 
 def _read_text(path) -> str:
@@ -125,19 +140,40 @@ def _read_lines(path) -> list[str]:
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    """Open ``path`` once and stream ``lines`` to it, each followed by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_json(path, record) -> None:
+    """Write the dataclass ``record`` as one sorted, indented JSON object; NaN and inf raise."""
+    text = json.dumps(dataclasses.asdict(record), indent=2, sort_keys=True, allow_nan=False)
+    _write_lines(path, [text])
+
+
+def _json(path, text: str, line: int = 1):
+    """The JSON value of ``text``, which starts on line ``line`` of ``path``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{line + exc.lineno - 1}: bad JSON: {exc.msg}") from None
+
+
+def _header_ints(path, line: str, form: str) -> tuple[int, int]:
+    """The two integers of the header ``line``, which must have the shape ``form``."""
+    head = line.split()
+    if len(head) != 2:
+        raise ValueError(f"{path}:1: header must be {form}")
+    try:
+        return int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"{path}:1: header must hold two integers") from None
 
 
 def _parse_count_dim_header(lines: list[str], path) -> tuple[int, int]:
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected '<count> <dim>' header")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}:1: header must be '<count> <dim>'")
-    try:
-        count, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}:1: header must hold two integers") from None
+    count, dim = _header_ints(path, lines[0], "'<count> <dim>'")
     if count < 0 or dim < 1:
         raise ValueError(f"{path}:1: bad header values count={count} dim={dim}")
     if len(lines) - 1 != count:
@@ -171,7 +207,7 @@ def load_embeddings(path) -> RowTable:
 
 
 def write_embeddings(path, table: RowTable) -> None:
-    _write_table(path, table, " ", "embedding")
+    _write_table(path, table, " ", "embedding", "token")
 
 
 # -- feature file: "<count> <dim>" then "<image_id>\t<v1> <v2> ..." -----------
@@ -200,7 +236,7 @@ def load_features(path) -> RowTable:
 
 
 def write_features(path, features: RowTable) -> None:
-    _write_table(path, features, "\t", "feature")
+    _write_table(path, features, "\t", "feature", "id")
 
 
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}
@@ -225,10 +261,7 @@ def _string(value, field: str) -> str:
 def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
     records: dict[str, TranscriptionRecord] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: bad JSON: {exc.msg}") from None
+        obj = _json(path, line, lineno)
         try:
             image_id = obj["image_id"]
             words = tuple(
@@ -275,7 +308,9 @@ def load_manifest(path) -> Manifest:
 
 
 def write_manifest(path, manifest: Manifest) -> None:
-    _write_lines(path, (f"{row.image_id}\t{row.label}\t{row.split}" for row in manifest.rows))
+    fields = [(row.image_id, row.label, row.split) for row in manifest.rows]
+    _check_keys(chain.from_iterable(fields), "\t", "manifest field")
+    _write_lines(path, map("\t".join, fields))
 
 
 # -- VQA: JSON lines {"image_id":…, "question":…, "answer":…} -----------------
@@ -284,10 +319,7 @@ def write_manifest(path, manifest: Manifest) -> None:
 def load_vqa(path) -> list[VqaRecord]:
     records = []
     for lineno, line in enumerate(_read_lines(path), start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: bad JSON: {exc.msg}") from None
+        obj = _json(path, line, lineno)
         try:
             record = VqaRecord(*(_string(obj[f], f) for f in ("image_id", "question", "answer")))
         except (KeyError, TypeError, ValueError) as exc:
@@ -307,9 +339,7 @@ def write_vqa(path, records: Sequence[VqaRecord]) -> None:
 
 
 def save_model(path, model: ClassifierModel) -> None:
-    for name in model.class_names:
-        if "\t" in name or "\n" in name:
-            raise ValueError(f"class name {name!r} may not contain tabs or newlines")
+    _check_keys(model.class_names, "\t", "class name")
     rows = (" ".join(f"{v:.17g}" for v in (*row, bias)) for row, bias in zip(model.W, model.b))
     _write_lines(path, [f"{model.n_classes} {model.dim}", "\t".join(model.class_names), *rows])
 
@@ -318,13 +348,7 @@ def load_model(path) -> ClassifierModel:
     lines = _read_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}:1: truncated model file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}:1: header must be 'C D'")
-    try:
-        n_classes, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}:1: header must hold two integers") from None
+    n_classes, dim = _header_ints(path, lines[0], "'C D'")
     if n_classes < 2 or dim < 1:
         raise ValueError(
             f"{path}:1: bad header values C={n_classes} D={dim}, need C >= 2 and D >= 1"
@@ -348,22 +372,12 @@ def load_model(path) -> ClassifierModel:
 
 
 def write_cleaning_report(path, report: CleaningReport) -> None:
-    payload = {
-        "total_words": report.total_words,
-        "kept_words": report.kept_words,
-        "removed_words": report.removed_words,
-        "emptied_records": report.emptied_records,
-        "removed_per_image": report.removed_per_image,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, report)
 
 
 def _load_json_object(path, fields: Mapping[str, type]) -> dict:
     """The top-level JSON object of ``path``, holding at least ``fields`` with their types."""
-    try:
-        obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
+    obj = _json(path, _read_text(path))
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     for key, kind in fields.items():
@@ -408,15 +422,7 @@ class RunManifest:
 
 
 def write_run_manifest(path, manifest: RunManifest) -> None:
-    payload = {
-        "tool": manifest.tool,
-        "version": manifest.version,
-        "command": manifest.command,
-        "params": manifest.params,
-        "results": manifest.results,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write_json(path, manifest)
 
 
 _RUN_FIELDS = {"tool": str, "version": str, "command": str, "params": dict, "results": dict}

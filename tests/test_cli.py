@@ -135,6 +135,37 @@ class TestFeaturizeText:
         assert "--k must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_repeated_k_is_rejected_before_anything_is_read_or_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = run_cli(
+            "featurize-text",
+            "--transcriptions", tmp_path / "never-read.jsonl",
+            "--embeddings", tmp_path / "never-read.txt",
+            "--out", out / "t_k{k}.txt", "--k", 3, "--k", 5, "--k", 3,
+            "--cleaning-report", out / "clean.json",
+        )
+        assert rc == 2
+        assert "--k values must be distinct, but these repeat: 3" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("image_id", ["ad\t1", "ad\n1", "ad\u20281"])
+    def test_an_image_id_the_feature_file_cannot_hold_fails_before_writing(
+        self, fixtures_dir, tmp_path, capsys, image_id
+    ):
+        transcriptions = tmp_path / "t.jsonl"
+        transcriptions.write_text(
+            json.dumps({"image_id": image_id, "words": [{"token": "nike", "conf": 0.9}]}) + "\n"
+        )
+        out = tmp_path / "text.txt"
+        rc = run_cli(
+            "featurize-text", "--transcriptions", transcriptions,
+            "--embeddings", fixtures_dir / "embeddings.txt", "--out", out, "--k", 1,
+        )
+        assert rc == 2
+        assert f"feature id {image_id!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_placeholder_is_checked_before_anything_is_read(self, tmp_path, capsys):
         rc = run_cli(
             "featurize-text",
@@ -272,6 +303,30 @@ class TestFuse:
         run_cli(*args)
         assert out.read_bytes() == first
 
+    def test_empty_feature_files_have_no_rows_to_fuse(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("0 2\n")
+        (tmp_path / "b.txt").write_text("0 3\n")
+        out = tmp_path / "fused.txt"
+        rc = run_cli("fuse", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt", "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no feature rows to fuse\n"
+        assert not out.exists()
+
+    def test_seed_a_and_seed_b_are_gone(self, fixtures_dir, tmp_path):
+        out = tmp_path / "fused.txt"
+        args = (
+            "fuse", "--a", fixtures_dir / "image_features.txt",
+            "--b", fixtures_dir / "image_features.txt", "--out", out, "--d", 16, "--seed", 5,
+        )
+        for flag in ("--seed-a", "--seed-b"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*args, flag, 3)
+            assert exc.value.code == 2
+        assert not out.exists()
+        assert run_cli(*args) == 0
+        params = load_run_manifest(str(out) + ".run.json").params
+        assert (params["seed"], params["seed_a"], params["seed_b"]) == (5, 6, 7)
+
     def test_id_mismatch_lists_difference(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"
         feats = load_features(fixtures_dir / "image_features.txt")
@@ -330,6 +385,20 @@ class TestTrainEval:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_printed_results_equal_the_report_results(self, fixtures_dir, tmp_path, capsys, cells):
+        image = fixtures_dir / "image_features.txt"
+        args = ["train-eval", "--manifest", fixtures_dir / "manifest.tsv", "--seed", 3]
+        args += [a for i in range(cells) for a in ("--cell", f"r{i}:acc:{image}")]
+        report_path = tmp_path / "report.json"
+        assert run_cli(*args, "--report-json", report_path) == 0
+        with_report = capsys.readouterr().out
+        assert run_cli(*args) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(with_report)
+        (line,) = printed[len(with_report):].splitlines()
+        assert json.loads(line) == {"results": load_run_manifest(report_path).results}
 
     def test_grid_report_shape(self, fixtures_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -488,6 +557,22 @@ class TestVqa:
         assert results["vocab_size"] == 5
         assert results["accuracy"] <= 0.75  # the oov answer can never be correct
         assert results["accuracy"] == pytest.approx(results["accuracy_percent"] / 100, abs=1e-4)
+
+    def test_printed_results_equal_the_report_results(self, fixtures_dir, tmp_path, capsys):
+        args = (
+            "vqa", "--vqa", fixtures_dir / "vqa.jsonl",
+            "--manifest", fixtures_dir / "manifest.tsv",
+            "--embeddings", fixtures_dir / "embeddings.txt",
+            "--image-features", fixtures_dir / "image_features.txt", "--mode", "question-image",
+        )
+        report_path = tmp_path / "report.json"
+        assert run_cli(*args, "--report-json", report_path) == 0
+        with_report = capsys.readouterr().out
+        assert run_cli(*args) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(with_report)
+        (line,) = printed[len(with_report):].splitlines()
+        assert json.loads(line) == {"results": load_run_manifest(report_path).results}
 
     def test_small_answer_vocab_drops_training_rows(self, fixtures_dir, tmp_path):
         report_path = tmp_path / "report.json"

@@ -221,6 +221,43 @@ class TestDecodeErrors:
             load_manifest(path)
 
 
+class TestHeaders:
+    @pytest.mark.parametrize("loader", [load_features, load_embeddings])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "1: empty file, expected '<count> <dim>' header"),
+            ("2\n", "1: header must be '<count> <dim>'"),
+            ("1 2 3\na 1.0 2.0\n", "1: header must be '<count> <dim>'"),
+            ("1 x\n", "1: header must hold two integers"),
+            ("1.0 2\n", "1: header must hold two integers"),
+            ("-1 2\n", "1: bad header values count=-1 dim=2"),
+            ("0 0\n", "1: bad header values count=0 dim=0"),
+        ],
+    )
+    def test_count_dim_header_messages(self, tmp_path, loader, text, message):
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{message}')}$"):
+            loader(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "1: truncated model file"),
+            ("2 1\n", "1: truncated model file"),
+            ("2\na\tb\n1.0 0.0\n1.0 0.0\n", "1: header must be 'C D'"),
+            ("2 1 1\na\tb\n1.0 0.0\n1.0 0.0\n", "1: header must be 'C D'"),
+            ("2 one\na\tb\n1.0 0.0\n1.0 0.0\n", "1: header must hold two integers"),
+        ],
+    )
+    def test_model_header_messages(self, tmp_path, text, message):
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{message}')}$"):
+            load_model(path)
+
+
 class TestEmbeddingsFormat:
     def test_fixture_loads(self, fixtures_dir):
         table = load_embeddings(fixtures_dir / "embeddings.txt")
@@ -255,6 +292,12 @@ class TestEmbeddingsFormat:
         bad = tmp_path / "emb.txt"
         bad.write_text("2 1\na 1.0\na 2.0\n")
         with pytest.raises(ValueError, match="duplicate"):
+            load_embeddings(bad)
+
+    def test_empty_token_names_line(self, tmp_path):
+        bad = tmp_path / "emb.txt"
+        bad.write_text("2 1\na 1.0\n 2.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:3: empty token$"):
             load_embeddings(bad)
 
 
@@ -301,6 +344,12 @@ class TestFeatureFormat:
         bad = tmp_path / "f.txt"
         bad.write_text("1 1\na 1.0\n")
         with pytest.raises(ValueError, match=r":2"):
+            load_features(bad)
+
+    def test_empty_image_id_names_line(self, tmp_path):
+        bad = tmp_path / "f.txt"
+        bad.write_text("2 1\na\t1.0\n\t2.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:3: empty image_id$"):
             load_features(bad)
 
 
@@ -461,6 +510,12 @@ class TestVqaFormat:
         if loaded is not None:
             assert all(isinstance(getattr(loaded[1], f), str) for f in record)
 
+    def test_bad_json_names_line(self, tmp_path):
+        bad = tmp_path / "v.jsonl"
+        bad.write_text('{"image_id": "a", "question": "q", "answer": "x"}\n{"image_id": \n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:2: bad JSON: Expecting value$"):
+            load_vqa(bad)
+
     def test_non_string_question_rejected(self, tmp_path):
         bad = tmp_path / "v.jsonl"
         bad.write_text('{"image_id": "a", "question": ["what"], "answer": "x"}\n')
@@ -542,6 +597,14 @@ class TestReportFormats:
             write_run_manifest(tmp_path / "run.json", manifest)
 
     @pytest.mark.parametrize("loader", [load_cleaning_report, load_run_manifest])
+    def test_bad_json_names_its_line(self, tmp_path, loader):
+        bad = tmp_path / "report.json"
+        bad.write_text('{\n  "tool": "scenefuse",\n  "version" "0.1.0"\n}\n')
+        message = f"{bad}:3: bad JSON: Expecting ':' delimiter"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            loader(bad)
+
+    @pytest.mark.parametrize("loader", [load_cleaning_report, load_run_manifest])
     @pytest.mark.parametrize("text", ["{}", "[]", "1", '"x"', "null", "{"])
     def test_reports_that_are_not_the_expected_object_name_the_file(self, tmp_path, loader, text):
         bad = tmp_path / "report.json"
@@ -572,3 +635,63 @@ class TestReportFormats:
                 assert json.dumps(got) == json.dumps(value)
         if loader is load_cleaning_report:
             assert all(type(n) is int for n in loaded.removed_per_image.values())
+
+
+# every character at which str.splitlines breaks a line
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# per keyed writer: (write one key, load it back)
+KEYED_WRITERS = {
+    "features": (
+        lambda path, key: write_features(path, RowTable([key, "z"], [[1.0], [2.0]])),
+        lambda path: list(load_features(path)),
+    ),
+    "embeddings": (
+        lambda path, key: write_embeddings(path, RowTable([key, "z"], [[1.0], [2.0]])),
+        lambda path: list(load_embeddings(path)),
+    ),
+    "model": (
+        lambda path, key: save_model(path, init_model(1, [key, "z"], seed=0)),
+        lambda path: load_model(path).class_names,
+    ),
+    "manifest-id": (
+        lambda path, key: write_manifest(path, Manifest((ManifestRow(key, "cat", "train"),))),
+        lambda path: [load_manifest(path).rows[0].image_id],
+    ),
+    "manifest-label": (
+        lambda path, key: write_manifest(path, Manifest((ManifestRow("a", key, "train"),))),
+        lambda path: [load_manifest(path).rows[0].label],
+    ),
+}
+SEPARATORS = {"features": "\t", "embeddings": " ", "model": "\t", "manifest-id": "\t",
+              "manifest-label": "\t"}
+
+
+class TestKeys:
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (kind, key)
+            for kind in sorted(KEYED_WRITERS)
+            for key in ["", f"a{SEPARATORS[kind]}b", *(f"a{b}b" for b in LINE_BREAKS), "a\n", "\n"]
+            if key or not kind.startswith("manifest")  # ManifestRow rejects an empty field itself
+        ],
+    )
+    def test_a_key_its_loader_would_split_raises_and_leaves_no_file(self, tmp_path, kind, key):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            KEYED_WRITERS[kind][0](path, key)
+        assert not path.exists()
+
+    @given(kind=st.sampled_from(sorted(KEYED_WRITERS)), key=st.text(min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_a_written_key_loads_back_unchanged(self, tmp_path_factory, kind, key):
+        write, load = KEYED_WRITERS[kind]
+        path = tmp_path_factory.getbasetemp() / f"keyed-{kind}.txt"
+        path.unlink(missing_ok=True)
+        try:
+            write(path, key)
+        except ValueError:
+            assert not path.exists()
+            return
+        assert load(path)[0] == key
