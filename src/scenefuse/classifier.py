@@ -138,7 +138,8 @@ def train(
 ) -> tuple[ClassifierModel, list[float]]:
     """Mini-batch SGD over shuffled epochs; returns the trained copy and per-epoch mean loss.
 
-    Raises ValueError as soon as a batch loss is not finite (training diverged).
+    Raises ValueError as soon as a batch loss is not finite, or when the last step leaves
+    weights that are not (training diverged).
     """
     if not data:
         raise ValueError("no training data")
@@ -149,21 +150,28 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     history: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grad_w, grad_b = _loss_grad(W, b, X[idx], y[idx], cfg.l2)
-            if not np.isfinite(loss):
-                raise ValueError(
-                    f"training diverged in epoch {epoch}: loss is {loss}; "
-                    f"lower the learning rate (now {cfg.learning_rate:g})"
-                )
-            W -= cfg.learning_rate * grad_w
-            b -= cfg.learning_rate * grad_b
-            epoch_loss += loss * idx.size
-        history.append(epoch_loss / n)
+    # an overflow shows up as a loss or weights that are not finite, reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grad_w, grad_b = _loss_grad(W, b, X[idx], y[idx], cfg.l2)
+                if not np.isfinite(loss):
+                    raise ValueError(
+                        f"training diverged in epoch {epoch}: loss is {loss}; "
+                        f"lower the learning rate (now {cfg.learning_rate:g})"
+                    )
+                W -= cfg.learning_rate * grad_w
+                b -= cfg.learning_rate * grad_b
+                epoch_loss += loss * idx.size
+            history.append(epoch_loss / n)
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):  # the last step overflowed
+        raise ValueError(
+            f"training diverged in epoch {cfg.epochs}: the weights are not finite; "
+            f"lower the learning rate (now {cfg.learning_rate:g})"
+        )
     return ClassifierModel(W=W, b=b, class_names=list(model.class_names)), history
 
 

@@ -7,19 +7,90 @@ structure and rewriting produces byte-identical files.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .classifier import ClassifierModel
 from .data import CleaningReport, Manifest, ManifestRow, VqaRecord
 from .text import RowTable, TranscribedWord, TranscriptionRecord
+
+
+_CHUNK = 1 << 20  # bytes per read of a line loader
+# every character at which str.splitlines breaks a line
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _not_utf8(path, exc: UnicodeDecodeError, before: str = "", lines_before: int = 0) -> ValueError:
+    """``path:LINE: not UTF-8 (byte 0x.. at column C)`` for the bad byte of ``exc``.
+
+    ``exc.object`` is the undecoded input, and ``before`` the decoded text that
+    precedes it on line ``lines_before + 1``.  LINE counts as ``str.splitlines``
+    does, as in every loader message; C counts characters from 1.
+    """
+    lines = (before + exc.object[: exc.start].decode("utf-8") + "?").splitlines()
+    byte, col = exc.object[exc.start], len(lines[-1])
+    message = f"not UTF-8 (byte 0x{byte:02x} at column {col})"
+    return ValueError(f"{path}:{lines_before + len(lines)}: {message}")
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``, for the one-document JSON reports."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
+        raise _not_utf8(path, exc) from None
+
+
+def _lines(path) -> Iterator[str]:
+    """The lines of ``path`` as ``str.splitlines`` gives them, decoded ``_CHUNK`` bytes at a time.
+
+    Each chunk's last line is carried into the next, so a line, a ``\\r\\n`` or a
+    UTF-8 sequence cut by a chunk boundary is joined again.  A bad byte raises
+    the ``_not_utf8`` message.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry, done, final = "", 0, False
+    with open(path, "rb") as fh:
+        while not final:
+            data = fh.read(_CHUNK)
+            final = not data
+            try:
+                pieces = (carry + decoder.decode(data, final=final)).splitlines(keepends=True)
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc, carry, done) from None
+            del data  # while the lines are read, only they are held
+            carry = "" if final or not pieces else pieces.pop()
+            done += len(pieces)
+            # a piece is a line and the one break that ends it, and lines hold no break
+            yield from (piece.rstrip(_LINE_BREAKS) for piece in pieces)
+
+
+@contextmanager
+def _reading(path) -> Iterator[Iterator[str]]:
+    """The lines of ``path``, for a loader that stops at its first fault.
+
+    A ``ValueError`` raised in the block waits until the rest of the file has
+    been decoded, so a bad byte anywhere in the file outranks it, as when the
+    whole file was decoded before any line was read.
+    """
+    lines = _lines(path)
+    try:
+        yield lines
+    except ValueError:
+        for _ in lines:
+            pass
+        raise
+    finally:
+        lines.close()
 
 
 def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
@@ -32,59 +103,74 @@ def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
     return arr
 
 
-def _parse_values(path, lines: list[str], start: int, stop: int, dim: int, sep) -> np.ndarray:
-    """The ``(stop - start, dim)`` values of ``lines[start:stop]``, their fields already counted.
+def _values(line: str, sep) -> str:
+    """A row's values: what follows its first ``sep``, or the whole row when ``sep`` is None."""
+    return line if sep is None else line.partition(sep)[2]
 
-    A row's values follow its first ``sep`` (the whole row when ``sep`` is None).
-    One ``np.loadtxt`` call parses every row with the same correctly rounded
-    routine ``float()`` uses, fed by a generator so that no copy of the values is
-    kept.  Whatever it rejects, or reads differently (a blank row it skips, a
-    U+001F it strips as whitespace), goes line by line through ``float()``
-    instead, which takes ``float()``'s full syntax (``1_0``, non-ASCII digits)
-    and names the first bad line.
+
+def _float_rows(
+    path, head: int, read_head, check_row, sep
+) -> tuple[dict[str, None], np.ndarray]:
+    """The keys and the ``(count, dim)`` values of the rows after the ``head`` header lines.
+
+    ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and
+    returns ``(count, dim, miscount)``, where ``miscount(n)`` is the message for
+    a file of ``n`` rows.  ``check_row(line, lineno, dim, keys)`` raises
+    ``ValueError`` on a row whose structure is wrong, and may record its key in
+    ``keys``.  Line numbers start at 1.
+
+    One streaming pass checks each row as it is read and feeds its values to a
+    single ``np.loadtxt`` call, which parses each field with the correctly
+    rounded routine ``float()`` uses; no copy of the file is kept.  On any
+    doubt (a fault of any kind, a U+001F that ``np.loadtxt`` would strip as
+    whitespace, a blank row it would skip, a row count other than the
+    header's) the answer is ``_exact_rows``'s instead.
     """
+    with _reading(path) as lines:
+        count, dim, miscount = read_head(path, list(islice(lines, head)))
+        keys: dict[str, None] = {}
 
-    def blobs():
-        rows = islice(lines, start, stop)
-        return rows if sep is None else (line.partition(sep)[2] for line in rows)
+        def blobs():
+            for lineno, line in enumerate(islice(lines, count), start=head + 1):
+                if "\x1f" in line:  # np.loadtxt would strip it as whitespace
+                    raise ValueError("U+001F")
+                check_row(line, lineno, dim, keys)
+                yield _values(line, sep)
 
-    count = stop - start
-    matrix = None
-    if count and not any("\x1f" in line for line in islice(lines, start, stop)):
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input line contained no data"
-                matrix = np.loadtxt(
-                    blobs(), dtype=float, delimiter=" ", comments=None, ndmin=2, max_rows=count
-                )
+                warnings.simplefilter("error")  # "input contained no data"
+                matrix = np.loadtxt(blobs(), dtype=float, delimiter=" ", comments=None, ndmin=2)
         except (ValueError, UserWarning):
-            pass  # read line by line below
-    if matrix is None or matrix.shape != (count, dim):
-        matrix = np.empty((count, dim))
-        for row, blob in enumerate(blobs()):
-            matrix[row] = _parse_floats(blob.split(" "), path, start + row + 1)
-        return matrix
+            matrix = None
+        exact = matrix is None or matrix.shape != (count, dim) or next(lines, None) is not None
+    if exact:
+        return _exact_rows(path, head, count, dim, miscount, check_row, sep)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
-        raise ValueError(f"{path}:{start + bad[0] + 1}: non-finite value")
-    return matrix
+        raise ValueError(f"{path}:{head + bad[0] + 1}: non-finite value")
+    return keys, matrix
 
 
-def _parse_rows(path, lines: list[str], first: int, dim: int, sep, check_row) -> np.ndarray:
-    """The ``(len(lines) - first, dim)`` values of ``lines[first:]``; line numbers start at 1.
+def _exact_rows(path, head: int, count: int, dim: int, miscount, check_row, sep):
+    """``_float_rows``'s answer, each row read by ``check_row`` and then ``float()`` alone.
 
-    ``check_row(line, lineno)`` raises ``ValueError`` on a row whose structure is
-    wrong, and may record the row's key.  Errors come out in line order, as a
-    line-by-line reader gives them: a structural fault raises only after the
-    values of every earlier row have parsed.
+    This takes all of ``float()``'s syntax (``1_0``, non-ASCII digits).  The
+    faults win in this order: a bad byte anywhere, a row count other than the
+    header's, then the first bad row in line order.  So one pass counts the
+    rows before a second parses them.
     """
-    for row in range(first, len(lines)):
-        try:
-            check_row(lines[row], row + 1)
-        except ValueError:
-            _parse_values(path, lines, first, row, dim, sep)
-            raise
-    return _parse_values(path, lines, first, len(lines), dim, sep)
+    with _reading(path) as lines:
+        rows = sum(1 for _ in islice(lines, head, None))
+    if rows != count:
+        raise ValueError(miscount(rows))
+    keys: dict[str, None] = {}
+    matrix = np.empty((count, dim))
+    with _reading(path) as lines:
+        for row, line in enumerate(islice(lines, head, None)):
+            check_row(line, head + row + 1, dim, keys)
+            matrix[row] = _parse_floats(_values(line, sep).split(" "), path, head + row + 1)
+    return keys, matrix
 
 
 _SEPARATOR_NAMES = {"\t": "tab", " ": "space"}
@@ -94,7 +180,7 @@ def _check_keys(keys: Iterable[str], sep: str, what: str) -> None:
     """Reject a key that its loader would read differently: empty, holding ``sep``, or a line break.
 
     A line break is any character at which ``str.splitlines`` (and so every loader)
-    splits a line.
+    splits a line.  A key must also encode as UTF-8: a lone surrogate does not.
     """
     for key in keys:
         if key.splitlines() != [key] or sep in key:
@@ -102,6 +188,10 @@ def _check_keys(keys: Iterable[str], sep: str, what: str) -> None:
                 f"{what} {key!r} must be non-empty, with no {_SEPARATOR_NAMES[sep]} "
                 "and no line break"
             )
+        try:
+            key.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{what} {key!r} is not valid UTF-8 text") from None
 
 
 def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> None:
@@ -117,26 +207,6 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
         raise ValueError(f"{kind} for {key!r} has non-finite values")
     rows = (key + sep + " ".join(map(repr, row.tolist())) for key, row in zip(table, table.matrix))
     _write_lines(path, chain([f"{len(table)} {table.dim}"], rows))
-
-
-def _read_text(path) -> str:
-    """UTF-8 text of ``path``; a bad byte raises ``path:LINE: not UTF-8 (byte 0x.. at column C)``.
-
-    LINE counts as ``str.splitlines`` does, as in every loader message; C counts characters
-    from 1.  Both come from the bytes the failed decode holds: ``read_text`` decodes the
-    whole file in one call, so ``exc.start`` is the bad byte's offset in the file.
-    """
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        lines = (exc.object[: exc.start].decode("utf-8") + "?").splitlines()
-        byte, col = exc.object[exc.start], len(lines[-1])
-        message = f"not UTF-8 (byte 0x{byte:02x} at column {col})"
-        raise ValueError(f"{path}:{len(lines)}: {message}") from None
-
-
-def _read_lines(path) -> list[str]:
-    return _read_text(path).splitlines()
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -170,26 +240,21 @@ def _header_ints(path, line: str, form: str) -> tuple[int, int]:
         raise ValueError(f"{path}:1: header must hold two integers") from None
 
 
-def _parse_count_dim_header(lines: list[str], path) -> tuple[int, int]:
+def _count_dim_header(path, lines: list[str]):
+    """``_float_rows``'s ``read_head`` for a ``<count> <dim>`` header line."""
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected '<count> <dim>' header")
     count, dim = _header_ints(path, lines[0], "'<count> <dim>'")
     if count < 0 or dim < 1:
         raise ValueError(f"{path}:1: bad header values count={count} dim={dim}")
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header count {count} but {len(lines) - 1} data lines")
-    return count, dim
+    return count, dim, lambda rows: f"{path}: header count {count} but {rows} data lines"
 
 
 # -- embedding table: "<count> <dim>" then "<token> <v1> ... <vdim>" ----------
 
 
 def load_embeddings(path) -> RowTable:
-    lines = _read_lines(path)
-    _, dim = _parse_count_dim_header(lines, path)
-    index: dict[str, int] = {}
-
-    def check_row(line: str, lineno: int) -> None:
+    def check_row(line: str, lineno: int, dim: int, tokens: dict[str, None]) -> None:
         fields = line.count(" ") + 1
         if fields != dim + 1:
             raise ValueError(
@@ -198,12 +263,12 @@ def load_embeddings(path) -> RowTable:
         token = line.partition(" ")[0]
         if not token:
             raise ValueError(f"{path}:{lineno}: empty token")
-        if token in index:
+        if token in tokens:
             raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-        index[token] = len(index)
+        tokens[token] = None
 
-    matrix = _parse_rows(path, lines, 1, dim, " ", check_row)
-    return RowTable(index, matrix)
+    tokens, matrix = _float_rows(path, 1, _count_dim_header, check_row, " ")
+    return RowTable(tokens, matrix)
 
 
 def write_embeddings(path, table: RowTable) -> None:
@@ -214,11 +279,7 @@ def write_embeddings(path, table: RowTable) -> None:
 
 
 def load_features(path) -> RowTable:
-    lines = _read_lines(path)
-    _, dim = _parse_count_dim_header(lines, path)
-    ids: dict[str, None] = {}
-
-    def check_row(line: str, lineno: int) -> None:
+    def check_row(line: str, lineno: int, dim: int, ids: dict[str, None]) -> None:
         if line.count("\t") != 1:
             raise ValueError(f"{path}:{lineno}: expected '<image_id>\\t<values>'")
         image_id, _, blob = line.partition("\t")
@@ -231,7 +292,7 @@ def load_features(path) -> RowTable:
             raise ValueError(f"{path}:{lineno}: expected {dim} values, got {fields}")
         ids[image_id] = None
 
-    matrix = _parse_rows(path, lines, 1, dim, "\t", check_row)
+    ids, matrix = _float_rows(path, 1, _count_dim_header, check_row, "\t")
     return RowTable(ids, matrix)
 
 
@@ -260,21 +321,22 @@ def _string(value, field: str) -> str:
 
 def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
     records: dict[str, TranscriptionRecord] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        obj = _json(path, line, lineno)
-        try:
-            image_id = obj["image_id"]
-            words = tuple(
-                TranscribedWord(_string(w["token"], "token"), _confidence(w["conf"]))
-                for w in obj["words"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad transcription record: {exc}") from None
-        if not isinstance(image_id, str) or not image_id:
-            raise ValueError(f"{path}:{lineno}: image_id must be a non-empty string")
-        if image_id in records:
-            raise ValueError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-        records[image_id] = TranscriptionRecord(image_id=image_id, words=words)
+    with _reading(path) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            obj = _json(path, line, lineno)
+            try:
+                image_id = obj["image_id"]
+                words = tuple(
+                    TranscribedWord(_string(w["token"], "token"), _confidence(w["conf"]))
+                    for w in obj["words"]
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad transcription record: {exc}") from None
+            if not isinstance(image_id, str) or not image_id:
+                raise ValueError(f"{path}:{lineno}: image_id must be a non-empty string")
+            if image_id in records:
+                raise ValueError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+            records[image_id] = TranscriptionRecord(image_id=image_id, words=words)
     return records
 
 
@@ -292,18 +354,19 @@ def write_transcriptions(path, records: Mapping[str, TranscriptionRecord]) -> No
 def load_manifest(path) -> Manifest:
     rows = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'image_id\\tlabel\\tsplit'")
-        image_id, label, split = fields
-        if image_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        try:
-            rows.append(ManifestRow(image_id=image_id, label=label, split=split))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    with _reading(path) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'image_id\\tlabel\\tsplit'")
+            image_id, label, split = fields
+            if image_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+            seen.add(image_id)
+            try:
+                rows.append(ManifestRow(image_id=image_id, label=label, split=split))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return Manifest(rows=tuple(rows))
 
 
@@ -318,13 +381,16 @@ def write_manifest(path, manifest: Manifest) -> None:
 
 def load_vqa(path) -> list[VqaRecord]:
     records = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        obj = _json(path, line, lineno)
-        try:
-            record = VqaRecord(*(_string(obj[f], f) for f in ("image_id", "question", "answer")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad VQA record: {exc}") from None
-        records.append(record)
+    with _reading(path) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            obj = _json(path, line, lineno)
+            try:
+                record = VqaRecord(
+                    *(_string(obj[f], f) for f in ("image_id", "question", "answer"))
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad VQA record: {exc}") from None
+            records.append(record)
     return records
 
 
@@ -345,26 +411,30 @@ def save_model(path, model: ClassifierModel) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    lines = _read_lines(path)
-    if len(lines) < 2:
-        raise ValueError(f"{path}:1: truncated model file")
-    n_classes, dim = _header_ints(path, lines[0], "'C D'")
-    if n_classes < 2 or dim < 1:
-        raise ValueError(
-            f"{path}:1: bad header values C={n_classes} D={dim}, need C >= 2 and D >= 1"
+    names: list[str] = []
+
+    def read_head(path, lines: list[str]):
+        if len(lines) < 2:
+            raise ValueError(f"{path}:1: truncated model file")
+        n_classes, dim = _header_ints(path, lines[0], "'C D'")
+        if n_classes < 2 or dim < 1:
+            raise ValueError(
+                f"{path}:1: bad header values C={n_classes} D={dim}, need C >= 2 and D >= 1"
+            )
+        names[:] = lines[1].split("\t")
+        if len(names) != n_classes:
+            raise ValueError(f"{path}:2: expected {n_classes} class names, got {len(names)}")
+        return n_classes, dim + 1, lambda rows: (
+            f"{path}: expected {n_classes} weight rows, got {rows}"
         )
-    names = lines[1].split("\t")
-    if len(names) != n_classes:
-        raise ValueError(f"{path}:2: expected {n_classes} class names, got {len(names)}")
-    if len(lines) != 2 + n_classes:
-        raise ValueError(f"{path}: expected {n_classes} weight rows, got {len(lines) - 2}")
 
-    def check_row(line: str, lineno: int) -> None:
+    def check_row(line: str, lineno: int, width: int, _) -> None:
         fields = line.count(" ") + 1
-        if fields != dim + 1:
-            raise ValueError(f"{path}:{lineno}: expected {dim + 1} values, got {fields}")
+        if fields != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} values, got {fields}")
 
-    values = _parse_rows(path, lines, 2, dim + 1, None, check_row)
+    _, values = _float_rows(path, 2, read_head, check_row, None)
+    dim = values.shape[1] - 1
     return ClassifierModel(W=values[:, :dim].copy(), b=values[:, dim].copy(), class_names=names)
 
 

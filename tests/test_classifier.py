@@ -220,13 +220,20 @@ class TestTrain:
         train(m, make_batch(rng, m, 8), TrainConfig(epochs=2, seed=0))
         assert np.array_equal(m.W, w_before)
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
     def test_divergence_raises(self):
         rng = np.random.default_rng(14)
         m = init_model(3, ["a", "b"], seed=15)
         data = make_batch(rng, m, 16)
         with pytest.raises(ValueError, match="diverged"):
             train(m, data, TrainConfig(learning_rate=1e300, epochs=5, batch_size=4, seed=0))
+
+    def test_a_last_step_that_overflows_the_weights_raises(self):
+        # the one batch loss is finite (log 2), but the step it takes overflows W
+        m = ClassifierModel(W=np.zeros((2, 3)), b=np.zeros(2), class_names=["a", "b"])
+        data = LabeledSet(np.full((4, 3), 1e10), np.array([0, 1, 1, 1]))
+        cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=4)
+        with pytest.raises(ValueError, match="diverged in epoch 1: the weights are not finite"):
+            train(m, data, cfg)
 
     def test_rejects_negative_learning_rate(self):
         with pytest.raises(ValueError):

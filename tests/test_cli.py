@@ -166,6 +166,24 @@ class TestFeaturizeText:
         assert f"feature id {image_id!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_image_id_that_is_not_utf8_fails_before_writing(self, fixtures_dir, tmp_path, capsys):
+        # "\\ud800" is a valid JSON escape for a lone surrogate, which no UTF-8 file can hold
+        transcriptions = tmp_path / "t.jsonl"
+        transcriptions.write_text(
+            '{"image_id": "a\\ud800", "words": [{"token": "nike", "conf": 0.9}]}\n'
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = run_cli(
+            "featurize-text", "--transcriptions", transcriptions,
+            "--embeddings", fixtures_dir / "embeddings.txt", "--out", out / "f.txt", "--k", 1,
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: feature id 'a\\ud800' is not valid UTF-8 text\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_placeholder_is_checked_before_anything_is_read(self, tmp_path, capsys):
         rc = run_cli(
             "featurize-text",
@@ -446,7 +464,6 @@ class TestTrainEval:
         report = load_run_manifest(report_path)
         assert report.results["cells"][0]["accuracy"] > 0.95
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
     def test_divergence_fails_without_report(self, fixtures_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         rc = run_cli(
@@ -457,7 +474,10 @@ class TestTrainEval:
         )
         assert rc == 2
         captured = capsys.readouterr()
-        assert "training diverged" in captured.err
+        assert captured.err == (
+            "error: training diverged in epoch 2: loss is nan; "
+            "lower the learning rate (now 1e+300)\n"
+        )
         assert "test accuracy" not in captured.out
         assert not report_path.exists()
 
@@ -522,6 +542,22 @@ class TestVqa:
             "--out", out, "--k", 3,
         )
         return out
+
+    def test_divergence_prints_one_error_line(self, fixtures_dir, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        rc = run_cli(
+            "vqa",
+            "--vqa", fixtures_dir / "vqa.jsonl",
+            "--manifest", fixtures_dir / "manifest.tsv",
+            "--embeddings", fixtures_dir / "embeddings.txt",
+            "--mode", "question", "--lr", 1e300, "--report-json", report_path,
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: training diverged in epoch 2: loss is nan; "
+            "lower the learning rate (now 1e+300)\n"
+        )
+        assert not report_path.exists()
 
     def test_question_only_never_reads_feature_files(self, fixtures_dir, tmp_path):
         rc = run_cli(

@@ -1,5 +1,8 @@
 import json
 import re
+import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scenefuse import io as scenefuse_io
 from scenefuse.classifier import ClassifierModel, init_model
 from scenefuse.data import CleaningReport, Manifest, ManifestRow, VqaRecord
 from scenefuse.io import (
@@ -219,6 +223,130 @@ class TestDecodeErrors:
         path.write_bytes(data)
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{where}')}$"):
             load_manifest(path)
+
+
+class TestLineReader:
+    @given(
+        data=st.lists(
+            st.sampled_from([b"a", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d",
+                             b"\x1e", "\x85".encode(), "\u2028".encode(), "\u2029".encode(),
+                             "\u00e9".encode(), "\u20ac".encode(), "\U0001f600".encode(), b"\xff",
+                             b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x80"])
+            | st.binary(max_size=3),
+            max_size=24,
+        ).map(b"".join),
+        chunk=st.integers(1, 7),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_lines_match_splitlines_at_every_chunk_boundary(self, tmp_path_factory, data, chunk):
+        path = tmp_path_factory.getbasetemp() / "lines.txt"
+        path.write_bytes(data)
+        try:
+            expected = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError:
+            with pytest.raises(ValueError) as whole:
+                scenefuse_io._read_text(path)
+            expected = str(whole.value)
+            pattern = r":\d+: not UTF-8 \(byte 0x[0-9a-f]{2} at column \d+\)"
+            assert re.fullmatch(re.escape(str(path)) + pattern, expected), expected
+        with mock.patch.object(scenefuse_io, "_CHUNK", chunk):
+            try:
+                got = list(scenefuse_io._lines(path))
+            except ValueError as exc:
+                got = str(exc)
+        assert got == expected
+
+    def test_a_float_table_costs_less_than_its_file(self, tmp_path):
+        # a whole-file read held the text and its list of lines, about twice the file
+        rng = np.random.default_rng(0)
+        table = RowTable([f"w{i}" for i in range(2000)], rng.standard_normal((2000, 300)))
+        path = tmp_path / "lexicon.txt"
+        write_embeddings(path, table)
+        tracemalloc.start()
+        try:
+            loaded = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == table
+        assert peak < path.stat().st_size
+
+
+# per case: loader, file bytes, the message after "path"; each message is the one that the
+# whole-file reader gave, which decoded the entire file before it read any line
+FAULT_ORDER = {
+    "features-bad-float-then-bad-byte": (
+        load_features, b"3 2\na\t1.0 x\nb\t1.0 2.0\nc\t1.0 \xff\n",
+        ":4: not UTF-8 (byte 0xff at column 7)",
+    ),
+    "features-structure-and-header-count": (
+        load_features, b"3 2\na\t1.0 2.0\nb 1.0 2.0\n", ": header count 3 but 2 data lines",
+    ),
+    "features-non-finite-before-duplicate": (
+        load_features, b"3 2\na\t1.0 inf\nb\t1.0 2.0\na\t1.0 2.0\n", ":2: non-finite value",
+    ),
+    "features-duplicate-before-non-finite": (
+        load_features, b"3 2\na\t1.0 2.0\na\t1.0 2.0\nb\t1.0 nan\n", ":3: duplicate image_id 'a'",
+    ),
+    "features-bad-float-before-structure": (
+        load_features, b"3 2\na\t1.0 2.0\nb\t1.0 1e\nc\t1.0\n", ":3: unparseable float",
+    ),
+    "features-header-then-bad-byte": (
+        load_features, b"3 x\na\t1.0 2.0\n\xc3(\n", ":3: not UTF-8 (byte 0xc3 at column 1)",
+    ),
+    "embeddings-bad-float-then-bad-byte": (
+        load_embeddings, b"2 2\na 1.0 x\nb 1.0 \xff\n", ":3: not UTF-8 (byte 0xff at column 7)",
+    ),
+    "embeddings-structure-and-header-count": (
+        load_embeddings, b"3 2\na 1.0\nb 1.0 2.0\n", ": header count 3 but 2 data lines",
+    ),
+    "embeddings-non-finite-before-duplicate": (
+        load_embeddings, b"3 2\na 1.0 2.0\nb -inf 2.0\na 1.0 2.0\n", ":3: non-finite value",
+    ),
+    "embeddings-extra-row-and-bad-float": (
+        load_embeddings, b"1 2\na 1.0 x\nb 1.0 2.0\n", ": header count 1 but 2 data lines",
+    ),
+    "model-too-few-rows-and-bad-value": (
+        load_model, b"2 1\na\tb\n1.0 x\n", ": expected 2 weight rows, got 1",
+    ),
+    "model-bad-value-then-bad-byte": (
+        load_model, b"2 1\na\tb\n1.0 x\n1.0 \x80\n", ":4: not UTF-8 (byte 0x80 at column 5)",
+    ),
+    "model-structure-before-non-finite": (
+        load_model, b"2 1\na\tb\n1.0\n1.0 nan\n", ":3: expected 2 values, got 1",
+    ),
+    "manifest-bad-row-then-bad-byte": (
+        load_manifest, b"a\tcat\ttrain\nb\tcat\nc\tdog\ttest\xfe\n",
+        ":3: not UTF-8 (byte 0xfe at column 11)",
+    ),
+    "manifest-duplicate-then-bad-split": (
+        load_manifest, b"a\tcat\ttrain\na\tcat\ttrain\nb\tcat\tdev\n", ":2: duplicate image_id 'a'",
+    ),
+    "transcriptions-bad-json-then-bad-byte": (
+        load_transcriptions,
+        b'{"image_id": "a", "words": []}\n{"image_id": \n{"image_id": "\xff", "words": []}\n',
+        ":3: not UTF-8 (byte 0xff at column 15)",
+    ),
+    "vqa-bad-record-then-bad-byte": (
+        load_vqa,
+        b'{"image_id": "a", "question": "q", "answer": ""}\n'
+        b'{"image_id": "\xe2\x80", "question": "q", "answer": "x"}\n',
+        ":2: not UTF-8 (byte 0xe2 at column 15)",
+    ),
+}
+
+
+class TestFaultOrder:
+    @pytest.mark.parametrize("case", sorted(FAULT_ORDER))
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_the_first_fault_of_the_whole_file_wins(self, tmp_path, case, chunk):
+        loader, data, message = FAULT_ORDER[case]
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with mock.patch.object(scenefuse_io, "_CHUNK", chunk) if chunk else nullcontext():
+            with pytest.raises(ValueError) as exc:
+                loader(path)
+        assert str(exc.value) == f"{path}{message}"
 
 
 class TestHeaders:
@@ -673,7 +801,11 @@ class TestKeys:
         [
             (kind, key)
             for kind in sorted(KEYED_WRITERS)
-            for key in ["", f"a{SEPARATORS[kind]}b", *(f"a{b}b" for b in LINE_BREAKS), "a\n", "\n"]
+            for key in [
+                "", f"a{SEPARATORS[kind]}b", *(f"a{b}b" for b in LINE_BREAKS), "a\n", "\n",
+                # lone surrogates, which no UTF-8 file can hold
+                "a\ud800", "\udfff", "a\udcffb",
+            ]
             if key or not kind.startswith("manifest")  # ManifestRow rejects an empty field itself
         ],
     )
@@ -683,7 +815,11 @@ class TestKeys:
             KEYED_WRITERS[kind][0](path, key)
         assert not path.exists()
 
-    @given(kind=st.sampled_from(sorted(KEYED_WRITERS)), key=st.text(min_size=1, max_size=4))
+    # any characters, lone surrogates included
+    @given(
+        kind=st.sampled_from(sorted(KEYED_WRITERS)),
+        key=st.text(st.characters(exclude_categories=()), min_size=1, max_size=4),
+    )
     @settings(max_examples=400, deadline=None)
     def test_a_written_key_loads_back_unchanged(self, tmp_path_factory, kind, key):
         write, load = KEYED_WRITERS[kind]
