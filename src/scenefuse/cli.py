@@ -28,6 +28,7 @@ from .data import (
 )
 from .io import (
     RunManifest,
+    embedding_count,
     load_cleaning_report,
     load_embeddings,
     load_features,
@@ -76,6 +77,19 @@ def _check_distinct(values, what: str) -> None:
         raise ValueError(f"{what} must be distinct, but these repeat: {', '.join(repeated)}")
 
 
+def _lexicon(path, vocabulary: set[str]) -> RowTable:
+    """The rows of the lexicon at ``path`` whose token is in ``vocabulary``, in file order.
+
+    ``aggregate`` rejects an empty table as an empty lexicon.  When the lexicon has rows
+    but none in ``vocabulary``, one zero row under the empty token, which no word can
+    be, stands in for them, so every word misses as it would in the whole lexicon.
+    """
+    table = load_embeddings(path, vocabulary)
+    if len(table) or not embedding_count(path):
+        return table
+    return RowTable([""], np.zeros((1, table.dim)))
+
+
 # -- featurize-text ------------------------------------------------------------
 
 
@@ -86,9 +100,11 @@ def _cmd_featurize_text(args) -> int:
     if min(ks) < 1:
         raise ValueError(f"--k must be >= 1, got {min(ks)}")
     _check_distinct(ks, "--k values")
-    transcriptions = load_transcriptions(args.transcriptions)
-    table = load_embeddings(args.embeddings)
-    cleaned, report = clean_corpus(transcriptions, args.threshold)
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ValueError(f"threshold {args.threshold} outside [0, 1]")
+    cleaned, report = clean_corpus(load_transcriptions(args.transcriptions), args.threshold)
+    # only the words that survive cleaning can be summed
+    table = _lexicon(args.embeddings, {w.token for r in cleaned.values() for w in r.words})
     if args.manifest:
         # cover exactly the manifest ids; images without a transcription get an
         # empty record and hence a zero text feature
@@ -99,8 +115,6 @@ def _cmd_featurize_text(args) -> int:
     else:
         corpus = cleaned
     model = fit_tfidf(corpus.values())
-    if args.cleaning_report:
-        write_cleaning_report(args.cleaning_report, report)
     for k in ks:
         matrix = np.empty((len(corpus), table.dim))
         misses = 0
@@ -135,6 +149,8 @@ def _cmd_featurize_text(args) -> int:
         )
         write_run_manifest(str(out) + ".run.json", manifest)
         print(f"wrote {out}: {len(corpus)} x {table.dim}, lexicon misses {misses}")
+    if args.cleaning_report:  # last, so that a run that fails leaves no report
+        write_cleaning_report(args.cleaning_report, report)
     return 0
 
 
@@ -309,7 +325,7 @@ def _cmd_vqa(args) -> int:
 
     records = load_vqa(args.vqa)
     manifest = load_manifest(args.manifest)
-    table = load_embeddings(args.embeddings)
+    table = _lexicon(args.embeddings, {t for r in records for t in tokenize(r.question)})
     split_of = {row.image_id: row.split for row in manifest.rows}
     missing = sorted({r.image_id for r in records} - set(split_of))
     if missing:

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .data import CleaningReport, Manifest, ManifestRow, VqaRecord
 from .text import RowTable, TranscribedWord, TranscriptionRecord
 
 
-_CHUNK = 1 << 20  # bytes per read of a line loader
+_CHUNK = 1 << 18  # bytes per read of a line loader
+_BLOCK = 512  # rows per np.loadtxt call when a float table keeps only some rows
 # every character at which str.splitlines breaks a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -108,51 +109,86 @@ def _values(line: str, sep) -> str:
     return line if sep is None else line.partition(sep)[2]
 
 
+def _loadtxt(blobs: Iterable[str]) -> np.ndarray | None:
+    """The float rows of ``blobs`` by one ``np.loadtxt`` call.
+
+    None on any fault, on no data, or when a value is not finite.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            matrix = np.loadtxt(blobs, dtype=float, delimiter=" ", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    return matrix if np.isfinite(matrix).all() else None
+
+
 def _float_rows(
-    path, head: int, read_head, check_row, sep
-) -> tuple[dict[str, None], np.ndarray]:
+    path, head: int, read_head, check_row, sep, keep: Collection[str] | None = None
+) -> tuple[Iterable[str], np.ndarray]:
     """The keys and the ``(count, dim)`` values of the rows after the ``head`` header lines.
 
     ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and
     returns ``(count, dim, miscount)``, where ``miscount(n)`` is the message for
     a file of ``n`` rows.  ``check_row(line, lineno, dim, keys)`` raises
-    ``ValueError`` on a row whose structure is wrong, and may record its key in
-    ``keys``.  Line numbers start at 1.
+    ``ValueError`` on a row whose structure is wrong, may record its key in
+    ``keys``, and returns the key that ``keep`` is matched against.  Line numbers
+    start at 1.
 
-    One streaming pass checks each row as it is read and feeds its values to a
-    single ``np.loadtxt`` call, which parses each field with the correctly
-    rounded routine ``float()`` uses; no copy of the file is kept.  On any
-    doubt (a fault of any kind, a U+001F that ``np.loadtxt`` would strip as
-    whitespace, a blank row it would skip, a row count other than the
+    One streaming pass checks each row as it is read and feeds its values to
+    ``np.loadtxt``, which parses each field with the correctly rounded routine
+    ``float()`` uses; no copy of the file is kept.  Given ``keep``, every row is
+    still read and checked, but only the rows whose key is in ``keep`` are
+    stored, in file order: ``np.loadtxt`` then parses ``_BLOCK`` rows per call,
+    so the rows kept, one block and one chunk are held at once.  On any doubt
+    (a fault of any kind, a non-finite value, a U+001F that ``np.loadtxt`` would
+    strip as whitespace, a blank row it would skip, a row count other than the
     header's) the answer is ``_exact_rows``'s instead.
     """
     with _reading(path) as lines:
         count, dim, miscount = read_head(path, list(islice(lines, head)))
         keys: dict[str, None] = {}
+        numbered = enumerate(islice(lines, count), start=head + 1)
+        wanted: list[bool] = []  # per row read into the current block, whether it is kept
+        kept: list[str] = []
 
-        def blobs():
-            for lineno, line in enumerate(islice(lines, count), start=head + 1):
+        def blobs(rows):
+            for lineno, line in rows:
                 if "\x1f" in line:  # np.loadtxt would strip it as whitespace
                     raise ValueError("U+001F")
-                check_row(line, lineno, dim, keys)
+                key = check_row(line, lineno, dim, keys)
+                if keep is not None:
+                    wanted.append(key in keep)
+                    if wanted[-1]:
+                        kept.append(key)
                 yield _values(line, sep)
 
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data"
-                matrix = np.loadtxt(blobs(), dtype=float, delimiter=" ", comments=None, ndmin=2)
-        except (ValueError, UserWarning):
-            matrix = None
-        exact = matrix is None or matrix.shape != (count, dim) or next(lines, None) is not None
+        if keep is None:
+            matrix = _loadtxt(blobs(numbered))
+            exact = matrix is None or matrix.shape != (count, dim)
+        else:
+            matrix, rows, exact = np.empty((0, dim)), 0, False
+            while not exact:
+                wanted.clear()
+                block = _loadtxt(blobs(islice(numbered, _BLOCK)))
+                if not wanted:  # every row is read, or the block's first row is at fault
+                    break
+                exact = block is None or block.shape != (len(wanted), dim)
+                if not exact:
+                    if not rows:  # only now have rows shown the header's dim to be real
+                        matrix = np.empty((min(count, len(keep)), dim))
+                    matrix[len(kept) - sum(wanted):len(kept)] = block[wanted]
+                    rows += len(wanted)
+                del block  # before the next block is parsed
+            exact = exact or rows != count
+        exact = exact or next(lines, None) is not None
     if exact:
-        return _exact_rows(path, head, count, dim, miscount, check_row, sep)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{head + bad[0] + 1}: non-finite value")
-    return keys, matrix
+        del matrix  # the exact read allocates its own
+        return _exact_rows(path, head, count, dim, miscount, check_row, sep, keep)
+    return (keys, matrix) if keep is None else (kept, matrix[: len(kept)])
 
 
-def _exact_rows(path, head: int, count: int, dim: int, miscount, check_row, sep):
+def _exact_rows(path, head: int, count: int, dim: int, miscount, check_row, sep, keep):
     """``_float_rows``'s answer, each row read by ``check_row`` and then ``float()`` alone.
 
     This takes all of ``float()``'s syntax (``1_0``, non-ASCII digits).  The
@@ -165,12 +201,18 @@ def _exact_rows(path, head: int, count: int, dim: int, miscount, check_row, sep)
     if rows != count:
         raise ValueError(miscount(rows))
     keys: dict[str, None] = {}
-    matrix = np.empty((count, dim))
+    kept: list[str] = []
+    matrix = np.empty((count if keep is None else min(count, len(keep)), dim))
     with _reading(path) as lines:
         for row, line in enumerate(islice(lines, head, None)):
-            check_row(line, head + row + 1, dim, keys)
-            matrix[row] = _parse_floats(_values(line, sep).split(" "), path, head + row + 1)
-    return keys, matrix
+            key = check_row(line, head + row + 1, dim, keys)
+            values = _parse_floats(_values(line, sep).split(" "), path, head + row + 1)
+            if keep is None:
+                matrix[row] = values
+            elif key in keep:
+                matrix[len(kept)] = values
+                kept.append(key)
+    return (keys, matrix) if keep is None else (kept, matrix[: len(kept)])
 
 
 _SEPARATOR_NAMES = {"\t": "tab", " ": "space"}
@@ -201,12 +243,17 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
     of Python floats, the shortest decimal that reads back to the same float64.
     """
     _check_keys(table, sep, f"{kind} {key_name}")
-    finite = np.isfinite(table.matrix).all(axis=1)
-    if not finite.all():
-        key = next(islice(table, int(np.argmin(finite)), None))
-        raise ValueError(f"{kind} for {key!r} has non-finite values")
+    _check_finite(table, table.matrix, kind)
     rows = (key + sep + " ".join(map(repr, row.tolist())) for key, row in zip(table, table.matrix))
     _write_lines(path, chain([f"{len(table)} {table.dim}"], rows))
+
+
+def _check_finite(keys: Iterable[str], matrix: np.ndarray, kind: str) -> None:
+    """Raise ``ValueError`` naming the key of the first row of ``matrix`` that is not all finite."""
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        key = next(islice(keys, int(np.argmin(finite)), None))
+        raise ValueError(f"{kind} for {key!r} has non-finite values")
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -253,8 +300,14 @@ def _count_dim_header(path, lines: list[str]):
 # -- embedding table: "<count> <dim>" then "<token> <v1> ... <vdim>" ----------
 
 
-def load_embeddings(path) -> RowTable:
-    def check_row(line: str, lineno: int, dim: int, tokens: dict[str, None]) -> None:
+def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable:
+    """The lexicon at ``path``; given ``vocabulary``, only the rows of its tokens, in file order.
+
+    Every row is read and checked either way, so a fault in a row that is not kept
+    still raises, with the message the full load gives.
+    """
+
+    def check_row(line: str, lineno: int, dim: int, tokens: dict[str, None]) -> str:
         fields = line.count(" ") + 1
         if fields != dim + 1:
             raise ValueError(
@@ -266,9 +319,16 @@ def load_embeddings(path) -> RowTable:
         if token in tokens:
             raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
         tokens[token] = None
+        return token
 
-    tokens, matrix = _float_rows(path, 1, _count_dim_header, check_row, " ")
+    tokens, matrix = _float_rows(path, 1, _count_dim_header, check_row, " ", vocabulary)
     return RowTable(tokens, matrix)
+
+
+def embedding_count(path) -> int:
+    """The row count that the header of the lexicon at ``path`` states; only that line is read."""
+    with _reading(path) as lines:
+        return _count_dim_header(path, list(islice(lines, 1)))[0]
 
 
 def write_embeddings(path, table: RowTable) -> None:
@@ -279,7 +339,7 @@ def write_embeddings(path, table: RowTable) -> None:
 
 
 def load_features(path) -> RowTable:
-    def check_row(line: str, lineno: int, dim: int, ids: dict[str, None]) -> None:
+    def check_row(line: str, lineno: int, dim: int, ids: dict[str, None]) -> str:
         if line.count("\t") != 1:
             raise ValueError(f"{path}:{lineno}: expected '<image_id>\\t<values>'")
         image_id, _, blob = line.partition("\t")
@@ -291,6 +351,7 @@ def load_features(path) -> RowTable:
         if fields != dim:
             raise ValueError(f"{path}:{lineno}: expected {dim} values, got {fields}")
         ids[image_id] = None
+        return image_id
 
     ids, matrix = _float_rows(path, 1, _count_dim_header, check_row, "\t")
     return RowTable(ids, matrix)
@@ -406,6 +467,7 @@ def write_vqa(path, records: Sequence[VqaRecord]) -> None:
 
 def save_model(path, model: ClassifierModel) -> None:
     _check_keys(model.class_names, "\t", "class name")
+    _check_finite(model.class_names, np.column_stack([model.W, model.b]), "model row")
     rows = (" ".join(f"{v:.17g}" for v in (*row, bias)) for row, bias in zip(model.W, model.b))
     _write_lines(path, [f"{model.n_classes} {model.dim}", "\t".join(model.class_names), *rows])
 

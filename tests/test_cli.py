@@ -15,9 +15,11 @@ from scenefuse.io import (
     load_model,
     load_run_manifest,
     load_transcriptions,
+    load_vqa,
+    write_embeddings,
 )
 from scenefuse.sketch import make_sketch_params
-from scenefuse.text import RowTable, fit_tfidf, select_top_k
+from scenefuse.text import RowTable, fit_tfidf, select_top_k, tokenize
 
 
 def run_cli(*argv):
@@ -184,6 +186,37 @@ class TestFeaturizeText:
         )
         assert list(out.iterdir()) == []
 
+    def test_a_run_that_fails_writing_features_leaves_no_cleaning_report(
+        self, fixtures_dir, tmp_path, capsys
+    ):
+        transcriptions = tmp_path / "t.jsonl"
+        transcriptions.write_text(
+            '{"image_id": "a\\ud800", "words": [{"token": "nike", "conf": 0.9}]}\n'
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = run_cli(
+            "featurize-text", "--transcriptions", transcriptions,
+            "--embeddings", fixtures_dir / "embeddings.txt", "--out", out / "f.txt", "--k", 1,
+            "--cleaning-report", out / "clean.json",
+        )
+        assert rc == 2
+        assert "is not valid UTF-8 text" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("threshold", [-0.01, 1.5, float("nan")])
+    def test_threshold_is_checked_before_anything_is_read(self, tmp_path, capsys, threshold):
+        rc = run_cli(
+            "featurize-text",
+            "--transcriptions", tmp_path / "never-read.jsonl",
+            "--embeddings", tmp_path / "never-read.txt",
+            "--out", tmp_path / "text.txt", "--threshold", threshold,
+            "--cleaning-report", tmp_path / "clean.json",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: threshold {threshold} outside [0, 1]\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_placeholder_is_checked_before_anything_is_read(self, tmp_path, capsys):
         rc = run_cli(
             "featurize-text",
@@ -243,6 +276,66 @@ class TestFeaturizeText:
         report = json.loads(report_path.read_text())
         assert report["removed_words"] == report["total_words"] - report["kept_words"]
         assert report["emptied_records"] == 1  # ad-0006 loses both words
+
+
+def _zero_lexicon(path, tokens, dim=6):
+    write_embeddings(path, RowTable(tokens, np.zeros((len(tokens), dim))))
+    return path
+
+
+class TestLexiconVocabulary:
+    """featurize-text and vqa keep only the lexicon rows their words can use."""
+
+    def test_a_lexicon_sharing_no_word_gives_zero_vectors_and_counts_every_miss(
+        self, fixtures_dir, tmp_path
+    ):
+        lexicon = _zero_lexicon(tmp_path / "lexicon.txt", ["qqq", "rrr"])
+        out = tmp_path / "text_k{k}.txt"
+        assert run_cli(
+            "featurize-text",
+            "--transcriptions", fixtures_dir / "transcriptions.jsonl",
+            "--embeddings", lexicon, "--out", out, "--k", 1, "--k", 3,
+        ) == 0
+        cleaned, _ = clean_corpus(load_transcriptions(fixtures_dir / "transcriptions.jsonl"), 0.7)
+        model = fit_tfidf(cleaned.values())
+        for k in (1, 3):
+            features = load_features(tmp_path / f"text_k{k}.txt")
+            assert list(features) == list(cleaned)
+            assert not features.matrix.any()
+            run = load_run_manifest(tmp_path / f"text_k{k}.txt.run.json")
+            selected = sum(len(select_top_k(record, model, k)) for record in cleaned.values())
+            assert run.results["lexicon_misses"] == selected > 0
+
+    def test_vqa_with_a_lexicon_sharing_no_word_runs_as_with_zero_vectors(
+        self, fixtures_dir, tmp_path
+    ):
+        questions = load_vqa(fixtures_dir / "vqa.jsonl")
+        tokens = sorted({t for record in questions for t in tokenize(record.question)})
+        results = []
+        for name, lexicon_tokens in (("none", ["qqq"]), ("zeros", tokens)):
+            report = tmp_path / f"{name}.json"
+            assert run_cli(
+                "vqa", "--vqa", fixtures_dir / "vqa.jsonl",
+                "--manifest", fixtures_dir / "manifest.tsv",
+                "--embeddings", _zero_lexicon(tmp_path / f"{name}.txt", lexicon_tokens),
+                "--mode", "question", "--report-json", report,
+            ) == 0
+            results.append(load_run_manifest(report).results)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("command", ["featurize-text", "vqa"])
+    def test_an_empty_lexicon_still_fails(self, fixtures_dir, tmp_path, capsys, command):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("0 6\n")
+        args = {
+            "featurize-text": ["--transcriptions", fixtures_dir / "transcriptions.jsonl",
+                               "--out", tmp_path / "text.txt"],
+            "vqa": ["--vqa", fixtures_dir / "vqa.jsonl",
+                    "--manifest", fixtures_dir / "manifest.tsv", "--mode", "question"],
+        }[command]
+        assert run_cli(command, "--embeddings", lexicon, *args) == 2
+        assert capsys.readouterr().err == "error: embedding table is empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.txt"]
 
 
 class TestFuse:

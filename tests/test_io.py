@@ -162,8 +162,15 @@ class TestFloatTables:
         [
             lambda path: write_features(path, RowTable(["a", "b"], [[1.0, 1.0], [1.0, np.inf]])),
             lambda path: write_embeddings(path, RowTable(["a", "b"], [[1.0], [np.nan]])),
+            lambda path: save_model(
+                path, ClassifierModel(np.array([[1.0], [-np.inf]]), np.zeros(2), ["a", "b"])
+            ),
+            lambda path: save_model(
+                path, ClassifierModel(np.ones((2, 1)), np.array([0.0, np.nan]), ["a", "b"])
+            ),
         ],
-        ids=["features-non-finite", "embeddings-non-finite"],
+        ids=["features-non-finite", "embeddings-non-finite", "model-weight-non-finite",
+             "model-bias-non-finite"],
     )
     def test_a_bad_last_row_leaves_no_file(self, tmp_path, write):
         path = tmp_path / "table.txt"
@@ -270,6 +277,161 @@ class TestLineReader:
             tracemalloc.stop()
         assert loaded == table
         assert peak < path.stat().st_size
+
+
+# lexicon rows: per row, whether it stays out of the vocabulary, and its fields
+LEXICON_ROWS = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.tuples(
+            st.booleans(),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     min_size=dim, max_size=dim),
+        ),
+        min_size=1, max_size=10,
+    )
+)
+
+# per fault: how it changes the fields of a row that no vocabulary holds
+ROW_FAULTS = {
+    "bad-byte": lambda fields: fields[:-1] + ["1.\udcff"],
+    "unparseable-float": lambda fields: fields[:-1] + ["1e"],
+    "non-finite": lambda fields: fields[:-1] + ["-inf"],
+    "wrong-field-count": lambda fields: fields + ["0.5"],
+}
+
+
+def _lexicon_bytes(rows: list[tuple[str, list[str]]], dim: int, count: int | None = None) -> bytes:
+    """A lexicon file of ``rows`` whose header states ``count`` rows (default: as many as given)."""
+    lines = [f"{len(rows) if count is None else count} {dim}"]
+    lines += [" ".join([token, *fields]) for token, fields in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+_FIELDS = ["1.0", "2.0"]
+# per kind of fault, a lexicon whose one bad row, "other", is out of the vocabulary {"kept"}
+FAULTY_LEXICONS = {
+    **{
+        fault: _lexicon_bytes([("kept", _FIELDS), ("other", change(_FIELDS)), ("last", _FIELDS)], 2)
+        for fault, change in ROW_FAULTS.items()
+    },
+    "duplicate-token": _lexicon_bytes(
+        [("other", _FIELDS), ("kept", _FIELDS), ("other", _FIELDS)], 2
+    ),
+    "header-count": _lexicon_bytes([("kept", _FIELDS), ("other", _FIELDS)], 2, count=3),
+}
+
+
+class TestVocabulary:
+    """``load_embeddings(path, vocabulary)``: the full table restricted to ``vocabulary``."""
+
+    @given(
+        rows=LEXICON_ROWS,
+        strangers=st.lists(st.text("xyz", min_size=1, max_size=3), max_size=3),
+        chunk=st.integers(1, 64),
+        block=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_the_vocabulary_rows_are_kept_bit_for_bit(
+        self, tmp_path_factory, rows, strangers, chunk, block
+    ):
+        path = tmp_path_factory.getbasetemp() / "lexicon.txt"
+        lexicon = [(f"w{i}", fields) for i, (_, fields) in enumerate(rows)]
+        path.write_bytes(_lexicon_bytes(lexicon, len(rows[0][1])))
+        vocabulary = {f"w{i}" for i, (out, _) in enumerate(rows) if not out} | set(strangers)
+        full = load_embeddings(path)
+        with mock.patch.object(scenefuse_io, "_CHUNK", chunk), \
+                mock.patch.object(scenefuse_io, "_BLOCK", block):
+            kept = load_embeddings(path, vocabulary)
+        expected = [token for token in full if token in vocabulary]
+        assert list(kept) == expected
+        assert kept.matrix.tobytes() == full.rows(expected).tobytes()
+        assert kept.dim == full.dim
+
+    @given(
+        rows=LEXICON_ROWS,
+        faults=st.lists(
+            st.tuples(st.sampled_from([*ROW_FAULTS, "duplicate-token", "extra-row"]),
+                      st.integers(0, 9)),
+            min_size=1, max_size=2,
+        ),
+        chunk=st.integers(1, 64),
+        block=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_fault_in_a_row_not_kept_fails_as_the_full_load_does(
+        self, tmp_path_factory, rows, faults, chunk, block
+    ):
+        # each fault goes to a row out of the vocabulary: a duplicate repeats the token of
+        # the first such row, and an extra row, which the header does not count, is appended
+        lexicon = [(f"w{i}", fields) for i, (_, fields) in enumerate(rows)]
+        out = [i for i, (left_out, _) in enumerate(rows) if left_out]
+        count = None
+        for fault, pick in faults:
+            if fault == "extra-row":
+                count = len(rows)
+                lexicon.append(("extra", rows[0][1]))
+            elif out:
+                row = out[pick % len(out)]
+                token, fields = lexicon[row]
+                if fault == "duplicate-token":
+                    token = lexicon[out[0]][0] if out[0] < row else token
+                else:
+                    fields = ROW_FAULTS[fault](fields)
+                lexicon[row] = (token, fields)
+        path = tmp_path_factory.getbasetemp() / "lexicon.txt"
+        path.write_bytes(_lexicon_bytes(lexicon, len(rows[0][1]), count))
+        vocabulary = {f"w{i}" for i, (out, _) in enumerate(rows) if not out}
+        try:
+            full = load_embeddings(path)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            message = None
+        with mock.patch.object(scenefuse_io, "_CHUNK", chunk), \
+                mock.patch.object(scenefuse_io, "_BLOCK", block):
+            if message is None:
+                kept = load_embeddings(path, vocabulary)
+                assert list(kept) == [token for token in full if token in vocabulary]
+                assert kept.matrix.tobytes() == full.rows(kept).tobytes()
+            else:
+                with pytest.raises(ValueError) as exc:
+                    load_embeddings(path, vocabulary)
+                assert str(exc.value) == message
+
+    @pytest.mark.parametrize("fault", sorted(FAULTY_LEXICONS))
+    def test_every_kind_of_fault_fails_the_filtered_load(self, tmp_path, fault):
+        path = tmp_path / "lexicon.txt"
+        path.write_bytes(FAULTY_LEXICONS[fault])
+        with pytest.raises(ValueError) as whole:
+            load_embeddings(path)
+        with pytest.raises(ValueError) as kept:
+            load_embeddings(path, {"kept"})
+        assert str(kept.value) == str(whole.value)
+
+    def test_a_huge_header_count_fails_with_its_message(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"{10 ** 9} 2\na 1.0 2.0\n", encoding="utf-8")
+        message = f"{path}: header count 1000000000 but 1 data lines"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            load_embeddings(path, {"a"})
+
+    def test_a_load_holds_its_vocabulary_rows_not_the_lexicon(self, tmp_path):
+        # the rows kept, one block of rows and one chunk of text (5.3 MB traced here),
+        # where a full load of this lexicon peaks at 27.3 MB: its 22.9 MB matrix and more
+        rows, dim = 10_000, 300
+        rng = np.random.default_rng(0)
+        table = RowTable([f"w{i}" for i in range(rows)], rng.integers(-9, 9, (rows, dim)) / 8)
+        path = tmp_path / "lexicon.txt"
+        write_embeddings(path, table)
+        vocabulary = [f"w{i}" for i in range(0, rows, 10)]
+        tracemalloc.start()
+        try:
+            kept = load_embeddings(path, set(vocabulary))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == RowTable(vocabulary, table.rows(vocabulary))
+        assert peak < table.matrix.nbytes / 2
 
 
 # per case: loader, file bytes, the message after "path"; each message is the one that the
