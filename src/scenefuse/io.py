@@ -10,6 +10,8 @@ from __future__ import annotations
 import codecs
 import dataclasses
 import json
+import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from .text import RowTable, TranscribedWord, TranscriptionRecord
 
 
 _CHUNK = 1 << 18  # bytes per read of a line loader
-_BLOCK = 512  # rows per np.loadtxt call when a float table keeps only some rows
+_BLOCK = 1 << 14  # values (rows x width) per np.loadtxt call of a float table
 # every character at which str.splitlines breaks a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -65,14 +67,17 @@ def _lines(path) -> Iterator[str]:
             data = fh.read(_CHUNK)
             final = not data
             try:
-                pieces = (carry + decoder.decode(data, final=final)).splitlines(keepends=True)
+                pieces = decoder.decode(data, final=final).splitlines(keepends=True)
             except UnicodeDecodeError as exc:
                 raise _not_utf8(path, exc, carry, done) from None
             del data  # while the lines are read, only they are held
+            if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
+                pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
             carry = "" if final or not pieces else pieces.pop()
             done += len(pieces)
             # a piece is a line and the one break that ends it, and lines hold no break
             yield from (piece.rstrip(_LINE_BREAKS) for piece in pieces)
+            del pieces  # before the next chunk is read
 
 
 @contextmanager
@@ -104,115 +109,85 @@ def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
     return arr
 
 
-def _values(line: str, sep) -> str:
-    """A row's values: what follows its first ``sep``, or the whole row when ``sep`` is None."""
-    return line if sep is None else line.partition(sep)[2]
+def _block_values(path, first: int, blobs: list[str], width: int) -> np.ndarray:
+    """The ``(len(blobs), width)`` values of the rows ``blobs``, the first on line ``first``.
 
-
-def _loadtxt(blobs: Iterable[str]) -> np.ndarray | None:
-    """The float rows of ``blobs`` by one ``np.loadtxt`` call.
-
-    None on any fault, on no data, or when a value is not finite.
+    One ``np.loadtxt`` call parses them, with the correctly rounded routine
+    ``float()`` uses.  Where it rejects the block, skips a blank row, meets a
+    non-finite value or would strip a U+001F as whitespace, ``_parse_floats``
+    reads the block row by row instead, so all of ``float()``'s syntax (``1_0``,
+    non-ASCII digits) is taken and the first bad row raises.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data"
-            matrix = np.loadtxt(blobs, dtype=float, delimiter=" ", comments=None, ndmin=2)
-    except (ValueError, UserWarning):
-        return None
-    return matrix if np.isfinite(matrix).all() else None
+    if not any("\x1f" in blob for blob in blobs):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                matrix = np.loadtxt(blobs, dtype=float, delimiter=" ", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            pass
+        else:
+            if matrix.shape == (len(blobs), width) and np.isfinite(matrix).all():
+                return matrix
+    return np.array([_parse_floats(b.split(" "), path, n) for n, b in enumerate(blobs, first)])
 
 
 def _float_rows(
     path, head: int, read_head, check_row, sep, keep: Collection[str] | None = None
-) -> tuple[Iterable[str], np.ndarray]:
-    """The keys and the ``(count, dim)`` values of the rows after the ``head`` header lines.
+) -> tuple[list, np.ndarray]:
+    """The keys and the ``(rows, width)`` values of the rows after the ``head`` header lines.
 
     ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and
-    returns ``(count, dim, miscount)``, where ``miscount(n)`` is the message for
-    a file of ``n`` rows.  ``check_row(line, lineno, dim, keys)`` raises
+    returns ``(count, width, miscount)``, where ``miscount(n)`` is the message for
+    a file of ``n`` rows.  ``check_row(line, lineno, width, keys)`` raises
     ``ValueError`` on a row whose structure is wrong, may record its key in
-    ``keys``, and returns the key that ``keep`` is matched against.  Line numbers
-    start at 1.
+    ``keys``, and returns the key that ``keep`` is matched against; without
+    ``keep`` every row is kept.  Line numbers start at 1.
 
-    One streaming pass checks each row as it is read and feeds its values to
-    ``np.loadtxt``, which parses each field with the correctly rounded routine
-    ``float()`` uses; no copy of the file is kept.  Given ``keep``, every row is
-    still read and checked, but only the rows whose key is in ``keep`` are
-    stored, in file order: ``np.loadtxt`` then parses ``_BLOCK`` rows per call,
-    so the rows kept, one block and one chunk are held at once.  On any doubt
-    (a fault of any kind, a non-finite value, a U+001F that ``np.loadtxt`` would
-    strip as whitespace, a blank row it would skip, a row count other than the
-    header's) the answer is ``_exact_rows``'s instead.
+    One pass opens the file once.  Each row is checked as it is read, and
+    ``_block_values`` parses the rows ``_BLOCK // width`` at a time, so the rows
+    kept, one block and one chunk are held at once.  Faults win in this order:
+    a bad byte anywhere (``_reading``), the header, a row count other than the
+    header's, then the first bad row in line order, held while the rest of the
+    file is counted.
     """
     with _reading(path) as lines:
-        count, dim, miscount = read_head(path, list(islice(lines, head)))
+        count, width, miscount = read_head(path, list(islice(lines, head)))
         keys: dict[str, None] = {}
-        numbered = enumerate(islice(lines, count), start=head + 1)
-        wanted: list[bool] = []  # per row read into the current block, whether it is kept
-        kept: list[str] = []
-
-        def blobs(rows):
-            for lineno, line in rows:
-                if "\x1f" in line:  # np.loadtxt would strip it as whitespace
-                    raise ValueError("U+001F")
-                key = check_row(line, lineno, dim, keys)
-                if keep is not None:
-                    wanted.append(key in keep)
-                    if wanted[-1]:
-                        kept.append(key)
-                yield _values(line, sep)
-
-        if keep is None:
-            matrix = _loadtxt(blobs(numbered))
-            exact = matrix is None or matrix.shape != (count, dim)
-        else:
-            matrix, rows, exact = np.empty((0, dim)), 0, False
-            while not exact:
-                wanted.clear()
-                block = _loadtxt(blobs(islice(numbered, _BLOCK)))
-                if not wanted:  # every row is read, or the block's first row is at fault
+        kept: list = []
+        matrix, fault, read = None, None, 0
+        bound = count if keep is None else min(count, len(keep))
+        rows = islice(lines, count)  # a row past the header's count is only counted
+        while fault is None:
+            first, blobs, wanted = head + read + 1, [], []
+            for line in islice(rows, max(1, _BLOCK // width)):
+                read += 1
+                try:
+                    key = check_row(line, head + read, width, keys)
+                except ValueError as exc:
+                    fault = exc
                     break
-                exact = block is None or block.shape != (len(wanted), dim)
-                if not exact:
-                    if not rows:  # only now have rows shown the header's dim to be real
-                        matrix = np.empty((min(count, len(keep)), dim))
-                    matrix[len(kept) - sum(wanted):len(kept)] = block[wanted]
-                    rows += len(wanted)
-                del block  # before the next block is parsed
-            exact = exact or rows != count
-        exact = exact or next(lines, None) is not None
-    if exact:
-        del matrix  # the exact read allocates its own
-        return _exact_rows(path, head, count, dim, miscount, check_row, sep, keep)
-    return (keys, matrix) if keep is None else (kept, matrix[: len(kept)])
-
-
-def _exact_rows(path, head: int, count: int, dim: int, miscount, check_row, sep, keep):
-    """``_float_rows``'s answer, each row read by ``check_row`` and then ``float()`` alone.
-
-    This takes all of ``float()``'s syntax (``1_0``, non-ASCII digits).  The
-    faults win in this order: a bad byte anywhere, a row count other than the
-    header's, then the first bad row in line order.  So one pass counts the
-    rows before a second parses them.
-    """
-    with _reading(path) as lines:
-        rows = sum(1 for _ in islice(lines, head, None))
-    if rows != count:
-        raise ValueError(miscount(rows))
-    keys: dict[str, None] = {}
-    kept: list[str] = []
-    matrix = np.empty((count if keep is None else min(count, len(keep)), dim))
-    with _reading(path) as lines:
-        for row, line in enumerate(islice(lines, head, None)):
-            key = check_row(line, head + row + 1, dim, keys)
-            values = _parse_floats(_values(line, sep).split(" "), path, head + row + 1)
-            if keep is None:
-                matrix[row] = values
-            elif key in keep:
-                matrix[len(kept)] = values
-                kept.append(key)
-    return (keys, matrix) if keep is None else (kept, matrix[: len(kept)])
+                if keep is None or key in keep:
+                    wanted.append(len(blobs))
+                    kept.append(key)
+                blobs.append(line if sep is None else line.partition(sep)[2])
+            if not blobs:
+                break
+            try:
+                block = _block_values(path, first, blobs, width)
+            except ValueError as exc:
+                fault = exc  # its line comes before any fault that check_row found
+                break
+            if matrix is None:  # only now has a row shown the header's width to be real
+                info = os.stat(path)  # a row takes 2 * width bytes or more; a pipe states no size
+                fits = info.st_size // (2 * width) if stat.S_ISREG(info.st_mode) else bound
+                matrix = np.empty((min(bound, fits), width))
+            matrix[len(kept) - len(wanted):len(kept)] = block[wanted]
+        read += sum(1 for _ in lines)
+    if read != count:
+        raise ValueError(miscount(read))
+    if fault is not None:
+        raise fault
+    return kept, np.empty((0, width)) if matrix is None else matrix[: len(kept)]
 
 
 _SEPARATOR_NAMES = {"\t": "tab", " ": "space"}

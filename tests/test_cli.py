@@ -829,6 +829,15 @@ class TestErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_a_huge_header_dim_fails_at_the_first_row(self, tmp_path, capsys):
+        features = tmp_path / "f.txt"
+        features.write_text("1 1000000000000\na\t1.0 2.0\n")
+        out = tmp_path / "out.txt"
+        rc = run_cli("fuse", "--a", features, "--b", features, "--out", out, "--scheme", "concat")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {features}:2: expected 1000000000000 values, got 2\n"
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import threading
 import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
@@ -119,15 +121,19 @@ class TestFloatTables:
                 st.lists(FLOAT_FIELDS, min_size=dim, max_size=dim), min_size=2, max_size=4
             )
         ),
+        block=st.integers(1, 8),  # values per np.loadtxt call, so rows cross block boundaries
     )
     @settings(max_examples=400, deadline=None)
-    def test_any_text_loads_as_float_reads_it_or_names_the_file(self, tmp_path_factory, kind, rows):
+    def test_any_text_loads_as_float_reads_it_or_names_the_file(
+        self, tmp_path_factory, kind, rows, block
+    ):
         loader, first, sep = FLOAT_TABLES[kind]
         path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.txt"
         text = _table_text(kind, rows)
         path.write_text(text, encoding="utf-8")
         try:
-            loaded = loader(path)
+            with mock.patch.object(scenefuse_io, "_BLOCK", block):
+                loaded = loader(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}:"), str(exc)
             if "unparseable float" in str(exc):  # float() itself rejects that line
@@ -156,6 +162,57 @@ class TestFloatTables:
                 loader(path)
             return
         assert _loaded_matrix(kind, loader(path)).tolist() == [[0.5, 1.5], [2.5, value]]
+
+    @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
+    @pytest.mark.parametrize(
+        "last, extra, fault",
+        [
+            ("3.5", False, None),
+            ("1_0", False, None),  # np.loadtxt rejects it, float() reads it
+            ("1e", False, "unparseable float"),
+            ("3.5", True, "but 3 data lines|got 3"),
+        ],
+        ids=["clean", "float-fallback", "bad-row", "header-count"],
+    )
+    def test_a_load_opens_its_file_once(self, tmp_path, kind, last, extra, fault):
+        loader = FLOAT_TABLES[kind][0]
+        path = tmp_path / "table.txt"
+        rows = [["0.5", "1.5"], ["2.5", last]]
+        text = _table_text(kind, rows)
+        if extra:  # a third row, which the header does not count
+            text += _table_text(kind, rows + [["4.5", "5.5"]]).splitlines(keepends=True)[-1]
+        path.write_text(text, encoding="utf-8")
+        real_open, opened = open, []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        with mock.patch("builtins.open", counting_open):
+            if fault is None:
+                loader(path)
+            else:
+                with pytest.raises(ValueError, match=fault):
+                    loader(path)
+        assert opened == [path]
+
+    @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
+    def test_a_pipe_loads_as_its_file_does(self, tmp_path, kind):
+        # a pipe states no size, so only the header bounds the rows it may hold
+        loader = FLOAT_TABLES[kind][0]
+        text = _table_text(kind, [["0.5", "1.5"], ["2.5", "3.5"], ["4.5", "5.5"]])
+        (tmp_path / "table.txt").write_text(text, encoding="utf-8")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+        writer.start()
+        try:
+            loaded = loader(pipe)
+        finally:
+            writer.join()
+        assert _loaded_matrix(kind, loaded).tobytes() == (
+            _loaded_matrix(kind, loader(tmp_path / "table.txt")).tobytes()
+        )
 
     @pytest.mark.parametrize(
         "write",
@@ -435,7 +492,8 @@ class TestVocabulary:
 
 
 # per case: loader, file bytes, the message after "path"; each message is the one that the
-# whole-file reader gave, which decoded the entire file before it read any line
+# whole-file reader gave, which decoded the entire file before it read any line, except for
+# a huge dim, which made an earlier reader allocate the header's matrix before any row
 FAULT_ORDER = {
     "features-bad-float-then-bad-byte": (
         load_features, b"3 2\na\t1.0 x\nb\t1.0 2.0\nc\t1.0 \xff\n",
@@ -476,6 +534,28 @@ FAULT_ORDER = {
     ),
     "model-structure-before-non-finite": (
         load_model, b"2 1\na\tb\n1.0\n1.0 nan\n", ":3: expected 2 values, got 1",
+    ),
+    "features-huge-dim": (
+        load_features, b"1 1000000000000\na\t1.0 2.0\n", ":2: expected 1000000000000 values, got 2",
+    ),
+    "features-huge-count": (
+        load_features, b"1000000000 2\na\t1.0 2.0\n", ": header count 1000000000 but 1 data lines",
+    ),
+    "embeddings-huge-dim": (
+        load_embeddings, b"1 1000000000000\na\t1.0 2.0\n",
+        ":2: expected token plus 1000000000000 values, got 2 fields",
+    ),
+    "embeddings-vocabulary-huge-dim": (
+        lambda path: load_embeddings(path, {"a\t1.0"}),  # the row's token, so the row is kept
+        b"1 1000000000000\na\t1.0 2.0\n",
+        ":2: expected token plus 1000000000000 values, got 2 fields",
+    ),
+    "embeddings-huge-count": (
+        load_embeddings, b"1000000000 2\na 1.0 2.0\n", ": header count 1000000000 but 1 data lines",
+    ),
+    "model-huge-dim": (
+        load_model, b"2 1000000000000\na\tb\n1.0 2.0\n1.0 2.0\n",
+        ":3: expected 1000000000001 values, got 2",
     ),
     "manifest-bad-row-then-bad-byte": (
         load_manifest, b"a\tcat\ttrain\nb\tcat\nc\tdog\ttest\xfe\n",
