@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +18,9 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "l2"):  # NaN passes any comparison
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs < 1:

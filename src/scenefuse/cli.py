@@ -28,7 +28,6 @@ from .data import (
 )
 from .io import (
     RunManifest,
-    embedding_count,
     load_cleaning_report,
     load_embeddings,
     load_features,
@@ -77,19 +76,6 @@ def _check_distinct(values, what: str) -> None:
         raise ValueError(f"{what} must be distinct, but these repeat: {', '.join(repeated)}")
 
 
-def _lexicon(path, vocabulary: set[str]) -> RowTable:
-    """The rows of the lexicon at ``path`` whose token is in ``vocabulary``, in file order.
-
-    ``aggregate`` rejects an empty table as an empty lexicon.  When the lexicon has rows
-    but none in ``vocabulary``, one zero row under the empty token, which no word can
-    be, stands in for them, so every word misses as it would in the whole lexicon.
-    """
-    table = load_embeddings(path, vocabulary)
-    if len(table) or not embedding_count(path):
-        return table
-    return RowTable([""], np.zeros((1, table.dim)))
-
-
 # -- featurize-text ------------------------------------------------------------
 
 
@@ -104,7 +90,7 @@ def _cmd_featurize_text(args) -> int:
         raise ValueError(f"threshold {args.threshold} outside [0, 1]")
     cleaned, report = clean_corpus(load_transcriptions(args.transcriptions), args.threshold)
     # only the words that survive cleaning can be summed
-    table = _lexicon(args.embeddings, {w.token for r in cleaned.values() for w in r.words})
+    table = load_embeddings(args.embeddings, {w.token for r in cleaned.values() for w in r.words})
     if args.manifest:
         # cover exactly the manifest ids; images without a transcription get an
         # empty record and hence a zero text feature
@@ -227,7 +213,7 @@ def _report(args, command: str, params: dict, results: dict) -> None:
 
 
 def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_names, model_path):
-    """Accuracy, confusion and final loss of one cell; the model goes to ``model_path`` if set.
+    """Accuracy, confusion and epoch losses of one cell; the model goes to ``model_path`` if set.
 
     The model must not outlive the cell: alive while the next cell's file is read, it
     can split the heap that file would reuse (+11 MB peak RSS on synth_mcb).
@@ -240,7 +226,7 @@ def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_
     accuracy, confusion = evaluate(trained, test_set)
     if model_path:
         save_model(model_path, trained)
-    return accuracy, confusion, history[-1]
+    return accuracy, confusion, history
 
 
 def _format_grid(cell_results: list[dict]) -> str:
@@ -279,7 +265,7 @@ def _cmd_train_eval(args) -> int:
     class_names = manifest.class_names()
     cell_results = []
     for row_label, col_label, path in cells:
-        accuracy, confusion, final_loss = _train_eval_cell(
+        accuracy, confusion, history = _train_eval_cell(
             manifest, path, cfg, class_names, args.save_model
         )
         cell_results.append(
@@ -290,7 +276,8 @@ def _cmd_train_eval(args) -> int:
                 "accuracy": accuracy,
                 "accuracy_percent": float(_pct(accuracy)),
                 "confusion": confusion.tolist(),
-                "final_train_loss": final_loss,
+                "final_train_loss": history[-1],
+                "loss_history": history,
             }
         )
     if len(cells) == 1:
@@ -325,7 +312,7 @@ def _cmd_vqa(args) -> int:
 
     records = load_vqa(args.vqa)
     manifest = load_manifest(args.manifest)
-    table = _lexicon(args.embeddings, {t for r in records for t in tokenize(r.question)})
+    table = load_embeddings(args.embeddings, {t for r in records for t in tokenize(r.question)})
     split_of = {row.image_id: row.split for row in manifest.rows}
     missing = sorted({r.image_id for r in records} - set(split_of))
     if missing:
@@ -363,7 +350,7 @@ def _cmd_vqa(args) -> int:
     train_set = labeled([r for r in train_records if r.answer in answer_index])
     dropped_train = len(train_records) - len(train_set)
     model = init_model(train_set.X.shape[1], vocab, args.seed)
-    trained, _ = train(model, train_set, _train_config(args))
+    trained, history = train(model, train_set, _train_config(args))
 
     # out-of-vocabulary test answers stay in the denominator and count as wrong
     test_in_vocab = [r for r in test_records if r.answer in answer_index]
@@ -395,6 +382,7 @@ def _cmd_vqa(args) -> int:
         "n_train_used": len(train_set),
         "n_train_dropped": dropped_train,
         "vocab_size": len(vocab),
+        "loss_history": history,
     }
     _report(args, "vqa", params, results)
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -142,6 +143,8 @@ class SynthConfig:
             raise ValueError("n_classes must be >= 2")
         if self.interaction not in INTERACTIONS:
             raise ValueError(f"interaction must be one of {INTERACTIONS}")
+        if not math.isfinite(self.noise_sigma):  # NaN passes any comparison
+            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
 

@@ -11,7 +11,10 @@ import codecs
 import dataclasses
 import json
 import os
+import shutil
 import stat
+import tempfile
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,6 +31,7 @@ from .text import RowTable, TranscribedWord, TranscriptionRecord
 
 _CHUNK = 1 << 18  # bytes per read of a line loader
 _BLOCK = 1 << 14  # values (rows x width) per np.loadtxt call of a float table
+_PARALLEL_MIN = 1 << 17  # values (rows x width) from which a float table is split across CPUs
 # every character at which str.splitlines breaks a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -53,42 +57,46 @@ def _read_text(path) -> str:
         raise _not_utf8(path, exc) from None
 
 
-def _lines(path) -> Iterator[str]:
+def _lines(path, read=None) -> Iterator[str]:
     """The lines of ``path`` as ``str.splitlines`` gives them, decoded ``_CHUNK`` bytes at a time.
 
     Each chunk's last line is carried into the next, so a line, a ``\\r\\n`` or a
     UTF-8 sequence cut by a chunk boundary is joined again.  A bad byte raises
-    the ``_not_utf8`` message.
+    the ``_not_utf8`` message.  ``read(n)``, when given, supplies the bytes in
+    place of ``path``, which then only names the file in messages.
     """
+    if read is None:
+        with open(path, "rb") as fh:
+            yield from _lines(path, fh.read)
+        return
     decoder = codecs.getincrementaldecoder("utf-8")()
     carry, done, final = "", 0, False
-    with open(path, "rb") as fh:
-        while not final:
-            data = fh.read(_CHUNK)
-            final = not data
-            try:
-                pieces = decoder.decode(data, final=final).splitlines(keepends=True)
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(path, exc, carry, done) from None
-            del data  # while the lines are read, only they are held
-            if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
-                pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
-            carry = "" if final or not pieces else pieces.pop()
-            done += len(pieces)
-            # a piece is a line and the one break that ends it, and lines hold no break
-            yield from (piece.rstrip(_LINE_BREAKS) for piece in pieces)
-            del pieces  # before the next chunk is read
+    while not final:
+        data = read(_CHUNK)
+        final = not data
+        try:
+            pieces = decoder.decode(data, final=final).splitlines(keepends=True)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, carry, done) from None
+        del data  # while the lines are read, only they are held
+        if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
+            pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
+        carry = "" if final or not pieces else pieces.pop()
+        done += len(pieces)
+        # a piece is a line and the one break that ends it, and lines hold no break
+        yield from (piece.rstrip(_LINE_BREAKS) for piece in pieces)
+        del pieces  # before the next chunk is read
 
 
 @contextmanager
-def _reading(path) -> Iterator[Iterator[str]]:
-    """The lines of ``path``, for a loader that stops at its first fault.
+def _reading(path, read=None) -> Iterator[Iterator[str]]:
+    """The lines of ``path`` (``_lines(path, read)``), for a loader that stops at its first fault.
 
     A ``ValueError`` raised in the block waits until the rest of the file has
     been decoded, so a bad byte anywhere in the file outranks it, as when the
     whole file was decoded before any line was read.
     """
-    lines = _lines(path)
+    lines = _lines(path, read)
     try:
         yield lines
     except ValueError:
@@ -131,6 +139,66 @@ def _block_values(path, first: int, blobs: list[str], width: int) -> np.ndarray:
     return np.array([_parse_floats(b.split(" "), path, n) for n, b in enumerate(blobs, first)])
 
 
+class _Matrix:
+    """The ``(rows, width)`` matrix that a load fills, allocated when rows first arrive.
+
+    Only a parsed row shows the header's width to be real, so a huge header
+    allocates nothing before one does.  It holds no more than ``bound`` rows and
+    no more than a file of ``size`` bytes can: a row takes ``2 * width`` bytes or
+    more.  ``size`` is None for a pipe, which states none.
+    """
+
+    def __init__(self, bound: int, width: int, size: int | None):
+        self.shape = (bound if size is None else min(bound, size // (2 * width)), width)
+        self.matrix, self.filled = None, 0
+
+    def take(self, rows: int) -> np.ndarray:
+        """The next ``rows`` rows, to be filled by the caller."""
+        if self.matrix is None:
+            self.matrix = np.empty(self.shape)
+        self.filled += rows
+        return self.matrix[self.filled - rows : self.filled]
+
+    def put(self, values: np.ndarray) -> None:
+        self.take(len(values))[:] = values
+
+    def result(self) -> np.ndarray:
+        return np.empty((0, self.shape[1])) if self.matrix is None else self.matrix[: self.filled]
+
+
+def _scan(path, lines: Iterable[str], first: int, width: int, check_row, sep, keep, keys, put):
+    """Check and parse ``lines``, the first on line ``first``, ``_BLOCK // width`` rows at a time.
+
+    Each row goes through ``check_row`` as it is read, and each block through
+    ``_block_values``; ``put`` takes the values of a block's kept rows.  Stops at
+    the first fault in line order and returns the keys kept, the rows read (the
+    faulty one included) and that fault, or None.
+    """
+    kept: list = []
+    read, fault = 0, None
+    while fault is None:
+        lineno, blobs, wanted = first + read, [], []
+        for line in islice(lines, max(1, _BLOCK // width)):
+            read += 1
+            try:
+                key = check_row(line, first + read - 1, width, keys)
+            except ValueError as exc:
+                fault = exc
+                break
+            if keep is None or key in keep:
+                wanted.append(len(blobs))
+                kept.append(key)
+            blobs.append(line if sep is None else line.partition(sep)[2])
+        if not blobs:
+            break
+        try:
+            block = _block_values(path, lineno, blobs, width)
+        except ValueError as exc:
+            return kept, read, exc  # its line comes before any fault that check_row found
+        put(block[wanted])
+    return kept, read, fault
+
+
 def _float_rows(
     path, head: int, read_head, check_row, sep, keep: Collection[str] | None = None
 ) -> tuple[list, np.ndarray]:
@@ -143,51 +211,222 @@ def _float_rows(
     ``keys``, and returns the key that ``keep`` is matched against; without
     ``keep`` every row is kept.  Line numbers start at 1.
 
-    One pass opens the file once.  Each row is checked as it is read, and
-    ``_block_values`` parses the rows ``_BLOCK // width`` at a time, so the rows
-    kept, one block and one chunk are held at once.  Faults win in this order:
-    a bad byte anywhere (``_reading``), the header, a row count other than the
-    header's, then the first bad row in line order, held while the rest of the
-    file is counted.
+    The file is opened once.  A large table (``_split_rows``) is read in one
+    range per CPU; on any doubt, and for every other table, one pass reads the
+    whole file (``_one_range``).  Faults win in this order: a bad byte anywhere,
+    the header, a row count other than the header's, then the first bad row in
+    line order.
     """
-    with _reading(path) as lines:
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        size = info.st_size if stat.S_ISREG(info.st_mode) else None
+        # a file of fewer than 2 * _PARALLEL_MIN bytes holds fewer than _PARALLEL_MIN values
+        parts = _cpus() if size is not None and size >= 2 * _PARALLEL_MIN else 1
+        if parts > 1:
+            loaded = _split_rows(
+                path, fh.fileno(), size, parts, head, read_head, check_row, sep, keep
+            )
+            if loaded is not None:
+                return loaded
+        return _one_range(path, fh.read, size, head, read_head, check_row, sep, keep)
+
+
+def _one_range(path, source, size, head, read_head, check_row, sep, keep) -> tuple:
+    """``_float_rows`` in one pass over the bytes that ``source(n)`` reads, from the first.
+
+    Rows are checked and parsed block by block (``_scan``), so the rows kept, one
+    block and one chunk are held at once.  The first bad row is held while the
+    rest of the file is counted (``_reading``), so that the fault order holds.
+    """
+    with _reading(path, source) as lines:
         count, width, miscount = read_head(path, list(islice(lines, head)))
-        keys: dict[str, None] = {}
-        kept: list = []
-        matrix, fault, read = None, None, 0
-        bound = count if keep is None else min(count, len(keep))
-        rows = islice(lines, count)  # a row past the header's count is only counted
-        while fault is None:
-            first, blobs, wanted = head + read + 1, [], []
-            for line in islice(rows, max(1, _BLOCK // width)):
-                read += 1
-                try:
-                    key = check_row(line, head + read, width, keys)
-                except ValueError as exc:
-                    fault = exc
-                    break
-                if keep is None or key in keep:
-                    wanted.append(len(blobs))
-                    kept.append(key)
-                blobs.append(line if sep is None else line.partition(sep)[2])
-            if not blobs:
-                break
-            try:
-                block = _block_values(path, first, blobs, width)
-            except ValueError as exc:
-                fault = exc  # its line comes before any fault that check_row found
-                break
-            if matrix is None:  # only now has a row shown the header's width to be real
-                info = os.stat(path)  # a row takes 2 * width bytes or more; a pipe states no size
-                fits = info.st_size // (2 * width) if stat.S_ISREG(info.st_mode) else bound
-                matrix = np.empty((min(bound, fits), width))
-            matrix[len(kept) - len(wanted):len(kept)] = block[wanted]
+        rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
+        # a row past the header's count is only counted
+        kept, read, fault = _scan(
+            path, islice(lines, count), head + 1, width, check_row, sep, keep, {}, rows.put
+        )
         read += sum(1 for _ in lines)
     if read != count:
         raise ValueError(miscount(read))
     if fault is not None:
         raise fault
-    return kept, np.empty((0, width)) if matrix is None else matrix[: len(kept)]
+    return kept, rows.result()
+
+
+def _split_rows(path, fd: int, size: int, parts: int, head, read_head, check_row, sep, keep):
+    """``_float_rows`` with the file split at line ends into ``parts`` ranges; None on any doubt.
+
+    The parent reads the header and the rows of the first range; a child made by
+    ``os.fork`` checks and parses each other range through the same ``_scan``, by
+    ``os.pread`` on the inherited descriptor, and returns its row count, its keys
+    and the float64 bytes of its kept rows in a temp file (``_scanned``).  The
+    parent copies those bytes into its matrix with ``readinto``.  A doubt is a
+    fault or bad byte in any range, a child that fails, a key repeated across
+    ranges or a row count other than the header's: then ``_one_range``, rerun
+    from the first byte, gives the message and fault order by construction.  A
+    header of fewer than ``_PARALLEL_MIN`` values gives None too.
+    """
+    ends = _line_ends(fd, size, parts)
+    lines = _lines(path, _span(fd, 0, ends[0]))
+    try:
+        count, width, _ = read_head(path, list(islice(lines, head)))
+    except ValueError:
+        return None
+    if count * width < _PARALLEL_MIN:
+        return None
+    rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
+    keys: dict[str, None] = {}
+
+    def scan(out, start: int, end: int) -> None:
+        part_keys: dict[str, None] = {}
+        part = _lines(path, _span(fd, start, end))
+        kept, read, fault = _scan(path, part, 1, width, check_row, sep, keep, part_keys, out.write)
+        if fault is not None:
+            raise fault
+        meta = json.dumps([read, list(part_keys), kept]).encode()
+        out.write(meta + len(meta).to_bytes(8, "little"))
+
+    with _Forks() as forks:
+        started = [forks.start(scan, start, end) for start, end in zip(ends, ends[1:])]
+        try:
+            kept, read, fault = _scan(
+                path, islice(lines, count), head + 1, width, check_row, sep, keep, keys, rows.put
+            )
+            read += sum(1 for _ in lines)
+        except ValueError:  # a bad byte
+            return None
+        if fault is not None:
+            return None
+        for index in started:
+            out = forks.result(index)
+            if out is None:
+                return None
+            part_read, part_keys, part_kept = _scanned(out)
+            read += part_read
+            known = len(keys)
+            keys.update(dict.fromkeys(part_keys))
+            if read > count or len(keys) != known + len(part_keys):
+                return None
+            target = rows.take(len(part_kept))
+            if out.readinto(target) != target.nbytes:
+                return None
+            kept += part_kept
+    return (kept, rows.result()) if read == count else None
+
+
+def _scanned(out) -> list:
+    """The row count, keys and kept keys that a ``_split_rows`` child wrote after its rows.
+
+    ``out`` is left at its first byte, where the rows start.
+    """
+    end = out.seek(-8, os.SEEK_END)
+    length = int.from_bytes(out.read(8), "little")
+    out.seek(end - length)
+    meta = json.loads(out.read(length))
+    out.seek(0)
+    return meta
+
+
+def _line_ends(fd: int, size: int, parts: int) -> list[int]:
+    """Where ``parts`` ranges of near equal size end: just past a ``\\n``, the last at ``size``.
+
+    A ``\\n`` is always a ``str.splitlines`` break and never inside a UTF-8
+    sequence, so every range holds whole lines and decodes on its own.  A
+    range that would be empty is dropped.
+    """
+    ends = [0]
+    for part in range(1, parts):
+        at = max(size * part // parts, ends[-1])
+        while at < size and (data := os.pread(fd, _CHUNK, at)):
+            found = data.find(b"\n")
+            at += len(data) if found < 0 else found + 1
+            if found >= 0:
+                break
+        ends.append(min(at, size))
+    return sorted(set(ends[1:] + [size]))
+
+
+def _span(fd: int, start: int, end: int):
+    """A ``read(n)`` of bytes ``start`` to ``end`` of ``fd``, by ``os.pread``: no offset moves."""
+
+    def read(n: int) -> bytes:
+        nonlocal start
+        data = os.pread(fd, max(0, min(n, end - start)), start)
+        start += len(data)
+        return data
+
+    return read
+
+
+def _cpus() -> int:
+    """How many parts a large float table is split into: the CPUs this process may run on.
+
+    One without ``os.fork`` or ``os.sched_getaffinity``, and while another Python
+    thread runs, since a fork copies only the thread that calls it.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+
+
+class _Forks:
+    """Children made by ``os.fork``, each running one job into its own unlinked temp file.
+
+    ``start(job, *args)`` makes the temp file, then the child, which calls
+    ``job(file, *args)`` and leaves by ``os._exit`` alone, so no ``atexit``
+    handler runs and no buffer of the parent is flushed in it: status 0 if the
+    job returned, else 1.  Leaving the ``with`` block kills and reaps every
+    child not yet reaped by ``result`` and closes every temp file.
+    """
+
+    def __init__(self):
+        self._files: list = []  # per job index, its temp file (None if none was made)
+        self._pids: dict[int, int] = {}  # job index -> pid of a child not yet reaped
+
+    def __enter__(self) -> "_Forks":
+        return self
+
+    def start(self, job, *args) -> int:
+        """Run ``job`` in a new child; the index that ``result`` takes."""
+        index = len(self._files)
+        self._files.append(None)
+        try:
+            self._files[index] = out = tempfile.TemporaryFile()
+            pid = os.fork()
+        except OSError:  # no temp file or no child: the job counts as failed
+            return index
+        if pid == 0:
+            status = 1
+            try:
+                job(out, *args)
+                out.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        self._pids[index] = pid
+        return index
+
+    def result(self, index: int):
+        """The temp file of job ``index``, at its first byte, once its child exits 0; else None."""
+        pid = self._pids.pop(index, None)
+        if pid is None or os.waitpid(pid, 0)[1] != 0:  # a wait status of 0 is exit status 0
+            return None
+        out = self._files[index]
+        out.seek(0)
+        return out
+
+    def __exit__(self, *exc) -> None:
+        try:
+            if self._pids:
+                import signal  # not at startup: only a job given up on needs it
+
+                for pid in self._pids.values():
+                    os.kill(pid, signal.SIGKILL)
+                for pid in self._pids.values():
+                    os.waitpid(pid, 0)
+        finally:
+            for out in filter(None, self._files):
+                out.close()
 
 
 _SEPARATOR_NAMES = {"\t": "tab", " ": "space"}
@@ -216,11 +455,39 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
 
     A bad key or a non-finite row raises before the file is opened.  Values are ``repr``
     of Python floats, the shortest decimal that reads back to the same float64.
+
+    A table of ``_PARALLEL_MIN`` values or more is split into one run of rows per CPU
+    (``_cpus``).  The parent streams the header and the first run to the file; a
+    child made by ``os.fork`` writes each other run to a temp file, which the parent
+    then copies in order.  A run whose child fails is written by the parent, so the
+    bytes never depend on the split.
     """
     _check_keys(table, sep, f"{kind} {key_name}")
     _check_finite(table, table.matrix, kind)
-    rows = (key + sep + " ".join(map(repr, row.tolist())) for key, row in zip(table, table.matrix))
-    _write_lines(path, chain([f"{len(table)} {table.dim}"], rows))
+    keys, matrix = list(table), table.matrix
+    parts = _cpus() if matrix.size >= _PARALLEL_MIN else 1
+    bounds = [len(keys) * part // parts for part in range(parts + 1)]
+
+    def lines(start: int, end: int) -> Iterator[str]:
+        rows = zip(keys[start:end], matrix[start:end])
+        return (key + sep + " ".join(map(repr, row.tolist())) + "\n" for key, row in rows)
+
+    def write(out, start: int, end: int) -> None:
+        with open(out.fileno(), "w", encoding="utf-8", closefd=False) as text:
+            text.writelines(lines(start, end))
+
+    runs = list(zip(bounds[1:], bounds[2:]))
+    with open(path, "w", encoding="utf-8") as fh, _Forks() as forks:
+        started = [forks.start(write, start, end) for start, end in runs]
+        fh.write(f"{len(keys)} {table.dim}\n")
+        fh.writelines(lines(0, bounds[1]))
+        for index, (start, end) in zip(started, runs):
+            out = forks.result(index)
+            if out is None:
+                fh.writelines(lines(start, end))
+            else:
+                fh.flush()  # before bytes go to the buffer under it
+                shutil.copyfileobj(out, fh.buffer, _CHUNK)
 
 
 def _check_finite(keys: Iterable[str], matrix: np.ndarray, kind: str) -> None:
@@ -279,7 +546,8 @@ def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable
     """The lexicon at ``path``; given ``vocabulary``, only the rows of its tokens, in file order.
 
     Every row is read and checked either way, so a fault in a row that is not kept
-    still raises, with the message the full load gives.
+    still raises, with the message the full load gives.  A lexicon of no rows is
+    rejected at its header.
     """
 
     def check_row(line: str, lineno: int, dim: int, tokens: dict[str, None]) -> str:
@@ -296,14 +564,14 @@ def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable
         tokens[token] = None
         return token
 
-    tokens, matrix = _float_rows(path, 1, _count_dim_header, check_row, " ", vocabulary)
+    def read_head(path, lines: list[str]):
+        count, dim, miscount = _count_dim_header(path, lines)
+        if not count:
+            raise ValueError(f"{path}:1: embedding table is empty")
+        return count, dim, miscount
+
+    tokens, matrix = _float_rows(path, 1, read_head, check_row, " ", vocabulary)
     return RowTable(tokens, matrix)
-
-
-def embedding_count(path) -> int:
-    """The row count that the header of the lexicon at ``path`` states; only that line is read."""
-    with _reading(path) as lines:
-        return _count_dim_header(path, list(islice(lines, 1)))[0]
 
 
 def write_embeddings(path, table: RowTable) -> None:

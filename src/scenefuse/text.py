@@ -146,10 +146,10 @@ def aggregate(tokens: Sequence[str], table: RowTable) -> TextFeature:
     """Sum the embeddings of the given tokens; out-of-lexicon tokens are skipped.
 
     Summation runs in ascending lexicographic token order so any permutation
-    of the same tokens produces a bitwise-identical vector.
+    of the same tokens produces a bitwise-identical vector.  In an empty table,
+    such as a lexicon filtered to a vocabulary it shares no token with, every
+    token misses.
     """
-    if len(table) == 0:
-        raise ValueError("embedding table is empty")
     tokens = list(tokens)
     rows = [table.index[t] for t in sorted(tokens) if t in table.index]
     vector = np.zeros(table.dim)

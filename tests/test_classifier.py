@@ -239,6 +239,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_rate_or_penalty_that_is_not_finite(self, name, value):
+        # NaN passes both "< 0" checks, and an infinite l2 trained until the loss overflowed
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            TrainConfig(**{name: value})
+
 
 class TestEvaluate:
     def test_all_correct(self):

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from scenefuse.classifier import evaluate
+from scenefuse.classifier import evaluate, train
 from scenefuse.cli import main
 from scenefuse.data import clean_corpus, join_labeled
 from scenefuse.io import (
@@ -24,6 +26,20 @@ from scenefuse.text import RowTable, fit_tfidf, select_top_k, tokenize
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+@contextmanager
+def _returns_of_train():
+    """Patch the CLI's ``train``; yield the list of the per-epoch losses that each call returns."""
+    histories = []
+
+    def recording(*args, **kwargs):
+        trained, history = train(*args, **kwargs)
+        histories.append(list(history))
+        return trained, history
+
+    with mock.patch("scenefuse.cli.train", recording):
+        yield histories
 
 
 class TestFeaturizeText:
@@ -334,7 +350,7 @@ class TestLexiconVocabulary:
                     "--manifest", fixtures_dir / "manifest.tsv", "--mode", "question"],
         }[command]
         assert run_cli(command, "--embeddings", lexicon, *args) == 2
-        assert capsys.readouterr().err == "error: embedding table is empty\n"
+        assert capsys.readouterr().err == f"error: {lexicon}:1: embedding table is empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.txt"]
 
 
@@ -574,6 +590,35 @@ class TestTrainEval:
         assert "test accuracy" not in captured.out
         assert not report_path.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, name", [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+                              ("--l2", "inf", "l2"), ("--l2", "nan", "l2")],
+    )
+    def test_a_rate_or_penalty_that_is_not_finite_fails_before_any_feature_file_is_read(
+        self, fixtures_dir, tmp_path, capsys, flag, value, name
+    ):
+        # the feature file does not exist: reading it would fail with another message
+        rc = run_cli(
+            "train-eval", "--manifest", fixtures_dir / "manifest.tsv",
+            "--features", tmp_path / "never-read.txt", flag, value,
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+
+    def test_each_cell_records_the_losses_that_train_returns(self, fixtures_dir, tmp_path):
+        report_path = tmp_path / "report.json"
+        text = TestFuse().featurize(fixtures_dir, tmp_path)
+        with _returns_of_train() as histories:
+            assert run_cli(
+                "train-eval", "--manifest", fixtures_dir / "manifest.tsv", "--epochs", 7,
+                "--cell", f"image:acc:{fixtures_dir / 'image_features.txt'}",
+                "--cell", f"text:acc:{text}", "--report-json", report_path,
+            ) == 0
+        cells = load_run_manifest(report_path).results["cells"]
+        assert [cell["loss_history"] for cell in cells] == histories
+        assert all(len(history) == 7 for history in histories)
+        assert all(cell["final_train_loss"] == cell["loss_history"][-1] for cell in cells)
+
     def test_saved_model_reproduces_reported_accuracy(self, fixtures_dir, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         report_path = tmp_path / "report.json"
@@ -651,6 +696,18 @@ class TestVqa:
             "lower the learning rate (now 1e+300)\n"
         )
         assert not report_path.exists()
+
+    def test_the_result_records_the_losses_that_train_returns(self, fixtures_dir, tmp_path):
+        report_path = tmp_path / "report.json"
+        with _returns_of_train() as histories:
+            assert run_cli(
+                "vqa", "--vqa", fixtures_dir / "vqa.jsonl",
+                "--manifest", fixtures_dir / "manifest.tsv",
+                "--embeddings", fixtures_dir / "embeddings.txt",
+                "--mode", "question", "--epochs", 9, "--report-json", report_path,
+            ) == 0
+        assert len(histories) == 1 and len(histories[0]) == 9
+        assert load_run_manifest(report_path).results["loss_history"] == histories[0]
 
     def test_question_only_never_reads_feature_files(self, fixtures_dir, tmp_path):
         rc = run_cli(
@@ -801,6 +858,15 @@ class TestSynth:
         run_cli(*args(tmp_path / "two"))
         for name in ("features_a.txt", "features_b.txt", "manifest.tsv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_a_sigma_that_is_not_finite_fails_before_anything_is_created(
+        self, tmp_path, capsys, sigma
+    ):
+        out = tmp_path / "synth"
+        assert run_cli("synth", "--out", out, f"--sigma={sigma}") == 2
+        assert capsys.readouterr().err == f"error: noise_sigma must be finite, got {sigma}\n"
+        assert not out.exists()
 
     def test_additive_interaction_accepted(self, tmp_path):
         assert run_cli(

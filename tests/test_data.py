@@ -132,6 +132,11 @@ class TestSynthConfig:
             SynthConfig(n_train=1, n_test=1, dim_a=2, dim_b=2, n_classes=1)
         with pytest.raises(ValueError):
             SynthConfig(n_train=1, n_test=1, dim_a=2, dim_b=2, n_classes=2, interaction="xor")
+        with pytest.raises(ValueError, match="noise_sigma must be nonnegative"):
+            SynthConfig(n_train=1, n_test=1, dim_a=2, dim_b=2, n_classes=2, noise_sigma=-0.1)
+        for sigma in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"noise_sigma must be finite, got {sigma}"):
+                SynthConfig(n_train=1, n_test=1, dim_a=2, dim_b=2, n_classes=2, noise_sigma=sigma)
 
 
 class TestMakeSynthetic:

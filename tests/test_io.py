@@ -1,6 +1,9 @@
+import builtins
 import json
 import os
 import re
+import shutil
+import signal
 import threading
 import tracemalloc
 from contextlib import nullcontext
@@ -105,6 +108,17 @@ def _loaded_matrix(kind: str, loaded) -> np.ndarray:
     return loaded.matrix
 
 
+# the CPU counts that a float table of any size is split over (None: as the program decides)
+PARTS = [None, 1, 2, 3, 5]
+
+
+def _split_into(parts: int | None):
+    """Split every float table, whatever its size, into ``parts`` ranges (None: no patch)."""
+    if parts is None:
+        return nullcontext()
+    return mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=0, _cpus=lambda: parts)
+
+
 def _float_reference(text: str, first: int, sep) -> list[list[float]]:
     """Each data line's values through float(), one line at a time."""
     return [
@@ -122,20 +136,26 @@ class TestFloatTables:
             )
         ),
         block=st.integers(1, 8),  # values per np.loadtxt call, so rows cross block boundaries
+        parts=st.sampled_from(PARTS),
     )
     @settings(max_examples=400, deadline=None)
     def test_any_text_loads_as_float_reads_it_or_names_the_file(
-        self, tmp_path_factory, kind, rows, block
+        self, tmp_path_factory, kind, rows, block, parts
     ):
         loader, first, sep = FLOAT_TABLES[kind]
         path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.txt"
         text = _table_text(kind, rows)
         path.write_text(text, encoding="utf-8")
         try:
-            with mock.patch.object(scenefuse_io, "_BLOCK", block):
+            with mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
                 loaded = loader(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}:"), str(exc)
+            if parts is not None:  # a split load gives the message of the one-range load
+                with mock.patch.object(scenefuse_io, "_BLOCK", block), \
+                        pytest.raises(ValueError) as whole:
+                    loader(path)
+                assert str(exc) == str(whole.value)
             if "unparseable float" in str(exc):  # float() itself rejects that line
                 lineno = int(str(exc)[len(f"{path}:") :].split(":")[0])
                 with pytest.raises(ValueError):
@@ -174,7 +194,8 @@ class TestFloatTables:
         ],
         ids=["clean", "float-fallback", "bad-row", "header-count"],
     )
-    def test_a_load_opens_its_file_once(self, tmp_path, kind, last, extra, fault):
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_a_load_opens_its_file_once(self, tmp_path, kind, last, extra, fault, parts):
         loader = FLOAT_TABLES[kind][0]
         path = tmp_path / "table.txt"
         rows = [["0.5", "1.5"], ["2.5", last]]
@@ -188,7 +209,7 @@ class TestFloatTables:
             opened.append(file)
             return real_open(file, *args, **kwargs)
 
-        with mock.patch("builtins.open", counting_open):
+        with mock.patch("builtins.open", counting_open), _split_into(parts):
             if fault is None:
                 loader(path)
             else:
@@ -235,9 +256,10 @@ class TestFloatTables:
             write(path)
         assert not path.exists()
 
-    @given(kind=st.sampled_from(sorted(FLOAT_TABLES)), matrix=FINITE_MATRICES)
+    @given(kind=st.sampled_from(sorted(FLOAT_TABLES)), matrix=FINITE_MATRICES,
+           parts=st.sampled_from(PARTS))
     @settings(max_examples=150, deadline=None)
-    def test_finite_matrices_round_trip_bit_exactly(self, tmp_path_factory, kind, matrix):
+    def test_finite_matrices_round_trip_bit_exactly(self, tmp_path_factory, kind, matrix, parts):
         loader = FLOAT_TABLES[kind][0]
         keys = [f"k{i}" for i in range(len(matrix))]
         writer = {
@@ -246,11 +268,129 @@ class TestFloatTables:
             "model": lambda path, m: save_model(path, ClassifierModel(m[:, :-1], m[:, -1], keys)),
         }[kind]
         base = tmp_path_factory.getbasetemp()
-        writer(base / "once.txt", matrix)
-        again = _loaded_matrix(kind, loader(base / "once.txt"))
+        with _split_into(parts):
+            writer(base / "once.txt", matrix)
+            again = _loaded_matrix(kind, loader(base / "once.txt"))
         assert again.tobytes() == matrix.tobytes()
-        writer(base / "twice.txt", again)
+        writer(base / "twice.txt", again)  # on one CPU
         assert (base / "once.txt").read_bytes() == (base / "twice.txt").read_bytes()
+
+
+def _no_child_left() -> bool:
+    """Whether every child process made here has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _fatal_in_children(target, name: str):
+    """Patch ``target.name`` so that a forked child that calls it is killed by SIGKILL."""
+    parent, real = os.getpid(), getattr(target, name)
+
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    return mock.patch.object(target, name, call)
+
+
+def _watching_children(results: list):
+    """Patch ``_Forks.result`` to append each temp file it gives (None: the child failed)."""
+    real = scenefuse_io._Forks.result
+
+    def result(forks, index):
+        results.append(real(forks, index))
+        return results[-1]
+
+    return mock.patch.object(scenefuse_io._Forks, "result", result)
+
+
+class TestSplit:
+    """A float table split over CPUs, each range but the first in a forked child."""
+
+    TABLE = RowTable([f"k{i}" for i in range(40)], np.random.default_rng(0).standard_normal((40, 3)))
+    WRITERS = {"features": write_features, "embeddings": write_embeddings}
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_clean_table_is_read_in_every_range_once(self, tmp_path, kind, parts, newline):
+        path, results = tmp_path / "table.txt", []
+        self.WRITERS[kind](path, self.TABLE)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        with _split_into(parts), _watching_children(results), \
+                mock.patch.object(scenefuse_io, "_one_range", side_effect=AssertionError):
+            assert FLOAT_TABLES[kind][0](path) == self.TABLE
+        assert len(results) == parts - 1 and None not in results
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_a_killed_writer_child_costs_time_not_bytes(self, tmp_path, kind):
+        write, results = self.WRITERS[kind], []
+        write(tmp_path / "one.txt", self.TABLE)
+        with _split_into(3), _fatal_in_children(builtins, "open"), _watching_children(results):
+            write(tmp_path / "split.txt", self.TABLE)
+        assert results == [None, None]  # so the parent wrote both children's rows
+        assert (tmp_path / "split.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_a_killed_loader_child_costs_time_not_values(self, tmp_path, kind):
+        loader, results = FLOAT_TABLES[kind][0], []
+        self.WRITERS[kind](tmp_path / "table.txt", self.TABLE)
+        with _split_into(3), _fatal_in_children(scenefuse_io, "_span"), \
+                _watching_children(results):
+            loaded = loader(tmp_path / "table.txt")
+        assert results[0] is None  # so the parent read the file again, in one range
+        assert loaded == self.TABLE
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_every_child_is_reaped_when_the_parent_fails(self, tmp_path, kind):
+        path = tmp_path / "table.txt"
+        with _split_into(5), mock.patch.object(shutil, "copyfileobj", side_effect=OSError("full")):
+            with pytest.raises(OSError, match="full"):
+                self.WRITERS[kind](path, self.TABLE)
+        assert _no_child_left()
+        self.WRITERS[kind](path, self.TABLE)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] += " 0.5"  # a field too many in the first row, which the parent reads
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with _split_into(5), pytest.raises(ValueError, match=":2: expected"):
+            FLOAT_TABLES[kind][0](path)
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("rows, split", [(39, False), (40, True)])
+    def test_only_a_table_of_parallel_min_values_is_split(self, tmp_path, rows, split):
+        table = RowTable(list(self.TABLE)[:rows], self.TABLE.matrix[:rows])
+        started = []
+        real_start = scenefuse_io._Forks.start
+
+        def start(forks, job, *args):
+            started.append(job)
+            return real_start(forks, job, *args)
+
+        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2), \
+                mock.patch.object(scenefuse_io._Forks, "start", start):
+            write_features(tmp_path / "table.txt", table)
+            assert load_features(tmp_path / "table.txt") == table
+        assert len(started) == (2 if split else 0)  # one child writes, one loads
+
+    def test_one_cpu_while_another_thread_runs_or_without_fork(self, monkeypatch):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert scenefuse_io._cpus() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert scenefuse_io._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "fork")
+        assert scenefuse_io._cpus() == 1
 
 
 class TestDecodeErrors:
@@ -386,10 +526,11 @@ class TestVocabulary:
         strangers=st.lists(st.text("xyz", min_size=1, max_size=3), max_size=3),
         chunk=st.integers(1, 64),
         block=st.integers(1, 4),
+        parts=st.sampled_from(PARTS),
     )
     @settings(max_examples=300, deadline=None)
     def test_only_the_vocabulary_rows_are_kept_bit_for_bit(
-        self, tmp_path_factory, rows, strangers, chunk, block
+        self, tmp_path_factory, rows, strangers, chunk, block, parts
     ):
         path = tmp_path_factory.getbasetemp() / "lexicon.txt"
         lexicon = [(f"w{i}", fields) for i, (_, fields) in enumerate(rows)]
@@ -397,7 +538,7 @@ class TestVocabulary:
         vocabulary = {f"w{i}" for i, (out, _) in enumerate(rows) if not out} | set(strangers)
         full = load_embeddings(path)
         with mock.patch.object(scenefuse_io, "_CHUNK", chunk), \
-                mock.patch.object(scenefuse_io, "_BLOCK", block):
+                mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
             kept = load_embeddings(path, vocabulary)
         expected = [token for token in full if token in vocabulary]
         assert list(kept) == expected
@@ -413,10 +554,11 @@ class TestVocabulary:
         ),
         chunk=st.integers(1, 64),
         block=st.integers(1, 4),
+        parts=st.sampled_from(PARTS),
     )
     @settings(max_examples=300, deadline=None)
     def test_a_fault_in_a_row_not_kept_fails_as_the_full_load_does(
-        self, tmp_path_factory, rows, faults, chunk, block
+        self, tmp_path_factory, rows, faults, chunk, block, parts
     ):
         # each fault goes to a row out of the vocabulary: a duplicate repeats the token of
         # the first such row, and an extra row, which the header does not count, is appended
@@ -445,7 +587,7 @@ class TestVocabulary:
         else:
             message = None
         with mock.patch.object(scenefuse_io, "_CHUNK", chunk), \
-                mock.patch.object(scenefuse_io, "_BLOCK", block):
+                mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
             if message is None:
                 kept = load_embeddings(path, vocabulary)
                 assert list(kept) == [token for token in full if token in vocabulary]
@@ -581,11 +723,13 @@ FAULT_ORDER = {
 class TestFaultOrder:
     @pytest.mark.parametrize("case", sorted(FAULT_ORDER))
     @pytest.mark.parametrize("chunk", [None, 1, 3])
-    def test_the_first_fault_of_the_whole_file_wins(self, tmp_path, case, chunk):
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_the_first_fault_of_the_whole_file_wins(self, tmp_path, case, chunk, parts):
         loader, data, message = FAULT_ORDER[case]
         path = tmp_path / "input"
         path.write_bytes(data)
-        with mock.patch.object(scenefuse_io, "_CHUNK", chunk) if chunk else nullcontext():
+        with mock.patch.object(scenefuse_io, "_CHUNK", chunk) if chunk else nullcontext(), \
+                _split_into(parts):
             with pytest.raises(ValueError) as exc:
                 loader(path)
         assert str(exc.value) == f"{path}{message}"

@@ -159,9 +159,10 @@ class TestAggregate:
         assert np.array_equal(feat.vector, [0.0, 0.0])
         assert feat.miss_count == 0
 
-    def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate(["a"], RowTable([], np.zeros((0, 2))))
+    def test_an_empty_table_misses_every_word(self):
+        feat = aggregate(["a", "zzz", "a"], RowTable([], np.zeros((0, 2))))
+        assert np.array_equal(feat.vector, [0.0, 0.0])
+        assert feat.miss_count == 3
 
     @given(st.permutations(["a", "b", "a", "zzz", "b"]))
     def test_permutation_invariant_bitwise(self, shuffled):
