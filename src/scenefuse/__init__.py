@@ -15,7 +15,6 @@ from .classifier import (
     LabeledSet,
     TrainConfig,
     evaluate,
-    forward,
     init_model,
     loss_and_grad,
     train,
@@ -80,7 +79,6 @@ __all__ = [
     "evaluate",
     "filter_by_confidence",
     "fit_tfidf",
-    "forward",
     "fuse_rows",
     "init_model",
     "join_labeled",

@@ -99,14 +99,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def forward(model: ClassifierModel, x) -> np.ndarray:
-    """Class probabilities softmax(Wx + b), computed with max-subtraction."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"feature dim {x.shape} does not match model dim {model.dim}")
-    return _softmax_rows((model.W @ x + model.b)[np.newaxis, :])[0]
-
-
 def _check_fits(data: LabeledSet, model: ClassifierModel) -> None:
     if data.X.shape[1] != model.dim:
         raise ValueError(f"feature dim {data.X.shape[1]} does not match model dim {model.dim}")

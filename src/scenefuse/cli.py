@@ -144,6 +144,12 @@ def _cmd_featurize_text(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    spec = FusionSpec(
+        scheme=args.scheme,
+        sketch_dim=args.d,
+        seeds=(args.seed + 1, args.seed + 2),
+        normalize=not args.no_normalize,
+    )
     feats_a = load_features(args.a)
     feats_b = load_features(args.b)
     only_a = sorted(feats_a.keys() - feats_b.keys())
@@ -155,12 +161,6 @@ def _cmd_fuse(args) -> int:
         )
     if not feats_a:
         raise ValueError("no feature rows to fuse")
-    spec = FusionSpec(
-        scheme=args.scheme,
-        sketch_dim=args.d,
-        seeds=(args.seed + 1, args.seed + 2),
-        normalize=not args.no_normalize,
-    )
     fused = RowTable(feats_a, fuse_rows(feats_a.matrix, feats_b.rows(feats_a), spec))
     write_features(args.out, fused)
     results = {
@@ -244,10 +244,6 @@ def _format_grid(cell_results: list[dict]) -> str:
 
 
 def _cmd_train_eval(args) -> int:
-    manifest = load_manifest(args.manifest)
-    for split in ("train", "test"):
-        if not manifest.split_rows(split):
-            raise ValueError(f"manifest split {split!r} is empty")
     cells: list[tuple[str, str, str]] = []
     if args.features:
         cells.append(("features", "-", args.features))
@@ -262,6 +258,10 @@ def _cmd_train_eval(args) -> int:
     if args.save_model and len(cells) > 1:
         raise ValueError(f"--save-model keeps one model, but {len(cells)} cells were given")
     cfg = _train_config(args)
+    manifest = load_manifest(args.manifest)
+    for split in ("train", "test"):
+        if not manifest.split_rows(split):
+            raise ValueError(f"manifest split {split!r} is empty")
     class_names = manifest.class_names()
     cell_results = []
     for row_label, col_label, path in cells:
@@ -309,6 +309,7 @@ def _cmd_vqa(args) -> int:
     for name, path in paths.items():
         if not path:
             raise ValueError(f"--{name}-features is required for mode {args.mode!r}")
+    cfg = _train_config(args)
 
     records = load_vqa(args.vqa)
     manifest = load_manifest(args.manifest)
@@ -350,7 +351,7 @@ def _cmd_vqa(args) -> int:
     train_set = labeled([r for r in train_records if r.answer in answer_index])
     dropped_train = len(train_records) - len(train_set)
     model = init_model(train_set.X.shape[1], vocab, args.seed)
-    trained, history = train(model, train_set, _train_config(args))
+    trained, history = train(model, train_set, cfg)
 
     # out-of-vocabulary test answers stay in the denominator and count as wrong
     test_in_vocab = [r for r in test_records if r.answer in answer_index]

@@ -16,7 +16,7 @@ import stat
 import tempfile
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -211,11 +211,11 @@ def _float_rows(
     ``keys``, and returns the key that ``keep`` is matched against; without
     ``keep`` every row is kept.  Line numbers start at 1.
 
-    The file is opened once.  A large table (``_split_rows``) is read in one
-    range per CPU; on any doubt, and for every other table, one pass reads the
-    whole file (``_one_range``).  Faults win in this order: a bad byte anywhere,
-    the header, a row count other than the header's, then the first bad row in
-    line order.
+    The file is opened once and read by ``_ranges``: in one range per CPU if it
+    is large, else in one.  A split load that raises is read again in one range
+    from the first byte, which gives the message.  Faults win in this order: a
+    bad byte anywhere, the header, a row count other than the header's, then the
+    first bad row in line order.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -223,108 +223,76 @@ def _float_rows(
         # a file of fewer than 2 * _PARALLEL_MIN bytes holds fewer than _PARALLEL_MIN values
         parts = _cpus() if size is not None and size >= 2 * _PARALLEL_MIN else 1
         if parts > 1:
-            loaded = _split_rows(
-                path, fh.fileno(), size, parts, head, read_head, check_row, sep, keep
-            )
-            if loaded is not None:
-                return loaded
-        return _one_range(path, fh.read, size, head, read_head, check_row, sep, keep)
+            try:
+                return _ranges(parts, path, fh, size, head, read_head, check_row, sep, keep)
+            except ValueError:
+                pass  # a split load only reads os.pread, so fh is still at its first byte
+        return _ranges(1, path, fh, size, head, read_head, check_row, sep, keep)
 
 
-def _one_range(path, source, size, head, read_head, check_row, sep, keep) -> tuple:
-    """``_float_rows`` in one pass over the bytes that ``source(n)`` reads, from the first.
+def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -> tuple:
+    """``_float_rows`` over the file ``fh``, split at line ends into ``parts`` ranges.
 
-    Rows are checked and parsed block by block (``_scan``), so the rows kept, one
-    block and one chunk are held at once.  The first bad row is held while the
-    rest of the file is counted (``_reading``), so that the fault order holds.
+    The parent reads the header and the rows of the first range, with ``fh.read``
+    when it is the only one.  A child made by ``os.fork`` checks and parses each
+    other range through the same ``_scan``, by ``os.pread`` on the inherited
+    descriptor, and writes its kept rows as float64 bytes to a temp file, then its
+    row count, keys and kept keys; the parent copies those bytes into its matrix
+    with ``readinto``.  So the rows kept, one block and one chunk are held at once.
+
+    In one range the first bad row is held while the rest of the file is counted
+    (``_reading``), so the fault order holds.  In more, any doubt raises
+    ``ValueError``: a fault or bad byte in any range, a child that fails, a key
+    repeated across ranges, a row count other than the header's, or a header of
+    fewer than ``_PARALLEL_MIN`` values.
     """
-    with _reading(path, source) as lines:
+    fd = fh.fileno()
+    if parts == 1:
+        ends, reading = [], _reading(path, fh.read)
+    else:  # any raise means a rerun, so no line need be counted after it
+        ends = _line_ends(fd, size, parts)
+        reading = closing(_lines(path, _span(fd, 0, ends[0])))
+    with reading as lines, _Forks() as forks:
         count, width, miscount = read_head(path, list(islice(lines, head)))
+        if parts > 1 and count * width < _PARALLEL_MIN:
+            raise ValueError(f"{path}: too few values to split")
         rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
+        keys: dict[str, None] = {}
+
+        def scan(out, start: int, end: int) -> None:
+            part, seen = _lines(path, _span(fd, start, end)), {}
+            kept, read, fault = _scan(path, part, 1, width, check_row, sep, keep, seen, out.write)
+            if fault is not None:
+                raise fault
+            meta = json.dumps([read, list(seen), kept]).encode()
+            out.write(meta + len(meta).to_bytes(8, "little"))
+
+        started = [forks.start(scan, start, end) for start, end in zip(ends, ends[1:])]
         # a row past the header's count is only counted
         kept, read, fault = _scan(
-            path, islice(lines, count), head + 1, width, check_row, sep, keep, {}, rows.put
+            path, islice(lines, count), head + 1, width, check_row, sep, keep, keys, rows.put
         )
         read += sum(1 for _ in lines)
+        for index in started:
+            if fault is not None or (out := forks.result(index)) is None:
+                raise ValueError(f"{path}: a range was not read")
+            meta_at = out.seek(-8, os.SEEK_END)
+            length = int.from_bytes(out.read(8), "little")
+            out.seek(meta_at - length)
+            part_read, part_keys, part_kept = json.loads(out.read(length))
+            out.seek(0)
+            read += part_read
+            known, target = len(keys), rows.take(len(part_kept))
+            keys.update(dict.fromkeys(part_keys))
+            # past the header's count, take() may give fewer rows: the count check fails
+            if len(keys) != known + len(part_keys) or out.readinto(target) != target.nbytes:
+                raise ValueError(f"{path}: the ranges disagree")
+            kept += part_kept
     if read != count:
         raise ValueError(miscount(read))
     if fault is not None:
         raise fault
     return kept, rows.result()
-
-
-def _split_rows(path, fd: int, size: int, parts: int, head, read_head, check_row, sep, keep):
-    """``_float_rows`` with the file split at line ends into ``parts`` ranges; None on any doubt.
-
-    The parent reads the header and the rows of the first range; a child made by
-    ``os.fork`` checks and parses each other range through the same ``_scan``, by
-    ``os.pread`` on the inherited descriptor, and returns its row count, its keys
-    and the float64 bytes of its kept rows in a temp file (``_scanned``).  The
-    parent copies those bytes into its matrix with ``readinto``.  A doubt is a
-    fault or bad byte in any range, a child that fails, a key repeated across
-    ranges or a row count other than the header's: then ``_one_range``, rerun
-    from the first byte, gives the message and fault order by construction.  A
-    header of fewer than ``_PARALLEL_MIN`` values gives None too.
-    """
-    ends = _line_ends(fd, size, parts)
-    lines = _lines(path, _span(fd, 0, ends[0]))
-    try:
-        count, width, _ = read_head(path, list(islice(lines, head)))
-    except ValueError:
-        return None
-    if count * width < _PARALLEL_MIN:
-        return None
-    rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
-    keys: dict[str, None] = {}
-
-    def scan(out, start: int, end: int) -> None:
-        part_keys: dict[str, None] = {}
-        part = _lines(path, _span(fd, start, end))
-        kept, read, fault = _scan(path, part, 1, width, check_row, sep, keep, part_keys, out.write)
-        if fault is not None:
-            raise fault
-        meta = json.dumps([read, list(part_keys), kept]).encode()
-        out.write(meta + len(meta).to_bytes(8, "little"))
-
-    with _Forks() as forks:
-        started = [forks.start(scan, start, end) for start, end in zip(ends, ends[1:])]
-        try:
-            kept, read, fault = _scan(
-                path, islice(lines, count), head + 1, width, check_row, sep, keep, keys, rows.put
-            )
-            read += sum(1 for _ in lines)
-        except ValueError:  # a bad byte
-            return None
-        if fault is not None:
-            return None
-        for index in started:
-            out = forks.result(index)
-            if out is None:
-                return None
-            part_read, part_keys, part_kept = _scanned(out)
-            read += part_read
-            known = len(keys)
-            keys.update(dict.fromkeys(part_keys))
-            if read > count or len(keys) != known + len(part_keys):
-                return None
-            target = rows.take(len(part_kept))
-            if out.readinto(target) != target.nbytes:
-                return None
-            kept += part_kept
-    return (kept, rows.result()) if read == count else None
-
-
-def _scanned(out) -> list:
-    """The row count, keys and kept keys that a ``_split_rows`` child wrote after its rows.
-
-    ``out`` is left at its first byte, where the rows start.
-    """
-    end = out.seek(-8, os.SEEK_END)
-    length = int.from_bytes(out.read(8), "little")
-    out.seek(end - length)
-    meta = json.loads(out.read(length))
-    out.seek(0)
-    return meta
 
 
 def _line_ends(fd: int, size: int, parts: int) -> list[int]:

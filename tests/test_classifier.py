@@ -8,7 +8,6 @@ from scenefuse.classifier import (
     LabeledSet,
     TrainConfig,
     evaluate,
-    forward,
     init_model,
     loss_and_grad,
     train,
@@ -74,41 +73,44 @@ class TestInitModel:
             init_model(4, ["only"], seed=0)
 
 
-class TestForward:
-    def test_uniform_at_zero_weights(self):
-        m = ClassifierModel(W=np.zeros((3, 2)), b=np.zeros(3), class_names=["a", "b", "c"])
-        assert np.allclose(forward(m, [1.0, -1.0]), [1 / 3] * 3)
+def _softmax_of(model, x) -> np.ndarray:
+    """softmax(Wx + b) of the row ``x``, through ``loss_and_grad``.
 
-    def test_sums_to_one(self):
+    With ``x`` labelled 0, the bias gradient is that softmax less one at index 0.
+    """
+    _, _, grad_b = loss_and_grad(model, LabeledSet(X=[x], y=[0]))
+    grad_b[0] += 1.0
+    return grad_b
+
+
+class TestLossAndGrad:
+    def test_softmax_is_uniform_at_zero_weights(self):
+        m = ClassifierModel(W=np.zeros((3, 2)), b=np.zeros(3), class_names=["a", "b", "c"])
+        assert np.allclose(_softmax_of(m, [1.0, -1.0]), [1 / 3] * 3)
+
+    def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
         m = init_model(5, ["a", "b", "c", "d"], seed=1)
         for _ in range(20):
-            probs = forward(m, rng.standard_normal(5) * 100)
+            probs = _softmax_of(m, rng.standard_normal(5) * 100)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0) and np.all(probs < 1)
 
-    def test_shift_invariance(self):
+    def test_softmax_is_shift_invariant(self):
         W = np.array([[1.0, 2.0], [0.5, -1.0]])
         m1 = ClassifierModel(W=W, b=np.array([0.0, 1.0]), class_names=["a", "b"])
         m2 = ClassifierModel(W=W, b=np.array([100.0, 101.0]), class_names=["a", "b"])
         x = [0.3, -0.7]
-        assert np.abs(forward(m1, x) - forward(m2, x)).max() < 1e-12
+        assert np.abs(_softmax_of(m1, x) - _softmax_of(m2, x)).max() < 1e-12
 
     def test_large_logits_stable(self):
         m = ClassifierModel(
             W=np.array([[1000.0], [0.0]]), b=np.zeros(2), class_names=["hot", "cold"]
         )
-        probs = forward(m, [1.0])
+        probs = _softmax_of(m, [1.0])
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
 
-    def test_dim_mismatch(self):
-        m = init_model(3, ["a", "b"], seed=0)
-        with pytest.raises(ValueError):
-            forward(m, [1.0, 2.0])
-
-
-class TestLossAndGrad:
     def test_uniform_loss_is_log_c(self):
         m = ClassifierModel(W=np.zeros((4, 3)), b=np.zeros(4), class_names=list("abcd"))
         batch = LabeledSet(X=np.ones((1, 3)), y=[2])

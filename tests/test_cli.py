@@ -454,6 +454,17 @@ class TestFuse:
         params = load_run_manifest(str(out) + ".run.json").params
         assert (params["seed"], params["seed_a"], params["seed_b"]) == (5, 6, 7)
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_d_is_checked_before_any_file_is_read(self, tmp_path, capsys, d):
+        # neither input exists: reading one would fail with another message
+        missing = tmp_path / "missing.txt"
+        rc = run_cli(
+            "fuse", "--a", missing, "--b", missing, "--out", tmp_path / "o.txt", "--d", d,
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sketch_dim must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_id_mismatch_lists_difference(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"
         feats = load_features(fixtures_dir / "image_features.txt")
@@ -511,6 +522,32 @@ class TestTrainEval:
         )
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--features", "{x}", "--lr", "nan"], "learning_rate must be finite, got nan"),
+            (["--features", "{x}", "--epochs", "0"], "epochs must be >= 1"),
+            (["--cell", "bad"], "--cell must be ROW:COL:PATH"),
+            (["--cell", "a:b:{x}", "--cell", "a:b:{y}"], "ROW:COL pairs must be distinct"),
+            (["--cell", "a:b:{x}", "--cell", "c:d:{y}", "--save-model", "{y}"],
+             "--save-model keeps one model, but 2 cells were given"),
+            ([], "provide --features or at least one --cell"),
+        ],
+        ids=["lr", "epochs", "cell", "repeated-cell", "save-model", "no-cell"],
+    )
+    def test_flags_are_checked_before_the_manifest_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        # no input exists: reading the manifest would fail with another message
+        paths = {"x": tmp_path / "x.txt", "y": tmp_path / "y.txt"}
+        rc = run_cli(
+            "train-eval", "--manifest", tmp_path / "missing.tsv",
+            *(flag.format(**paths) for flag in flags), "--report-json", tmp_path / "report.json",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cells", [1, 2])
@@ -794,6 +831,30 @@ class TestVqa:
         assert rc == 2
         assert f"--answer-vocab must be at least 2, got {size}" in capsys.readouterr().err
         assert not report_path.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--lr", "nan", "learning_rate must be finite, got nan"),
+         ("--l2", "inf", "l2 must be finite, got inf"),
+         ("--epochs", "0", "epochs must be >= 1"),
+         ("--batch", "0", "batch_size must be >= 1")],
+    )
+    def test_training_flags_are_checked_before_any_file_is_read(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # no input exists: reading one would fail with another message
+        rc = run_cli(
+            "vqa",
+            "--vqa", tmp_path / "missing.jsonl",
+            "--manifest", tmp_path / "missing.tsv",
+            "--embeddings", tmp_path / "missing.txt",
+            "--image-features", tmp_path / "missing-image.txt",
+            "--mode", "question-image", flag, value,
+            "--report-json", tmp_path / "report.json",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_vocab_shrinks_to_distinct_answers(self, fixtures_dir, tmp_path):
         # two distinct training answers with the default 1000-answer cap -> vocab of 2

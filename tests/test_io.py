@@ -322,8 +322,9 @@ class TestSplit:
         self.WRITERS[kind](path, self.TABLE)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         with _split_into(parts), _watching_children(results), \
-                mock.patch.object(scenefuse_io, "_one_range", side_effect=AssertionError):
+                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             assert FLOAT_TABLES[kind][0](path) == self.TABLE
+        assert [call.args[0] for call in ranges.call_args_list] == [parts]  # never rerun
         assert len(results) == parts - 1 and None not in results
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
