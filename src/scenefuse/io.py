@@ -16,7 +16,7 @@ import stat
 import tempfile
 import threading
 import warnings
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -60,10 +60,10 @@ def _read_text(path) -> str:
 def _lines(path, read=None) -> Iterator[str]:
     """The lines of ``path`` as ``str.splitlines`` gives them, decoded ``_CHUNK`` bytes at a time.
 
-    Each chunk's last line is carried into the next, so a line, a ``\\r\\n`` or a
-    UTF-8 sequence cut by a chunk boundary is joined again.  A bad byte raises
-    the ``_not_utf8`` message.  ``read(n)``, when given, supplies the bytes in
-    place of ``path``, which then only names the file in messages.
+    Each chunk's last line, unless it ends in ``\\n``, is carried into the next, so a
+    line, a ``\\r\\n`` or a UTF-8 sequence cut by a chunk boundary is joined again.
+    A bad byte raises the ``_not_utf8`` message.  ``read(n)``, when given, supplies
+    the bytes in place of ``path``, which then only names the file in messages.
     """
     if read is None:
         with open(path, "rb") as fh:
@@ -81,7 +81,7 @@ def _lines(path, read=None) -> Iterator[str]:
         del data  # while the lines are read, only they are held
         if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
             pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
-        carry = "" if final or not pieces else pieces.pop()
+        carry = "" if final or not pieces or pieces[-1][-1] == "\n" else pieces.pop()
         done += len(pieces)
         # a piece is a line and the one break that ends it, and lines hold no break
         yield from (piece.rstrip(_LINE_BREAKS) for piece in pieces)
@@ -145,17 +145,21 @@ class _Matrix:
     Only a parsed row shows the header's width to be real, so a huge header
     allocates nothing before one does.  It holds no more than ``bound`` rows and
     no more than a file of ``size`` bytes can: a row takes ``2 * width`` bytes or
-    more.  ``size`` is None for a pipe, which states none.
+    more.  A pipe states no size (``size`` None), so its matrix doubles as rows arrive.
     """
 
     def __init__(self, bound: int, width: int, size: int | None):
-        self.shape = (bound if size is None else min(bound, size // (2 * width)), width)
-        self.matrix, self.filled = None, 0
+        self.bound = bound if size is None else min(bound, size // (2 * width))
+        self.least = 0 if size is None else self.bound  # rows of the first allocation
+        self.matrix, self.filled = np.empty((0, width)), 0
 
     def take(self, rows: int) -> np.ndarray:
-        """The next ``rows`` rows, to be filled by the caller."""
-        if self.matrix is None:
-            self.matrix = np.empty(self.shape)
+        """The next ``rows`` rows, to be filled by the caller (fewer past ``bound``)."""
+        if self.filled + rows > len(self.matrix) < self.bound:  # none yet, or a pipe's is full
+            more = max(self.least, 2 * self.filled, self.filled + rows)
+            grown = np.empty((min(more, self.bound), self.matrix.shape[1]))
+            grown[: self.filled] = self.matrix[: self.filled]
+            self.matrix = grown
         self.filled += rows
         return self.matrix[self.filled - rows : self.filled]
 
@@ -163,7 +167,7 @@ class _Matrix:
         self.take(len(values))[:] = values
 
     def result(self) -> np.ndarray:
-        return np.empty((0, self.shape[1])) if self.matrix is None else self.matrix[: self.filled]
+        return self.matrix[: self.filled]
 
 
 def _scan(path, lines: Iterable[str], first: int, width: int, check_row, sep, keep, keys, put):
@@ -211,17 +215,16 @@ def _float_rows(
     ``keys``, and returns the key that ``keep`` is matched against; without
     ``keep`` every row is kept.  Line numbers start at 1.
 
-    The file is opened once and read by ``_ranges``: in one range per CPU if it
-    is large, else in one.  A split load that raises is read again in one range
-    from the first byte, which gives the message.  Faults win in this order: a
-    bad byte anywhere, the header, a row count other than the header's, then the
-    first bad row in line order.
+    The file is opened once and read by ``_ranges``, in one range per CPU if it is
+    a regular file, else in one.  A load offered several ranges that raises is read
+    again in one range from the first byte, which gives the message.  Faults win in
+    this order: a bad byte anywhere, the header, a row count other than the
+    header's, then the first bad row in line order.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else None
-        # a file of fewer than 2 * _PARALLEL_MIN bytes holds fewer than _PARALLEL_MIN values
-        parts = _cpus() if size is not None and size >= 2 * _PARALLEL_MIN else 1
+        parts = _cpus() if size is not None else 1
         if parts > 1:
             try:
                 return _ranges(parts, path, fh, size, head, read_head, check_row, sep, keep)
@@ -233,34 +236,29 @@ def _float_rows(
 def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -> tuple:
     """``_float_rows`` over the file ``fh``, split at line ends into ``parts`` ranges.
 
-    The parent reads the header and the rows of the first range, with ``fh.read``
-    when it is the only one.  A child made by ``os.fork`` checks and parses each
-    other range through the same ``_scan``, by ``os.pread`` on the inherited
-    descriptor, and writes its kept rows as float64 bytes to a temp file, then its
-    row count, keys and kept keys; the parent copies those bytes into its matrix
-    with ``readinto``.  So the rows kept, one block and one chunk are held at once.
-
-    In one range the first bad row is held while the rest of the file is counted
-    (``_reading``), so the fault order holds.  In more, any doubt raises
+    The parent reads the header and the first range through ``_reading``, by
+    ``fh.read`` when it is the only range.  A header of fewer than ``_PARALLEL_MIN``
+    values moves that range's end to the file's, and the parent reads on alone,
+    holding the first bad row while the rest is counted.  Else a child made by
+    ``os.fork`` checks and parses each other range through the same ``_scan``, by
+    ``os.pread`` on the inherited descriptor, and writes its kept rows as float64
+    bytes to a temp file, then its row count, keys and kept keys, which the
+    parent takes into its matrix by ``readinto``.  Any doubt then raises
     ``ValueError``: a fault or bad byte in any range, a child that fails, a key
-    repeated across ranges, a row count other than the header's, or a header of
-    fewer than ``_PARALLEL_MIN`` values.
+    repeated across ranges, or a row count other than the header's.
     """
     fd = fh.fileno()
-    if parts == 1:
-        ends, reading = [], _reading(path, fh.read)
-    else:  # any raise means a rerun, so no line need be counted after it
-        ends = _line_ends(fd, size, parts)
-        reading = closing(_lines(path, _span(fd, 0, ends[0])))
-    with reading as lines, _Forks() as forks:
+    ends = _line_ends(fd, size, parts) if parts > 1 else []
+    first = _Span(fd, 0, ends[0]) if ends else fh.read
+    with _reading(path, first) as lines, _Forks() as forks:
         count, width, miscount = read_head(path, list(islice(lines, head)))
-        if parts > 1 and count * width < _PARALLEL_MIN:
-            raise ValueError(f"{path}: too few values to split")
+        if ends and count * width < _PARALLEL_MIN:  # too few values to split
+            first.end, ends = size, []
         rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
         keys: dict[str, None] = {}
 
         def scan(out, start: int, end: int) -> None:
-            part, seen = _lines(path, _span(fd, start, end)), {}
+            part, seen = _lines(path, _Span(fd, start, end)), {}
             kept, read, fault = _scan(path, part, 1, width, check_row, sep, keep, seen, out.write)
             if fault is not None:
                 raise fault
@@ -314,16 +312,16 @@ def _line_ends(fd: int, size: int, parts: int) -> list[int]:
     return sorted(set(ends[1:] + [size]))
 
 
-def _span(fd: int, start: int, end: int):
-    """A ``read(n)`` of bytes ``start`` to ``end`` of ``fd``, by ``os.pread``: no offset moves."""
+class _Span:
+    """A ``read(n)`` of bytes ``start`` to ``end`` (which may move) of ``fd`` by ``os.pread``."""
 
-    def read(n: int) -> bytes:
-        nonlocal start
-        data = os.pread(fd, max(0, min(n, end - start)), start)
-        start += len(data)
+    def __init__(self, fd: int, start: int, end: int):
+        self.fd, self.start, self.end = fd, start, end
+
+    def __call__(self, n: int) -> bytes:
+        data = os.pread(self.fd, max(0, min(n, self.end - self.start)), self.start)
+        self.start += len(data)
         return data
-
-    return read
 
 
 def _cpus() -> int:

@@ -6,7 +6,9 @@ then ``featurize-text --manifest`` on the fixtures.  The commands run in child
 processes, so the CPU set and ``OPENBLAS_NUM_THREADS`` are set only for them.
 
 The row-order checks run a command on the fixtures twice, once with an input
-file's rows shuffled, under the same relative paths, and compare every output.
+file's rows shuffled, under the same relative paths, and compare every output:
+byte for byte, or as a mapping from id to row bytes where the rows follow the
+shuffled input's order.
 """
 
 import io
@@ -94,6 +96,12 @@ def _shuffle_features(path: Path, out: Path) -> None:
     scenefuse_io.write_features(out, RowTable(ids, table.rows(ids)))
 
 
+def _shuffle_embeddings(path: Path, out: Path) -> None:
+    table = scenefuse_io.load_embeddings(path)
+    tokens = _shuffled(list(table))
+    scenefuse_io.write_embeddings(out, RowTable(tokens, table.rows(tokens)))
+
+
 def _shuffle_transcriptions(path: Path, out: Path) -> None:
     records = scenefuse_io.load_transcriptions(path)
     ids = _shuffled(list(records))
@@ -112,11 +120,12 @@ def _outputs(directory: Path, monkeypatch, *argv) -> dict[str, bytes]:
     return outputs
 
 
-def _same_outputs(tmp_path, monkeypatch, name: str, shuffle, argv) -> None:
+def _same_outputs(tmp_path, monkeypatch, name: str, shuffle, argv, as_mapping=()) -> None:
     """``argv`` gives the same files and stdout whether input ``name`` is shuffled or not.
 
     ``name`` is relative to ``tmp_path / "inputs"``, which holds every input; each
-    run copies them to a directory of its own.
+    run copies them to a directory of its own.  The feature files ``as_mapping``
+    need only map each id to the same row bytes.
     """
     runs = {}
     for run in ("as-is", "shuffled"):
@@ -125,8 +134,11 @@ def _same_outputs(tmp_path, monkeypatch, name: str, shuffle, argv) -> None:
             shuffle(tmp_path / "inputs" / name, tmp_path / run / name)
             assert (tmp_path / run / name).read_bytes() != (tmp_path / "inputs" / name).read_bytes()
         runs[run] = _outputs(tmp_path / run, monkeypatch, *argv)
-    for outputs in runs.values():
+    for run, outputs in runs.items():
         del outputs[name]  # the one input that differs
+        for out in as_mapping:
+            table = scenefuse_io.load_features(tmp_path / run / out)
+            outputs[out] = {key: table[key].tobytes() for key in table}
     assert runs["as-is"].keys() == runs["shuffled"].keys()
     assert [key for key in runs["as-is"] if runs["as-is"][key] != runs["shuffled"][key]] == []
 
@@ -163,6 +175,45 @@ def test_train_eval_report_does_not_depend_on_the_row_order_of_its_features(
         "train-eval", "--manifest", "manifest.tsv", "--features", "fused.txt", "--epochs", "20",
         "--save-model", "model.txt", "--report-json", "report.json",
     ])
+
+
+@pytest.mark.parametrize("name, shuffle", [
+    ("image_features.txt", _shuffle_features),
+    ("text.txt", _shuffle_features),
+    ("embeddings.txt", _shuffle_embeddings),
+], ids=["image-features", "text-features", "lexicon"])
+def test_vqa_output_does_not_depend_on_the_row_order_of_its_tables(
+    tmp_path, monkeypatch, name, shuffle
+):
+    _fixture_inputs(tmp_path)
+    _same_outputs(tmp_path, monkeypatch, name, shuffle, [
+        "vqa", "--vqa", "vqa.jsonl", "--manifest", "manifest.tsv", "--embeddings", "embeddings.txt",
+        "--image-features", "image_features.txt", "--text-features", "text.txt",
+        "--mode", "question-image-text", "--report-json", "report.json",
+    ])
+
+
+def test_featurize_text_output_does_not_depend_on_the_row_order_of_the_lexicon(
+    tmp_path, monkeypatch
+):
+    _fixture_inputs(tmp_path)
+    _same_outputs(tmp_path, monkeypatch, "embeddings.txt", _shuffle_embeddings, [
+        "featurize-text", "--transcriptions", "transcriptions.jsonl",
+        "--embeddings", "embeddings.txt", "--manifest", "manifest.tsv",
+        "--out", "text_k{k}.txt", "--k", "1", "--k", "3", "--cleaning-report", "cleaning.json",
+    ])
+
+
+def test_featurize_text_rows_without_a_manifest_do_not_depend_on_the_record_order(
+    tmp_path, monkeypatch
+):
+    # without --manifest the rows follow record order, so only each id's row must match
+    _fixture_inputs(tmp_path)
+    _same_outputs(tmp_path, monkeypatch, "transcriptions.jsonl", _shuffle_transcriptions, [
+        "featurize-text", "--transcriptions", "transcriptions.jsonl",
+        "--embeddings", "embeddings.txt", "--out", "text_k{k}.txt", "--k", "1", "--k", "3",
+        "--cleaning-report", "cleaning.json",
+    ], as_mapping=["text_k1.txt", "text_k3.txt"])
 
 
 def test_featurize_text_output_does_not_depend_on_the_order_of_the_transcriptions(

@@ -83,6 +83,15 @@ FINITE_MATRICES = arrays(
     | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
 )
 
+
+def _load_or_message(loader, path):
+    """``loader(path)``, or the message it raises with ``path`` written as PATH."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        return str(exc).replace(str(path), "PATH")
+
+
 # per float table: loader, first data line, separator before the values (None: the whole line)
 FLOAT_TABLES = {
     "embeddings": (load_embeddings, 1, " "),
@@ -219,21 +228,30 @@ class TestFloatTables:
 
     @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
     def test_a_pipe_loads_as_its_file_does(self, tmp_path, kind):
-        # a pipe states no size, so only the header bounds the rows it may hold
+        # a pipe states no size, so its matrix grows (here a row at a time) up to the
+        # header's count, and a count no allocation could hold fails as in a file
         loader = FLOAT_TABLES[kind][0]
         text = _table_text(kind, [["0.5", "1.5"], ["2.5", "3.5"], ["4.5", "5.5"]])
-        (tmp_path / "table.txt").write_text(text, encoding="utf-8")
-        pipe = tmp_path / "pipe"
-        os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"})
-        writer.start()
-        try:
-            loaded = loader(pipe)
-        finally:
-            writer.join()
-        assert _loaded_matrix(kind, loaded).tobytes() == (
-            _loaded_matrix(kind, loader(tmp_path / "table.txt")).tobytes()
-        )
+        for count in ("3", "1000000000000"):
+            data = text.replace("3 ", f"{count} ", 1)  # the header's count comes first
+            file, pipe = tmp_path / f"{count}.txt", tmp_path / f"{count}.pipe"
+            file.write_text(data, encoding="utf-8")
+            os.mkfifo(pipe)
+            writer = threading.Thread(target=pipe.write_text, args=(data, "utf-8"))
+            writer.start()
+            try:
+                with mock.patch.object(scenefuse_io, "_BLOCK", 2):
+                    through_pipe = _load_or_message(loader, pipe)
+            finally:
+                writer.join()
+            from_file = _load_or_message(loader, file)
+            assert isinstance(from_file, str) == (count != "3"), from_file
+            if isinstance(from_file, str):
+                assert through_pipe == from_file
+            else:
+                assert _loaded_matrix(kind, through_pipe).tobytes() == (
+                    _loaded_matrix(kind, from_file).tobytes()
+                )
 
     @pytest.mark.parametrize(
         "write",
@@ -341,7 +359,7 @@ class TestSplit:
     def test_a_killed_loader_child_costs_time_not_values(self, tmp_path, kind):
         loader, results = FLOAT_TABLES[kind][0], []
         self.WRITERS[kind](tmp_path / "table.txt", self.TABLE)
-        with _split_into(3), _fatal_in_children(scenefuse_io, "_span"), \
+        with _split_into(3), _fatal_in_children(scenefuse_io, "_Span"), \
                 _watching_children(results):
             loaded = loader(tmp_path / "table.txt")
         assert results[0] is None  # so the parent read the file again, in one range
@@ -378,6 +396,58 @@ class TestSplit:
             write_features(tmp_path / "table.txt", table)
             assert load_features(tmp_path / "table.txt") == table
         assert len(started) == (2 if split else 0)  # one child writes, one loads
+
+    def test_the_header_alone_decides_that_a_load_is_not_split(self, tmp_path):
+        # fewer values than _PARALLEL_MIN, in a file of twice as many bytes: the parent
+        # reads every byte once, and no child is made
+        path, started, read = tmp_path / "table.txt", [], []
+        table = RowTable(list(self.TABLE)[:39], self.TABLE.matrix[:39])
+        write_features(path, table)
+        assert len(table) * table.dim < 120 and path.stat().st_size >= 2 * 120
+        real_start, real_call = scenefuse_io._Forks.start, scenefuse_io._Span.__call__
+
+        def start(forks, job, *args):
+            started.append(job)
+            return real_start(forks, job, *args)
+
+        def span_read(span, n):
+            read.append(real_call(span, n))
+            return read[-1]
+
+        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2), \
+                mock.patch.object(scenefuse_io._Forks, "start", start), \
+                mock.patch.object(scenefuse_io._Span, "__call__", span_read), \
+                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+            assert load_features(path) == table
+        assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
+        assert started == [] and sum(map(len, read)) == path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [("features", "0 1\n\n\n\n", "header count 0 but 3 data lines"),
+         ("model", "2 1\nc0\tc1\n0 0\n0 0\n", None)],
+        ids=["features-count", "model-clean"],
+    )
+    def test_a_first_range_of_the_header_alone_reads_on(self, tmp_path, kind, text, message):
+        # the first of two ranges ends with the header, so its last line must reach the
+        # parent before that range's end moves to the file's end
+        loader, head, _ = FLOAT_TABLES[kind]
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8")
+        with open(path, "rb") as fh:
+            ends = scenefuse_io._line_ends(fh.fileno(), len(text), 2)
+        assert ends[0] == len("".join(text.splitlines(keepends=True)[:head]))
+        with mock.patch.object(scenefuse_io, "_cpus", lambda: 2), \
+                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+            if message is not None:
+                with pytest.raises(ValueError, match=message):
+                    loader(path)
+                return
+            loaded = loader(path)
+        assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
+        with _split_into(1):
+            one_range = loader(path)
+        assert _loaded_matrix(kind, loaded).tobytes() == _loaded_matrix(kind, one_range).tobytes()
 
     def test_one_cpu_while_another_thread_runs_or_without_fork(self, monkeypatch):
         release = threading.Event()
