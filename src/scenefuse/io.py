@@ -60,10 +60,10 @@ def _read_text(path) -> str:
 def _lines(path, read=None) -> Iterator[str]:
     """The lines of ``path`` as ``str.splitlines`` gives them, decoded ``_CHUNK`` bytes at a time.
 
-    Each chunk's last line, unless it ends in ``\\n``, is carried into the next, so a
-    line, a ``\\r\\n`` or a UTF-8 sequence cut by a chunk boundary is joined again.
-    A bad byte raises the ``_not_utf8`` message.  ``read(n)``, when given, supplies
-    the bytes in place of ``path``, which then only names the file in messages.
+    Each chunk's last line is carried into the next, so a line, a ``\\r\\n`` or a UTF-8
+    sequence cut by a chunk boundary is joined again.  A bad byte raises the ``_not_utf8``
+    message.  ``read(n)``, when given, supplies the bytes in place of ``path``, which
+    then only names the file in messages.
     """
     if read is None:
         with open(path, "rb") as fh:
@@ -81,7 +81,7 @@ def _lines(path, read=None) -> Iterator[str]:
         del data  # while the lines are read, only they are held
         if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
             pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
-        carry = "" if final or not pieces or pieces[-1][-1] == "\n" else pieces.pop()
+        carry = "" if final or not pieces else pieces.pop()
         done += len(pieces)
         # a piece is a line and the one break that ends it, and lines hold no break
         yield from (piece.rstrip(_LINE_BREAKS) for piece in pieces)
@@ -208,52 +208,49 @@ def _float_rows(
 ) -> tuple[list, np.ndarray]:
     """The keys and the ``(rows, width)`` values of the rows after the ``head`` header lines.
 
-    ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and
-    returns ``(count, width, miscount)``, where ``miscount(n)`` is the message for
-    a file of ``n`` rows.  ``check_row(line, lineno, width, keys)`` raises
-    ``ValueError`` on a row whose structure is wrong, may record its key in
-    ``keys``, and returns the key that ``keep`` is matched against; without
-    ``keep`` every row is kept.  Line numbers start at 1.
+    ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and returns
+    ``(count, width, miscount)``, where ``miscount(n)`` is the message for a file of ``n``
+    rows.  ``check_row(line, lineno, width, keys)`` raises ``ValueError`` on a row whose
+    structure is wrong, may record its key in ``keys``, and returns the key that ``keep``
+    is matched against; without ``keep`` every row is kept.  Line numbers start at 1.
 
-    The file is opened once and read by ``_ranges``, in one range per CPU if it is
-    a regular file, else in one.  A load offered several ranges that raises is read
-    again in one range from the first byte, which gives the message.  Faults win in
-    this order: a bad byte anywhere, the header, a row count other than the
-    header's, then the first bad row in line order.
+    ``_ranges`` reads the file, opened once, in one range per CPU if it is regular; a split
+    load in doubt (``_Doubt``) reads it again in one range from byte 0.  Faults win in this
+    order: a bad byte anywhere, the header, the header's row count, then the first bad row.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else None
-        parts = _cpus() if size is not None else 1
-        if parts > 1:
-            try:
-                return _ranges(parts, path, fh, size, head, read_head, check_row, sep, keep)
-            except ValueError:
-                pass  # a split load only reads os.pread, so fh is still at its first byte
-        return _ranges(1, path, fh, size, head, read_head, check_row, sep, keep)
+        args = path, fh, size, head, read_head, check_row, sep, keep
+        try:
+            return _ranges(_cpus() if size is not None else 1, *args)
+        except _Doubt:
+            return _ranges(1, *args)
+
+
+class _Doubt(ValueError):
+    """A split load whose ranges may not show the whole file's first fault."""
 
 
 def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -> tuple:
-    """``_float_rows`` over the file ``fh``, split at line ends into ``parts`` ranges.
+    """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe), in up to ``parts`` ranges.
 
-    The parent reads the header and the first range through ``_reading``, by
-    ``fh.read`` when it is the only range.  A header of fewer than ``_PARALLEL_MIN``
-    values moves that range's end to the file's, and the parent reads on alone,
-    holding the first bad row while the rest is counted.  Else a child made by
-    ``os.fork`` checks and parses each other range through the same ``_scan``, by
-    ``os.pread`` on the inherited descriptor, and writes its kept rows as float64
-    bytes to a temp file, then its row count, keys and kept keys, which the
-    parent takes into its matrix by ``readinto``.  Any doubt then raises
-    ``ValueError``: a fault or bad byte in any range, a child that fails, a key
-    repeated across ranges, or a row count other than the header's.
+    The parent reads the header through ``_reading``, by ``os.pread`` from byte 0 (``fh.read``
+    for a pipe).  A table of ``_PARALLEL_MIN`` values or more is then split at line ends
+    past the bytes read.  The parent reads on to the end of the first range, holding its
+    first bad row while the rest is counted; a child made by ``os.fork`` checks and parses
+    each other range through ``_scan`` by ``os.pread`` and hands its rows, as float64 bytes
+    in a temp file, with its row count and keys to the parent's matrix (``readinto``).  A
+    fault in the parent's range, a failed child or a key seen in two ranges raises ``_Doubt``.
     """
     fd = fh.fileno()
-    ends = _line_ends(fd, size, parts) if parts > 1 else []
-    first = _Span(fd, 0, ends[0]) if ends else fh.read
+    first = _Span(fd, 0, size) if size is not None else fh.read
     with _reading(path, first) as lines, _Forks() as forks:
         count, width, miscount = read_head(path, list(islice(lines, head)))
-        if ends and count * width < _PARALLEL_MIN:  # too few values to split
-            first.end, ends = size, []
+        ends = []
+        if parts > 1 and count * width >= _PARALLEL_MIN:
+            ends = _line_ends(fd, first.start, size, parts)
+            first.end = ends[0]
         rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
         keys: dict[str, None] = {}
 
@@ -273,7 +270,7 @@ def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -
         read += sum(1 for _ in lines)
         for index in started:
             if fault is not None or (out := forks.result(index)) is None:
-                raise ValueError(f"{path}: a range was not read")
+                raise _Doubt(f"{path}: a range was not read")
             meta_at = out.seek(-8, os.SEEK_END)
             length = int.from_bytes(out.read(8), "little")
             out.seek(meta_at - length)
@@ -284,7 +281,7 @@ def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -
             keys.update(dict.fromkeys(part_keys))
             # past the header's count, take() may give fewer rows: the count check fails
             if len(keys) != known + len(part_keys) or out.readinto(target) != target.nbytes:
-                raise ValueError(f"{path}: the ranges disagree")
+                raise _Doubt(f"{path}: the ranges disagree")
             kept += part_kept
     if read != count:
         raise ValueError(miscount(read))
@@ -293,22 +290,18 @@ def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -
     return kept, rows.result()
 
 
-def _line_ends(fd: int, size: int, parts: int) -> list[int]:
-    """Where ``parts`` ranges of near equal size end: just past a ``\\n``, the last at ``size``.
+def _line_ends(fd: int, start: int, size: int, parts: int) -> list[int]:
+    """Where ``parts`` ranges from ``start`` end: past the first ``\\n`` from ``size * i // parts``.
 
-    A ``\\n`` is always a ``str.splitlines`` break and never inside a UTF-8
-    sequence, so every range holds whole lines and decodes on its own.  A
-    range that would be empty is dropped.
+    The last ends at ``size``; an empty one is dropped.  A ``\\n`` is a ``str.splitlines``
+    break never inside a UTF-8 sequence, so each range but the first decodes on its own.
     """
-    ends = [0]
+    ends = [start]
     for part in range(1, parts):
-        at = max(size * part // parts, ends[-1])
-        while at < size and (data := os.pread(fd, _CHUNK, at)):
-            found = data.find(b"\n")
-            at += len(data) if found < 0 else found + 1
-            if found >= 0:
-                break
-        ends.append(min(at, size))
+        at, found = max(size * part // parts, ends[-1]), -1
+        while at < size and (found := os.pread(fd, _CHUNK, at).find(b"\n")) < 0:
+            at += _CHUNK
+        ends.append(min(at + found + 1, size))
     return sorted(set(ends[1:] + [size]))
 
 
@@ -695,6 +688,12 @@ def load_model(path) -> ClassifierModel:
         names[:] = lines[1].split("\t")
         if len(names) != n_classes:
             raise ValueError(f"{path}:2: expected {n_classes} class names, got {len(names)}")
+        seen: set[str] = set()
+        for name in names:
+            if not name or name in seen:
+                what = f"duplicate class name {name!r}" if name else "empty class name"
+                raise ValueError(f"{path}:2: {what}")
+            seen.add(name)
         return n_classes, dim + 1, lambda rows: (
             f"{path}: expected {n_classes} weight rows, got {rows}"
         )

@@ -122,10 +122,27 @@ PARTS = [None, 1, 2, 3, 5]
 
 
 def _split_into(parts: int | None):
-    """Split every float table, whatever its size, into ``parts`` ranges (None: no patch)."""
+    """Split every float table, whatever its size, into ``parts`` ranges (None: no patch).
+
+    Ranges start past the bytes that the header's read took, so reads are cut to at
+    most 16 bytes (less if ``_CHUNK`` is already patched lower) to leave a small
+    table something to split.
+    """
     if parts is None:
         return nullcontext()
-    return mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=0, _cpus=lambda: parts)
+    chunk = min(scenefuse_io._CHUNK, 16)
+    return mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=0, _cpus=lambda: parts, _CHUNK=chunk)
+
+
+def _spying(target, name: str, calls: list):
+    """Patch ``target.name`` to append each call's arguments to ``calls`` before the call."""
+    real = getattr(target, name)
+
+    def call(*args):
+        calls.append(args)
+        return real(*args)
+
+    return mock.patch.object(target, name, call)
 
 
 def _float_reference(text: str, first: int, sep) -> list[list[float]]:
@@ -360,10 +377,46 @@ class TestSplit:
         loader, results = FLOAT_TABLES[kind][0], []
         self.WRITERS[kind](tmp_path / "table.txt", self.TABLE)
         with _split_into(3), _fatal_in_children(scenefuse_io, "_Span"), \
-                _watching_children(results):
+                _watching_children(results), \
+                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             loaded = loader(tmp_path / "table.txt")
         assert results[0] is None  # so the parent read the file again, in one range
+        assert [call.args[0] for call in ranges.call_args_list] == [3, 1]  # and only once
         assert loaded == self.TABLE
+        assert _no_child_left()
+
+    @pytest.mark.parametrize(
+        "line, text, message, rerun, children",
+        [
+            # a doubt: a later range may hold an earlier bad byte or change the row count
+            (3, b"k1\t1.0 2.0 x\n", ":3: unparseable float", True, 1),
+            (38, b"k36\t1.0 2.0 x\n", ":38: unparseable float", True, 1),
+            (38, b"k0\t1.0 2.0 3.0\n", ":38: duplicate image_id 'k0'", True, 1),
+            # final on the first pass; the header decides the split, so its fault meets no child
+            (1, b"40 x\n", ":1: header must hold two integers", False, 0),
+            (4, b"k2\t\xff\n", ":4: not UTF-8 (byte 0xff at column 4)", False, 1),
+            (1, b"41 3\n", ": header count 41 but 40 data lines", False, 1),
+        ],
+        ids=["bad-row-in-the-parent's-range", "bad-row-in-the-child's-range",
+             "key-in-two-ranges", "header", "bad-byte-in-the-parent's-range",
+             "count-off-in-clean-ranges"],
+    )
+    def test_a_split_load_is_read_again_only_in_doubt(
+        self, tmp_path, line, text, message, rerun, children
+    ):
+        path = tmp_path / "table.txt"
+        write_features(path, self.TABLE)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = text
+        path.write_bytes(b"".join(lines))
+        started = []
+        with _split_into(2), _spying(scenefuse_io._Forks, "start", started), \
+                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+            with pytest.raises(ValueError) as exc:
+                load_features(path)
+        assert str(exc.value) == f"{path}{message}"
+        assert [call.args[0] for call in ranges.call_args_list] == ([2, 1] if rerun else [2])
+        assert len(started) == children
         assert _no_child_left()
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
@@ -385,69 +438,66 @@ class TestSplit:
     def test_only_a_table_of_parallel_min_values_is_split(self, tmp_path, rows, split):
         table = RowTable(list(self.TABLE)[:rows], self.TABLE.matrix[:rows])
         started = []
-        real_start = scenefuse_io._Forks.start
-
-        def start(forks, job, *args):
-            started.append(job)
-            return real_start(forks, job, *args)
-
-        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2), \
-                mock.patch.object(scenefuse_io._Forks, "start", start):
+        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2, _CHUNK=64), \
+                _spying(scenefuse_io._Forks, "start", started):
             write_features(tmp_path / "table.txt", table)
             assert load_features(tmp_path / "table.txt") == table
         assert len(started) == (2 if split else 0)  # one child writes, one loads
 
-    def test_the_header_alone_decides_that_a_load_is_not_split(self, tmp_path):
-        # fewer values than _PARALLEL_MIN, in a file of twice as many bytes: the parent
-        # reads every byte once, and no child is made
-        path, started, read = tmp_path / "table.txt", [], []
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+    def test_a_table_below_parallel_min_is_read_once_by_the_parent(self, tmp_path, faulty):
+        # fewer values than _PARALLEL_MIN, in a file of many reads: no range is chosen,
+        # no child is made and every byte is read once, whether the table loads or not
+        path, started, line_ends, read = tmp_path / "table.txt", [], [], []
         table = RowTable(list(self.TABLE)[:39], self.TABLE.matrix[:39])
         write_features(path, table)
-        assert len(table) * table.dim < 120 and path.stat().st_size >= 2 * 120
-        real_start, real_call = scenefuse_io._Forks.start, scenefuse_io._Span.__call__
-
-        def start(forks, job, *args):
-            started.append(job)
-            return real_start(forks, job, *args)
+        if faulty:  # the last value of the last row
+            path.write_bytes(path.read_bytes()[:-1] + b"x\n")
+        assert len(table) * table.dim < 120 and path.stat().st_size >= 20 * 64
+        real_call = scenefuse_io._Span.__call__
 
         def span_read(span, n):
             read.append(real_call(span, n))
             return read[-1]
 
-        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2), \
-                mock.patch.object(scenefuse_io._Forks, "start", start), \
+        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2, _CHUNK=64), \
+                _spying(scenefuse_io._Forks, "start", started), \
+                _spying(scenefuse_io, "_line_ends", line_ends), \
                 mock.patch.object(scenefuse_io._Span, "__call__", span_read), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
-            assert load_features(path) == table
+            loaded = _load_or_message(load_features, path)
+        assert loaded == ("PATH:40: unparseable float" if faulty else table)
         assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
-        assert started == [] and sum(map(len, read)) == path.stat().st_size
+        assert started == [] and line_ends == []
+        assert sum(map(len, read)) == path.stat().st_size
 
     @pytest.mark.parametrize(
-        "kind, text, message",
-        [("features", "0 1\n\n\n\n", "header count 0 but 3 data lines"),
-         ("model", "2 1\nc0\tc1\n0 0\n0 0\n", None)],
+        "kind, text",
+        [("features", "0 1\n\n\n\n"), ("model", "2 1\nc0\tc1\n0 0\n0 0\n")],
         ids=["features-count", "model-clean"],
     )
-    def test_a_first_range_of_the_header_alone_reads_on(self, tmp_path, kind, text, message):
-        # the first of two ranges ends with the header, so its last line must reach the
-        # parent before that range's end moves to the file's end
-        loader, head, _ = FLOAT_TABLES[kind]
+    def test_ranges_start_wherever_the_header_read_stopped(self, tmp_path, kind, text):
+        # at each read size the header's read stops at another byte, where the ranges
+        # start, and the split load must give what the one-range load gives
+        loader = FLOAT_TABLES[kind][0]
         path = tmp_path / "table.txt"
         path.write_text(text, encoding="utf-8")
-        with open(path, "rb") as fh:
-            ends = scenefuse_io._line_ends(fh.fileno(), len(text), 2)
-        assert ends[0] == len("".join(text.splitlines(keepends=True)[:head]))
-        with mock.patch.object(scenefuse_io, "_cpus", lambda: 2), \
-                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
-            if message is not None:
-                with pytest.raises(ValueError, match=message):
-                    loader(path)
-                return
-            loaded = loader(path)
-        assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
         with _split_into(1):
-            one_range = loader(path)
-        assert _loaded_matrix(kind, loaded).tobytes() == _loaded_matrix(kind, one_range).tobytes()
+            one_range = _load_or_message(loader, path)
+        starts = []
+        for chunk in range(1, len(text) + 1):
+            with mock.patch.object(scenefuse_io, "_CHUNK", chunk), _split_into(2), \
+                    _spying(scenefuse_io, "_line_ends", starts), \
+                    mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+                loaded = _load_or_message(loader, path)
+            if isinstance(one_range, str):
+                assert loaded == one_range
+            else:
+                assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
+                assert _loaded_matrix(kind, loaded).tobytes() == (
+                    _loaded_matrix(kind, one_range).tobytes()
+                )
+        assert len({args[1] for args in starts}) > 1
 
     def test_one_cpu_while_another_thread_runs_or_without_fork(self, monkeypatch):
         release = threading.Event()
@@ -834,6 +884,8 @@ class TestHeaders:
             ("2\na\tb\n1.0 0.0\n1.0 0.0\n", "1: header must be 'C D'"),
             ("2 1 1\na\tb\n1.0 0.0\n1.0 0.0\n", "1: header must be 'C D'"),
             ("2 one\na\tb\n1.0 0.0\n1.0 0.0\n", "1: header must hold two integers"),
+            ("2 1\n\tb\n1.0 0.0\n1.0 0.0\n", "2: empty class name"),
+            ("2 1\na\ta\n1.0 0.0\n1.0 0.0\n", "2: duplicate class name 'a'"),
         ],
     )
     def test_model_header_messages(self, tmp_path, text, message):
