@@ -31,7 +31,6 @@ from .data import (
 )
 from .sketch import (
     FusionSpec,
-    SketchParams,
     circular_convolve,
     circular_convolve_naive,
     count_sketch,
@@ -43,8 +42,6 @@ from .sketch import (
 )
 from .text import (
     RowTable,
-    TextFeature,
-    TfIdfModel,
     TranscribedWord,
     TranscriptionRecord,
     aggregate,
@@ -63,10 +60,7 @@ __all__ = [
     "Manifest",
     "ManifestRow",
     "RowTable",
-    "SketchParams",
     "SynthConfig",
-    "TextFeature",
-    "TfIdfModel",
     "TrainConfig",
     "TranscribedWord",
     "TranscriptionRecord",

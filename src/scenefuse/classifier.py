@@ -58,10 +58,16 @@ class ClassifierModel:
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature rows X (n, dim) with their class indices y (n,)."""
+    """Class indices y (n,) of n feature rows: row ``rows[i]`` of X (count, dim) has label ``y[i]``.
+
+    Without ``rows`` the labels go to the rows of X in order, and X has n rows.  A
+    split of a larger table (``join_labeled``) names its rows rather than copying
+    them; ``features`` gathers them.
+    """
 
     X: np.ndarray
     y: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=float)
@@ -70,13 +76,25 @@ class LabeledSet:
             raise ValueError(f"X must be 2-d, got shape {X.shape}")
         if y.ndim != 1 or y.dtype.kind not in "iu":
             raise ValueError(f"y must be a 1-d integer array, got {y.dtype} of shape {y.shape}")
-        if y.shape[0] != X.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} labels")
+        if self.rows is None:
+            if y.shape[0] != X.shape[0]:
+                raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} labels")
+        else:
+            rows = np.asarray(self.rows)
+            if rows.shape != y.shape or rows.dtype.kind not in "iu":
+                raise ValueError(f"rows must be {y.shape[0]} integers, one per label")
+            if rows.size and (rows.min() < 0 or rows.max() >= X.shape[0]):
+                raise ValueError(f"rows must lie in [0, {X.shape[0]})")
+            object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y.astype(np.int64))
 
     def __len__(self) -> int:
-        return self.X.shape[0]
+        return self.y.shape[0]
+
+    def features(self, picks=slice(None)) -> np.ndarray:
+        """The feature rows of the labels ``picks`` (an index array or slice; all by default)."""
+        return self.X[picks] if self.rows is None else self.X[self.rows[picks]]
 
 
 def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierModel:
@@ -126,7 +144,7 @@ def loss_and_grad(
     if not batch:
         raise ValueError("empty batch")
     _check_fits(batch, model)
-    return _loss_grad(model.W, model.b, batch.X, batch.y, l2)
+    return _loss_grad(model.W, model.b, batch.features(), batch.y, l2)
 
 
 def train(
@@ -140,11 +158,11 @@ def train(
     if not data:
         raise ValueError("no training data")
     _check_fits(data, model)
-    X, y = data.X, data.y
+    y = data.y
     W = model.W.copy()
     b = model.b.copy()
     rng = np.random.default_rng(cfg.seed)
-    n = X.shape[0]
+    n = len(data)
     history: list[float] = []
     # an overflow shows up as a loss or weights that are not finite, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -153,7 +171,7 @@ def train(
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                loss, grad_w, grad_b = _loss_grad(W, b, X[idx], y[idx], cfg.l2)
+                loss, grad_w, grad_b = _loss_grad(W, b, data.features(idx), y[idx], cfg.l2)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged in epoch {epoch}: loss is {loss}; "
@@ -180,7 +198,7 @@ def evaluate(model: ClassifierModel, data: LabeledSet) -> tuple[float, np.ndarra
         raise ValueError("no evaluation data")
     _check_fits(data, model)
     y = data.y
-    pred = np.argmax(data.X @ model.W.T + model.b, axis=1)
+    pred = np.argmax(data.features() @ model.W.T + model.b, axis=1)
     confusion = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
     np.add.at(confusion, (y, pred), 1)
     return float((pred == y).mean()), confusion

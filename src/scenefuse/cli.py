@@ -143,6 +143,25 @@ def _cmd_featurize_text(args) -> int:
 # -- fuse ----------------------------------------------------------------------
 
 
+_FUSE_BLOCK = 1 << 14  # values (rows x output width) that fuse computes at a time
+
+
+def _fuse_aligned(feats_a: RowTable, feats_b: RowTable, spec: FusionSpec) -> np.ndarray:
+    """``fuse_rows`` of each id's rows of a and b, in a's order, one block of rows at a time.
+
+    Beside the output, only one block's rows of b and its ``fuse_rows`` temporaries
+    are held: no reordered copy of b, and no temporary as large as the output (mcb's
+    are d wide, whatever the widths of a and b).
+    """
+    b_rows = np.array([feats_b.index[key] for key in feats_a])
+    fused = np.empty((len(feats_a), spec.out_dim(feats_a.dim, feats_b.dim)))
+    step = max(1, _FUSE_BLOCK // fused.shape[1])
+    for start in range(0, len(fused), step):
+        block = slice(start, start + step)
+        fused[block] = fuse_rows(feats_a.matrix[block], feats_b.matrix[b_rows[block]], spec)
+    return fused
+
+
 def _cmd_fuse(args) -> int:
     spec = FusionSpec(
         scheme=args.scheme,
@@ -161,7 +180,7 @@ def _cmd_fuse(args) -> int:
         )
     if not feats_a:
         raise ValueError("no feature rows to fuse")
-    fused = RowTable(feats_a, fuse_rows(feats_a.matrix, feats_b.rows(feats_a), spec))
+    fused = RowTable(feats_a, _fuse_aligned(feats_a, feats_b, spec))
     write_features(args.out, fused)
     results = {
         "rows": len(fused), "dim_a": feats_a.dim, "dim_b": feats_b.dim, "dim_out": fused.dim,
@@ -221,7 +240,7 @@ def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_
     features = load_features(features_path)
     train_set = join_labeled(manifest, features, "train", class_names)
     test_set = join_labeled(manifest, features, "test", class_names)
-    model = init_model(train_set.X.shape[1], class_names, cfg.seed)
+    model = init_model(features.dim, class_names, cfg.seed)
     trained, history = train(model, train_set, cfg)
     accuracy, confusion = evaluate(trained, test_set)
     if model_path:

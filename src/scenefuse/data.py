@@ -103,10 +103,11 @@ def join_labeled(
     split: str,
     class_names: Sequence[str] | None = None,
 ) -> LabeledSet:
-    """Gather one split's feature rows, in manifest order, with their class indices.
+    """One split's feature rows, in manifest order, with their class indices.
 
-    Every manifest row of the split must have a feature row; missing ids are
-    reported together.
+    The set holds the table's matrix itself and the split's row indices into it,
+    not a copy of the rows.  Every manifest row of the split must have a feature
+    row; missing ids are reported together.
     """
     rows = manifest.split_rows(split)
     if not rows:
@@ -120,7 +121,8 @@ def join_labeled(
     if unknown:
         raise ValueError(f"labels missing from class set: {', '.join(unknown)}")
     labels = np.array([index[row.label] for row in rows])
-    return LabeledSet(X=features.rows(row.image_id for row in rows), y=labels)
+    picks = np.array([features.index[row.image_id] for row in rows])
+    return LabeledSet(X=features.matrix, y=labels, rows=picks)
 
 
 @dataclass(frozen=True)

@@ -57,28 +57,34 @@ def _read_text(path) -> str:
         raise _not_utf8(path, exc) from None
 
 
-def _lines(path, read=None) -> Iterator[str]:
+def _lines(path, readinto=None) -> Iterator[str]:
     """The lines of ``path`` as ``str.splitlines`` gives them, decoded ``_CHUNK`` bytes at a time.
 
-    Each chunk's last line is carried into the next, so a line, a ``\\r\\n`` or a UTF-8
-    sequence cut by a chunk boundary is joined again.  A bad byte raises the ``_not_utf8``
-    message.  ``read(n)``, when given, supplies the bytes in place of ``path``, which
-    then only names the file in messages.
+    Each chunk is read into one buffer, kept for the whole file, so no chunk-sized
+    object is made per read.  The bytes of a UTF-8 sequence cut by the read stay in
+    the buffer for the next one, and each chunk's last line is carried into the
+    next, so a line or a ``\\r\\n`` cut by a chunk boundary is joined again.  A bad
+    byte raises the ``_not_utf8`` message.  ``readinto(buffer)``, when given,
+    supplies the bytes in place of ``path``, which then only names the file in
+    messages; it returns 0 at the end.
     """
-    if read is None:
+    if readinto is None:
         with open(path, "rb") as fh:
-            yield from _lines(path, fh.read)
+            yield from _lines(path, fh.readinto)
         return
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    carry, done, final = "", 0, False
+    buffer = memoryview(bytearray(_CHUNK + 3))  # room for a cut sequence's 3 bytes at most
+    carry, held, done, final = "", 0, 0, False
     while not final:
-        data = read(_CHUNK)
-        final = not data
+        size = held + readinto(buffer[held : held + _CHUNK])
+        final = size == held
         try:
-            pieces = decoder.decode(data, final=final).splitlines(keepends=True)
+            text, used = codecs.utf_8_decode(buffer[:size], "strict", final)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc, carry, done) from None
-        del data  # while the lines are read, only they are held
+        held = size - used
+        buffer[:held] = bytes(buffer[used:size])
+        pieces = text.splitlines(keepends=True)
+        del text  # while the lines are read, only they are held
         if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
             pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
         carry = "" if final or not pieces else pieces.pop()
@@ -89,14 +95,14 @@ def _lines(path, read=None) -> Iterator[str]:
 
 
 @contextmanager
-def _reading(path, read=None) -> Iterator[Iterator[str]]:
-    """The lines of ``path`` (``_lines(path, read)``), for a loader that stops at its first fault.
+def _reading(path, readinto=None) -> Iterator[Iterator[str]]:
+    """The lines of ``path`` (``_lines(path, readinto)``), for a loader that stops at its first fault.
 
     A ``ValueError`` raised in the block waits until the rest of the file has
     been decoded, so a bad byte anywhere in the file outranks it, as when the
     whole file was decoded before any line was read.
     """
-    lines = _lines(path, read)
+    lines = _lines(path, readinto)
     try:
         yield lines
     except ValueError:
@@ -235,17 +241,18 @@ class _Doubt(ValueError):
 def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -> tuple:
     """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe), in up to ``parts`` ranges.
 
-    The parent reads the header through ``_reading``, by ``os.pread`` from byte 0 (``fh.read``
-    for a pipe).  A table of ``_PARALLEL_MIN`` values or more is then split at line ends
-    past the bytes read.  The parent reads on to the end of the first range, holding its
-    first bad row while the rest is counted; a child made by ``os.fork`` checks and parses
-    each other range through ``_scan`` by ``os.pread`` and hands its rows, as float64 bytes
-    in a temp file, with its row count and keys to the parent's matrix (``readinto``).  A
-    fault in the parent's range, a failed child or a key seen in two ranges raises ``_Doubt``.
+    The parent reads the header through ``_reading``, by ``os.preadv`` from byte 0
+    (``fh.readinto`` for a pipe).  A table of ``_PARALLEL_MIN`` values or more is then split
+    at line ends past the bytes read.  The parent reads on to the end of the first range,
+    holding its first bad row while the rest is counted; a child made by ``os.fork`` checks
+    and parses each other range through ``_scan`` by ``os.preadv`` and hands its rows, as
+    float64 bytes in a temp file, with its row count and keys to the parent's matrix
+    (``readinto``).  A fault in the parent's range, a failed child or a key seen in two
+    ranges raises ``_Doubt``.
     """
     fd = fh.fileno()
-    first = _Span(fd, 0, size) if size is not None else fh.read
-    with _reading(path, first) as lines, _Forks() as forks:
+    first = _Span(fd, 0, size) if size is not None else fh
+    with _reading(path, first.readinto) as lines, _Forks() as forks:
         count, width, miscount = read_head(path, list(islice(lines, head)))
         ends = []
         if parts > 1 and count * width >= _PARALLEL_MIN:
@@ -255,7 +262,7 @@ def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -
         keys: dict[str, None] = {}
 
         def scan(out, start: int, end: int) -> None:
-            part, seen = _lines(path, _Span(fd, start, end)), {}
+            part, seen = _lines(path, _Span(fd, start, end).readinto), {}
             kept, read, fault = _scan(path, part, 1, width, check_row, sep, keep, seen, out.write)
             if fault is not None:
                 raise fault
@@ -306,15 +313,15 @@ def _line_ends(fd: int, start: int, size: int, parts: int) -> list[int]:
 
 
 class _Span:
-    """A ``read(n)`` of bytes ``start`` to ``end`` (which may move) of ``fd`` by ``os.pread``."""
+    """A ``readinto`` of bytes ``start`` to ``end`` (which may move) of ``fd`` by ``os.preadv``."""
 
     def __init__(self, fd: int, start: int, end: int):
         self.fd, self.start, self.end = fd, start, end
 
-    def __call__(self, n: int) -> bytes:
-        data = os.pread(self.fd, max(0, min(n, self.end - self.start)), self.start)
-        self.start += len(data)
-        return data
+    def readinto(self, buffer: memoryview) -> int:
+        got = os.preadv(self.fd, [buffer[: max(0, self.end - self.start)]], self.start)
+        self.start += got
+        return got
 
 
 def _cpus() -> int:
@@ -450,11 +457,16 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
 
 
 def _check_finite(keys: Iterable[str], matrix: np.ndarray, kind: str) -> None:
-    """Raise ``ValueError`` naming the key of the first row of ``matrix`` that is not all finite."""
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        key = next(islice(keys, int(np.argmin(finite)), None))
-        raise ValueError(f"{kind} for {key!r} has non-finite values")
+    """Raise ``ValueError`` naming the key of the first row of ``matrix`` that is not all finite.
+
+    Rows are checked ``_BLOCK`` values at a time, so no mask of the whole matrix is made.
+    """
+    step = max(1, _BLOCK // matrix.shape[1])
+    for start in range(0, matrix.shape[0], step):
+        finite = np.isfinite(matrix[start : start + step]).all(axis=1)
+        if not finite.all():
+            key = next(islice(keys, start + int(np.argmin(finite)), None))
+            raise ValueError(f"{kind} for {key!r} has non-finite values")
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:

@@ -193,6 +193,10 @@ class FusionSpec:
             if self.seeds[0] == self.seeds[1]:
                 raise ValueError("mcb requires two distinct seeds")
 
+    def out_dim(self, dim_a: int, dim_b: int) -> int:
+        """The width of ``fuse_rows``' output for dim_a- and dim_b-wide inputs."""
+        return {"concat": dim_a + dim_b, "average": dim_a, "mcb": self.sketch_dim}[self.scheme]
+
     def sketch_params(self, dim_a: int, dim_b: int) -> tuple[SketchParams, SketchParams]:
         """The hash pair that mcb fusion of dim_a- and dim_b-wide inputs uses."""
         return (

@@ -43,6 +43,27 @@ class TestLabeledSet:
         with pytest.raises(ValueError, match=match):
             LabeledSet(X=X, y=y)
 
+    def test_rows_name_the_rows_of_x_that_the_labels_belong_to(self):
+        data = LabeledSet(X=[[1.0], [2.0], [3.0]], y=[0, 1], rows=[2, 0])
+        assert len(data) == 2
+        assert data.features().tolist() == [[3.0], [1.0]]
+        assert data.features(np.array([1])).tolist() == [[1.0]]
+        assert LabeledSet(X=[[1.0], [2.0]], y=[1, 0]).features().tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize(
+        "rows,match",
+        [
+            ([0, 1], "rows must be 3 integers, one per label"),
+            ([[0], [1], [2]], "rows must be 3 integers, one per label"),
+            ([0.0, 1.0, 2.0], "rows must be 3 integers, one per label"),
+            ([0, 1, 4], r"rows must lie in \[0, 4\)"),
+            ([0, -1, 2], r"rows must lie in \[0, 4\)"),
+        ],
+    )
+    def test_rejects_malformed_rows(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            LabeledSet(X=np.zeros((4, 2)), y=[0, 1, 0], rows=rows)
+
     def test_feature_dim_checked_against_model(self):
         m = init_model(3, ["a", "b"], seed=0)
         with pytest.raises(ValueError, match="feature dim 2 does not match model dim 3"):

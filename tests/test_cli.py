@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -9,7 +10,8 @@ import pytest
 
 from scenefuse.classifier import evaluate, train
 from scenefuse.cli import main
-from scenefuse.data import clean_corpus, join_labeled
+from scenefuse import io as scenefuse_io
+from scenefuse.data import Manifest, ManifestRow, clean_corpus, join_labeled
 from scenefuse.io import (
     load_embeddings,
     load_features,
@@ -19,6 +21,8 @@ from scenefuse.io import (
     load_transcriptions,
     load_vqa,
     write_embeddings,
+    write_features,
+    write_manifest,
 )
 from scenefuse.sketch import make_sketch_params
 from scenefuse.text import RowTable, fit_tfidf, select_top_k, tokenize
@@ -964,6 +968,74 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {features}:2: expected 1000000000000 values, got 2\n"
         assert not out.exists()
+
+
+def _traced_peak(*argv) -> int:
+    """The peak of the memory that ``tracemalloc`` traces (numpy buffers too) while a command runs.
+
+    Float tables stay on one CPU, so no forked child does part of the work.
+    """
+    with mock.patch.object(scenefuse_io, "_cpus", lambda: 1):
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """What fuse and train-eval hold at their peak, beside the tables they must hold."""
+
+    @pytest.mark.parametrize(
+        "scheme, dim_a, dim_b, flags",
+        [
+            ("mcb", 8, 8, ["--d", "1024"]),
+            ("mcb", 8, 8, ["--d", "1000", "--no-normalize"]),
+            ("concat", 8, 1024, []),
+            ("average", 512, 512, []),
+        ],
+        ids=["mcb", "mcb-no-normalize", "concat", "average"],
+    )
+    def test_fuse_holds_its_inputs_and_output_and_a_fixed_block(
+        self, tmp_path, capsys, scheme, dim_a, dim_b, flags
+    ):
+        # 400 rows, b's ids in another order than a's.  Traced over the three
+        # matrices: 0.38-0.94 MB here, most of it ids and a read's chunk of text;
+        # 1.78 MB (average) to 10.1 MB (mcb) when b was reordered whole and each
+        # fuse_rows temporary was as large as the output
+        rng, rows = np.random.default_rng(0), 400
+        ids = [f"img-{i:05d}" for i in range(rows)]
+        order = rng.permutation(rows)
+        a = RowTable(ids, rng.standard_normal((rows, dim_a)))
+        b = RowTable([ids[i] for i in order], rng.standard_normal((rows, dim_b)))
+        write_features(tmp_path / "a.txt", a)
+        write_features(tmp_path / "b.txt", b)
+        out = tmp_path / "fused.txt"
+        peak = _traced_peak(
+            "fuse", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt", "--out", out,
+            "--scheme", scheme, *flags,
+        )
+        fused = load_features(out)
+        assert len(fused) == rows
+        assert peak < a.matrix.nbytes + b.matrix.nbytes + fused.matrix.nbytes + 1_250_000
+
+    def test_train_eval_holds_the_table_and_its_test_split_not_its_train_split(self, tmp_path):
+        # 1.16 MB over the table and the test split here, where copying both splits
+        # out of the table made it 4.26 MB
+        rng, n_train, n_test, dim = np.random.default_rng(1), 1600, 400, 256
+        ids = [f"img-{i:05d}" for i in range(n_train + n_test)]
+        splits = ["train"] * n_train + ["test"] * n_test
+        rows = [ManifestRow(ids[i], f"c{i % 4}", splits[i]) for i in rng.permutation(len(ids))]
+        write_manifest(tmp_path / "manifest.tsv", Manifest(rows=tuple(rows)))
+        table = RowTable(ids, rng.standard_normal((len(ids), dim)))
+        write_features(tmp_path / "features.txt", table)
+        peak = _traced_peak(
+            "train-eval", "--manifest", tmp_path / "manifest.tsv",
+            "--features", tmp_path / "features.txt", "--epochs", 1,
+        )
+        train_bytes, test_bytes = n_train * dim * 8, n_test * dim * 8
+        assert peak < table.matrix.nbytes + test_bytes + train_bytes // 2
 
 
 class TestEntryPoint:

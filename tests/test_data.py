@@ -104,9 +104,17 @@ class TestJoinLabeled:
         feats = RowTable(["i1", "i2", "i3"], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         examples = join_labeled(self.make_manifest(), feats, "train")
         assert len(examples) == 2
-        assert np.array_equal(examples.X, [[1.0, 0.0], [1.0, 1.0]])  # manifest order
+        assert np.array_equal(examples.features(), [[1.0, 0.0], [1.0, 1.0]])  # manifest order
         assert examples.y[0] == 0  # cat sorts first
         assert examples.y[1] == 1
+        assert np.shares_memory(examples.X, feats.matrix)  # the rows are named, not copied
+
+    def test_join_follows_the_manifest_not_the_table(self):
+        feats = RowTable(["i3", "i2", "i1"], [[1.0, 2.0], [1.0, 1.0], [1.0, 0.0]])
+        examples = join_labeled(self.make_manifest(), feats, "train")
+        assert np.array_equal(examples.features(), [[1.0, 0.0], [1.0, 1.0]])
+        assert np.array_equal(examples.features([1]), [[1.0, 1.0]])
+        assert examples.y.tolist() == [0, 1]
 
     def test_missing_id_named_in_error(self):
         feats = RowTable(["i1"], np.zeros((1, 2)))

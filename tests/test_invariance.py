@@ -9,6 +9,10 @@ The row-order checks run a command on the fixtures twice, once with an input
 file's rows shuffled, under the same relative paths, and compare every output:
 byte for byte, or as a mapping from id to row bytes where the rows follow the
 shuffled input's order.
+
+The route checks hold what a command computes a block or a split at a time to
+the whole-matrix route: ``fuse`` at any block size, and training and scoring on
+a split named by row indices against a copy of that split's rows.
 """
 
 import io
@@ -18,12 +22,15 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from scenefuse import classifier, cli
 from scenefuse import io as scenefuse_io
 from scenefuse.cli import main
+from scenefuse.data import Manifest, ManifestRow, join_labeled
 from scenefuse.text import RowTable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -225,3 +232,96 @@ def test_featurize_text_output_does_not_depend_on_the_order_of_the_transcription
         "--embeddings", "embeddings.txt", "--manifest", "manifest.tsv",
         "--out", "text_k{k}.txt", "--k", "1", "--k", "3", "--cleaning-report", "cleaning.json",
     ])
+
+
+def _aligned_pair(directory: Path, rows: int, dim: int) -> None:
+    """``a.txt`` and ``b.txt`` in ``directory``: the same ids, b's in another order."""
+    rng = np.random.default_rng(11)
+    ids = [f"img-{i:03d}" for i in range(rows)]
+    scenefuse_io.write_features(directory / "a.txt", RowTable(ids, rng.standard_normal((rows, dim))))
+    scenefuse_io.write_features(
+        directory / "b.txt", RowTable(_shuffled(ids), rng.standard_normal((rows, dim)))
+    )
+
+
+@pytest.mark.parametrize("scheme, width", [
+    (["concat"], 12),
+    (["average"], 6),
+    (["mcb", "--d", "1000"], 1000),
+    (["mcb", "--d", "1000", "--no-normalize"], 1000),
+], ids=["concat", "average", "mcb", "mcb-no-normalize"])
+def test_fuse_output_does_not_depend_on_its_block_size(tmp_path, monkeypatch, scheme, width):
+    # blocks of 1 row, of 7 rows, the default, and one block of every row: the route
+    # that fused both whole matrices at once
+    rows = 60
+    _aligned_pair(tmp_path, rows, 6)
+    argv = ["fuse", "--a", "a.txt", "--b", "b.txt", "--out", "fused.txt", "--scheme", *scheme]
+    runs = {}
+    for block_rows in (1, 7, None, rows, 10 * rows):
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_FUSE_BLOCK", width * block_rows)
+        with mock.patch.object(cli, "fuse_rows", wraps=cli.fuse_rows) as fused:
+            runs[block_rows] = _outputs(tmp_path, monkeypatch, *argv)
+        assert fused.call_count == -(-rows // max(1, cli._FUSE_BLOCK // width))
+        monkeypatch.undo()
+    assert all(outputs == runs[None] for outputs in runs.values())
+
+
+def _train_gathered(model, X, y, cfg):
+    """``classifier.train`` as it was when a split held a copy of its rows: ``X`` is that copy."""
+    W, b = model.W.copy(), model.b.copy()
+    rng = np.random.default_rng(cfg.seed)
+    n = X.shape[0]
+    history = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grad_w, grad_b = classifier._loss_grad(W, b, X[idx], y[idx], cfg.l2)
+                W -= cfg.learning_rate * grad_w
+                b -= cfg.learning_rate * grad_b
+                epoch_loss += loss * idx.size
+            history.append(epoch_loss / n)
+    return W, b, history
+
+
+def _evaluate_gathered(W, b, X, y, classes: int):
+    """``classifier.evaluate`` as it was, on ``X``, a copy of the split's rows."""
+    pred = np.argmax(X @ W.T + b, axis=1)
+    confusion = np.zeros((classes, classes), dtype=np.int64)
+    np.add.at(confusion, (y, pred), 1)
+    return float((pred == y).mean()), confusion
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+def test_a_split_named_by_index_trains_and_scores_as_its_copied_rows_did(l2):
+    rng = np.random.default_rng(12)
+    ids = [f"img-{i:03d}" for i in range(300)]
+    table = RowTable(ids, rng.standard_normal((300, 40)))
+    splits = ["train"] * 240 + ["test"] * 60
+    manifest = Manifest(rows=tuple(
+        ManifestRow(ids[i], f"c{int(table[ids[i]][0] > 0) + 2 * (i % 2)}", splits[i])
+        for i in _shuffled(list(range(300)))
+    ))
+    names = manifest.class_names()
+    cfg = classifier.TrainConfig(learning_rate=0.3, epochs=4, batch_size=16, seed=3, l2=l2)
+    model = classifier.init_model(table.dim, names, seed=3)
+    train_set, test_set = (join_labeled(manifest, table, split) for split in ("train", "test"))
+    copies = {split: table.rows(row.image_id for row in manifest.split_rows(split))
+              for split in ("train", "test")}
+
+    trained, history = classifier.train(model, train_set, cfg)
+    W, b, expected_history = _train_gathered(model, copies["train"], train_set.y, cfg)
+    assert (trained.W.tobytes(), trained.b.tobytes()) == (W.tobytes(), b.tobytes())
+    assert history == expected_history
+    accuracy, confusion = classifier.evaluate(trained, test_set)
+    expected_accuracy, expected_confusion = _evaluate_gathered(W, b, copies["test"], test_set.y,
+                                                               len(names))
+    assert accuracy == expected_accuracy
+    assert confusion.tolist() == expected_confusion.tolist()
+    got = classifier.loss_and_grad(trained, test_set, l2)
+    expected = classifier._loss_grad(W, b, copies["test"], test_set.y, l2)
+    assert got[0] == expected[0]
+    assert [grad.tobytes() for grad in got[1:]] == [grad.tobytes() for grad in expected[1:]]

@@ -291,6 +291,14 @@ class TestFloatTables:
             write(path)
         assert not path.exists()
 
+    def test_a_bad_row_past_the_first_checked_block_is_named(self, tmp_path):
+        # rows are checked _BLOCK values at a time: here one row per block
+        path = tmp_path / "table.txt"
+        with mock.patch.object(scenefuse_io, "_BLOCK", 1), \
+                pytest.raises(ValueError, match="feature for 'c' has"):
+            write_features(path, RowTable(["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0], [5.0, np.nan]]))
+        assert not path.exists()
+
     @given(kind=st.sampled_from(sorted(FLOAT_TABLES)), matrix=FINITE_MATRICES,
            parts=st.sampled_from(PARTS))
     @settings(max_examples=150, deadline=None)
@@ -454,22 +462,22 @@ class TestSplit:
         if faulty:  # the last value of the last row
             path.write_bytes(path.read_bytes()[:-1] + b"x\n")
         assert len(table) * table.dim < 120 and path.stat().st_size >= 20 * 64
-        real_call = scenefuse_io._Span.__call__
+        real_readinto = scenefuse_io._Span.readinto
 
-        def span_read(span, n):
-            read.append(real_call(span, n))
+        def span_read(span, buffer):
+            read.append(real_readinto(span, buffer))
             return read[-1]
 
         with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2, _CHUNK=64), \
                 _spying(scenefuse_io._Forks, "start", started), \
                 _spying(scenefuse_io, "_line_ends", line_ends), \
-                mock.patch.object(scenefuse_io._Span, "__call__", span_read), \
+                mock.patch.object(scenefuse_io._Span, "readinto", span_read), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             loaded = _load_or_message(load_features, path)
         assert loaded == ("PATH:40: unparseable float" if faulty else table)
         assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
         assert started == [] and line_ends == []
-        assert sum(map(len, read)) == path.stat().st_size
+        assert sum(read) == path.stat().st_size
 
     @pytest.mark.parametrize(
         "kind, text",

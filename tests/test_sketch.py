@@ -340,3 +340,14 @@ class TestFusionSpec:
             fuse_rows(a, b, FusionSpec(scheme="average"))
         with pytest.raises(ValueError, match="row count mismatch"):
             fuse_rows(a, b[:2], FusionSpec(scheme="concat"))
+
+    @pytest.mark.parametrize("spec, dim_a, dim_b", [
+        (FusionSpec(scheme="concat"), 4, 6),
+        (FusionSpec(scheme="average"), 5, 5),
+        (FusionSpec(scheme="mcb", sketch_dim=8, seeds=(1, 2)), 4, 6),
+        (FusionSpec(scheme="mcb", sketch_dim=3, seeds=(1, 2), normalize=False), 7, 2),
+    ])
+    def test_out_dim_is_the_width_fuse_rows_gives(self, spec, dim_a, dim_b):
+        rng = np.random.default_rng(1)
+        fused = fuse_rows(rng.standard_normal((2, dim_a)), rng.standard_normal((2, dim_b)), spec)
+        assert fused.shape == (2, spec.out_dim(dim_a, dim_b))
