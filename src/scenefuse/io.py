@@ -13,8 +13,6 @@ import json
 import os
 import shutil
 import stat
-import tempfile
-import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,14 +22,13 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import _split
 from .classifier import ClassifierModel
 from .data import CleaningReport, Manifest, ManifestRow, VqaRecord
 from .text import RowTable, TranscribedWord, TranscriptionRecord
 
 
-_CHUNK = 1 << 18  # bytes per read of a line loader
 _BLOCK = 1 << 14  # values (rows x width) per np.loadtxt call of a float table
-_PARALLEL_MIN = 1 << 17  # values (rows x width) from which a float table is split across CPUs
 # every character at which str.splitlines breaks a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -57,34 +54,28 @@ def _read_text(path) -> str:
         raise _not_utf8(path, exc) from None
 
 
-def _lines(path, readinto=None) -> Iterator[str]:
-    """The lines of ``path`` as ``str.splitlines`` gives them, decoded ``_CHUNK`` bytes at a time.
+def _lines(path, read=None) -> Iterator[str]:
+    """The lines of ``path`` as ``str.splitlines`` gives them, decoded a chunk at a time.
 
-    Each chunk is read into one buffer, kept for the whole file, so no chunk-sized
-    object is made per read.  The bytes of a UTF-8 sequence cut by the read stay in
-    the buffer for the next one, and each chunk's last line is carried into the
-    next, so a line or a ``\\r\\n`` cut by a chunk boundary is joined again.  A bad
-    byte raises the ``_not_utf8`` message.  ``readinto(buffer)``, when given,
-    supplies the bytes in place of ``path``, which then only names the file in
-    messages; it returns 0 at the end.
+    Each chunk's last line is carried into the next, so a line, a ``\\r\\n`` or a UTF-8
+    sequence cut by a chunk boundary is joined again.  A bad byte raises the ``_not_utf8``
+    message.  ``read(n)``, when given, supplies the bytes (``_split.CHUNK`` at a time) in
+    place of ``path``, which then only names the file in messages.
     """
-    if readinto is None:
+    if read is None:
         with open(path, "rb") as fh:
-            yield from _lines(path, fh.readinto)
+            yield from _lines(path, fh.read)
         return
-    buffer = memoryview(bytearray(_CHUNK + 3))  # room for a cut sequence's 3 bytes at most
-    carry, held, done, final = "", 0, 0, False
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry, done, final = "", 0, False
     while not final:
-        size = held + readinto(buffer[held : held + _CHUNK])
-        final = size == held
+        data = read(_split.CHUNK)
+        final = not data
         try:
-            text, used = codecs.utf_8_decode(buffer[:size], "strict", final)
+            pieces = decoder.decode(data, final=final).splitlines(keepends=True)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc, carry, done) from None
-        held = size - used
-        buffer[:held] = bytes(buffer[used:size])
-        pieces = text.splitlines(keepends=True)
-        del text  # while the lines are read, only they are held
+        del data  # while the lines are read, only they are held
         if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
             pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
         carry = "" if final or not pieces else pieces.pop()
@@ -95,14 +86,14 @@ def _lines(path, readinto=None) -> Iterator[str]:
 
 
 @contextmanager
-def _reading(path, readinto=None) -> Iterator[Iterator[str]]:
-    """The lines of ``path`` (``_lines(path, readinto)``), for a loader that stops at its first fault.
+def _reading(path, read=None) -> Iterator[Iterator[str]]:
+    """The lines of ``path`` (``_lines(path, read)``), for a loader that stops at its first fault.
 
     A ``ValueError`` raised in the block waits until the rest of the file has
     been decoded, so a bad byte anywhere in the file outranks it, as when the
     whole file was decoded before any line was read.
     """
-    lines = _lines(path, readinto)
+    lines = _lines(path, read)
     try:
         yield lines
     except ValueError:
@@ -220,49 +211,49 @@ def _float_rows(
     structure is wrong, may record its key in ``keys``, and returns the key that ``keep``
     is matched against; without ``keep`` every row is kept.  Line numbers start at 1.
 
-    ``_ranges`` reads the file, opened once, in one range per CPU if it is regular; a split
-    load in doubt (``_Doubt``) reads it again in one range from byte 0.  Faults win in this
-    order: a bad byte anywhere, the header, the header's row count, then the first bad row.
+    ``_ranges`` reads the file, opened once, split by ``_split.parts`` if it is regular; a
+    split load in doubt (``_Doubt``) reads it again in one range from byte 0.  Faults win in
+    this order: a bad byte anywhere, the header, the header's row count, then the first bad row.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else None
         args = path, fh, size, head, read_head, check_row, sep, keep
         try:
-            return _ranges(_cpus() if size is not None else 1, *args)
+            return _ranges(size is not None, *args)
         except _Doubt:
-            return _ranges(1, *args)
+            return _ranges(False, *args)
 
 
 class _Doubt(ValueError):
     """A split load whose ranges may not show the whole file's first fault."""
 
 
-def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -> tuple:
-    """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe), in up to ``parts`` ranges.
+def _ranges(split: bool, path, fh, size, head, read_head, check_row, sep, keep) -> tuple:
+    """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe), split only if ``split``.
 
-    The parent reads the header through ``_reading``, by ``os.preadv`` from byte 0
-    (``fh.readinto`` for a pipe).  A table of ``_PARALLEL_MIN`` values or more is then split
-    at line ends past the bytes read.  The parent reads on to the end of the first range,
-    holding its first bad row while the rest is counted; a child made by ``os.fork`` checks
-    and parses each other range through ``_scan`` by ``os.preadv`` and hands its rows, as
+    The parent reads the header through ``_reading``, by ``os.pread`` from byte 0
+    (``fh.read`` for a pipe).  Then ``_split.parts`` of the header's values decides the
+    ranges, cut at line ends past the bytes read.  The parent reads on to the end of the
+    first range, holding its first bad row while the rest is counted; a forked child checks
+    and parses each other range through ``_scan`` by ``os.pread`` and hands its rows, as
     float64 bytes in a temp file, with its row count and keys to the parent's matrix
     (``readinto``).  A fault in the parent's range, a failed child or a key seen in two
     ranges raises ``_Doubt``.
     """
     fd = fh.fileno()
-    first = _Span(fd, 0, size) if size is not None else fh
-    with _reading(path, first.readinto) as lines, _Forks() as forks:
+    first = _split.Span(fd, 0, size) if size is not None else fh
+    with _reading(path, first.read) as lines, _split.Forks() as forks:
         count, width, miscount = read_head(path, list(islice(lines, head)))
         ends = []
-        if parts > 1 and count * width >= _PARALLEL_MIN:
-            ends = _line_ends(fd, first.start, size, parts)
+        if split and (parts := _split.parts(count * width)) > 1:
+            ends = _split.line_ends(fd, first.start, size, parts)
             first.end = ends[0]
         rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
         keys: dict[str, None] = {}
 
         def scan(out, start: int, end: int) -> None:
-            part, seen = _lines(path, _Span(fd, start, end).readinto), {}
+            part, seen = _lines(path, _split.Span(fd, start, end).read), {}
             kept, read, fault = _scan(path, part, 1, width, check_row, sep, keep, seen, out.write)
             if fault is not None:
                 raise fault
@@ -297,104 +288,6 @@ def _ranges(parts: int, path, fh, size, head, read_head, check_row, sep, keep) -
     return kept, rows.result()
 
 
-def _line_ends(fd: int, start: int, size: int, parts: int) -> list[int]:
-    """Where ``parts`` ranges from ``start`` end: past the first ``\\n`` from ``size * i // parts``.
-
-    The last ends at ``size``; an empty one is dropped.  A ``\\n`` is a ``str.splitlines``
-    break never inside a UTF-8 sequence, so each range but the first decodes on its own.
-    """
-    ends = [start]
-    for part in range(1, parts):
-        at, found = max(size * part // parts, ends[-1]), -1
-        while at < size and (found := os.pread(fd, _CHUNK, at).find(b"\n")) < 0:
-            at += _CHUNK
-        ends.append(min(at + found + 1, size))
-    return sorted(set(ends[1:] + [size]))
-
-
-class _Span:
-    """A ``readinto`` of bytes ``start`` to ``end`` (which may move) of ``fd`` by ``os.preadv``."""
-
-    def __init__(self, fd: int, start: int, end: int):
-        self.fd, self.start, self.end = fd, start, end
-
-    def readinto(self, buffer: memoryview) -> int:
-        got = os.preadv(self.fd, [buffer[: max(0, self.end - self.start)]], self.start)
-        self.start += got
-        return got
-
-
-def _cpus() -> int:
-    """How many parts a large float table is split into: the CPUs this process may run on.
-
-    One without ``os.fork`` or ``os.sched_getaffinity``, and while another Python
-    thread runs, since a fork copies only the thread that calls it.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
-
-
-class _Forks:
-    """Children made by ``os.fork``, each running one job into its own unlinked temp file.
-
-    ``start(job, *args)`` makes the temp file, then the child, which calls
-    ``job(file, *args)`` and leaves by ``os._exit`` alone, so no ``atexit``
-    handler runs and no buffer of the parent is flushed in it: status 0 if the
-    job returned, else 1.  Leaving the ``with`` block kills and reaps every
-    child not yet reaped by ``result`` and closes every temp file.
-    """
-
-    def __init__(self):
-        self._files: list = []  # per job index, its temp file (None if none was made)
-        self._pids: dict[int, int] = {}  # job index -> pid of a child not yet reaped
-
-    def __enter__(self) -> "_Forks":
-        return self
-
-    def start(self, job, *args) -> int:
-        """Run ``job`` in a new child; the index that ``result`` takes."""
-        index = len(self._files)
-        self._files.append(None)
-        try:
-            self._files[index] = out = tempfile.TemporaryFile()
-            pid = os.fork()
-        except OSError:  # no temp file or no child: the job counts as failed
-            return index
-        if pid == 0:
-            status = 1
-            try:
-                job(out, *args)
-                out.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        self._pids[index] = pid
-        return index
-
-    def result(self, index: int):
-        """The temp file of job ``index``, at its first byte, once its child exits 0; else None."""
-        pid = self._pids.pop(index, None)
-        if pid is None or os.waitpid(pid, 0)[1] != 0:  # a wait status of 0 is exit status 0
-            return None
-        out = self._files[index]
-        out.seek(0)
-        return out
-
-    def __exit__(self, *exc) -> None:
-        try:
-            if self._pids:
-                import signal  # not at startup: only a job given up on needs it
-
-                for pid in self._pids.values():
-                    os.kill(pid, signal.SIGKILL)
-                for pid in self._pids.values():
-                    os.waitpid(pid, 0)
-        finally:
-            for out in filter(None, self._files):
-                out.close()
-
-
 _SEPARATOR_NAMES = {"\t": "tab", " ": "space"}
 
 
@@ -422,16 +315,15 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
     A bad key or a non-finite row raises before the file is opened.  Values are ``repr``
     of Python floats, the shortest decimal that reads back to the same float64.
 
-    A table of ``_PARALLEL_MIN`` values or more is split into one run of rows per CPU
-    (``_cpus``).  The parent streams the header and the first run to the file; a
-    child made by ``os.fork`` writes each other run to a temp file, which the parent
-    then copies in order.  A run whose child fails is written by the parent, so the
-    bytes never depend on the split.
+    ``_split.parts`` of the table's values gives its number of runs of rows.  The parent
+    streams the header and the first run to the file; a forked child writes each other
+    run to a temp file, which the parent then copies in order.  A run whose child fails
+    is written by the parent, so the bytes never depend on the split.
     """
     _check_keys(table, sep, f"{kind} {key_name}")
     _check_finite(table, table.matrix, kind)
     keys, matrix = list(table), table.matrix
-    parts = _cpus() if matrix.size >= _PARALLEL_MIN else 1
+    parts = _split.parts(matrix.size)
     bounds = [len(keys) * part // parts for part in range(parts + 1)]
 
     def lines(start: int, end: int) -> Iterator[str]:
@@ -443,7 +335,7 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
             text.writelines(lines(start, end))
 
     runs = list(zip(bounds[1:], bounds[2:]))
-    with open(path, "w", encoding="utf-8") as fh, _Forks() as forks:
+    with open(path, "w", encoding="utf-8") as fh, _split.Forks() as forks:
         started = [forks.start(write, start, end) for start, end in runs]
         fh.write(f"{len(keys)} {table.dim}\n")
         fh.writelines(lines(0, bounds[1]))
@@ -453,7 +345,7 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
                 fh.writelines(lines(start, end))
             else:
                 fh.flush()  # before bytes go to the buffer under it
-                shutil.copyfileobj(out, fh.buffer, _CHUNK)
+                shutil.copyfileobj(out, fh.buffer, _split.CHUNK)
 
 
 def _check_finite(keys: Iterable[str], matrix: np.ndarray, kind: str) -> None:

@@ -133,11 +133,17 @@ def _signed_sqrt_l2(values: np.ndarray) -> np.ndarray:
 def support_mask(px: SketchParams, py: SketchParams) -> np.ndarray:
     """Buckets of the fused sketch that some pair hash (px.h[i] + py.h[j]) mod d reaches.
 
-    Every other bucket of ``mcb_fuse_batch`` is exactly zero for any input.
+    Every other bucket of ``mcb_fuse_batch`` is exactly zero for any input.  The
+    number of pairs that reach each bucket is the circular convolution of the two
+    bucket counts (the count-sketch identity applied to the hashes themselves), so
+    no (dim_a, dim_b) pair matrix is made.  Those numbers are integers; the FFT's
+    round-off, at most of order eps * log2(d) * dim_a * dim_b (2e-9 at 2048 x 300
+    and d=16000, where about 1e-11 is measured), stays far below the 0.5 at which a
+    bucket counts as reached.
     """
     _check_pair(px, py)
-    pair_h = (px.h[:, np.newaxis] + py.h[np.newaxis, :]) % px.sketch_dim
-    return np.bincount(pair_h.ravel(), minlength=px.sketch_dim) > 0
+    counts = [np.bincount(p.h, minlength=p.sketch_dim) for p in (px, py)]
+    return circular_convolve(*counts) > 0.5
 
 
 def mcb_fuse_batch(xs, ys, px: SketchParams, py: SketchParams, normalize: bool = True) -> np.ndarray:

@@ -7,27 +7,13 @@ that tracer, so a refactor that renames a traced function or changes a type a
 counter reads fails here rather than in a traced benchmark run.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from scenefuse.cli import main
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name, monkeypatch):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_command_runs_under_the_tracer_and_records_expected_spans(
-    fixtures_dir, tmp_path, monkeypatch
+    fixtures_dir, tmp_path, perfbench
 ):
-    tracing, workloads = _load("tracing", monkeypatch), _load("workloads", monkeypatch)
+    tracing, workloads = perfbench("tracing"), perfbench("workloads")
     expected = set()
     for name, build in workloads.WORKLOADS.items():
         (tmp_path / name).mkdir()

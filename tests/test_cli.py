@@ -10,7 +10,7 @@ import pytest
 
 from scenefuse.classifier import evaluate, train
 from scenefuse.cli import main
-from scenefuse import io as scenefuse_io
+from scenefuse import _split
 from scenefuse.data import Manifest, ManifestRow, clean_corpus, join_labeled
 from scenefuse.io import (
     load_embeddings,
@@ -975,7 +975,7 @@ def _traced_peak(*argv) -> int:
 
     Float tables stay on one CPU, so no forked child does part of the work.
     """
-    with mock.patch.object(scenefuse_io, "_cpus", lambda: 1):
+    with mock.patch.object(_split, "cpus", lambda: 1):
         tracemalloc.start()
         try:
             assert run_cli(*argv) == 0

@@ -4,6 +4,8 @@ Each CPU run is the README walkthrough (synth, fuse by mcb and concat, train-eva
 with a saved model) at a size where every feature table is split across CPUs,
 then ``featurize-text --manifest`` on the fixtures.  The commands run in child
 processes, so the CPU set and ``OPENBLAS_NUM_THREADS`` are set only for them.
+The kernel check runs the fixture ``featurize-text`` and ``fuse --scheme concat``
+the same way, with and without ``OPENBLAS_CORETYPE``.
 
 The row-order checks run a command on the fixtures twice, once with an input
 file's rows shuffled, under the same relative paths, and compare every output:
@@ -27,7 +29,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from scenefuse import classifier, cli
+from scenefuse import _split, classifier, cli
 from scenefuse import io as scenefuse_io
 from scenefuse.cli import main
 from scenefuse.data import Manifest, ManifestRow, join_labeled
@@ -55,11 +57,18 @@ def _commands() -> list[list[str]]:
     ]
 
 
+def _child_env(**values: str) -> dict[str, str]:
+    """The environment of a command run in a child: this one with ``src`` first on
+    ``PYTHONPATH``, without ``OPENBLAS_CORETYPE``, and with ``values`` set."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**env, **values}
+
+
 def _run(directory: Path, cpus: set[int], blas_threads: int) -> dict[str, bytes]:
     """Every output file and stdout of the commands, run in ``directory`` on ``cpus``."""
     directory.mkdir()
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env = _child_env(OPENBLAS_NUM_THREADS=str(blas_threads))
     outputs = {}
     for number, argv in enumerate(_commands()):
         done = subprocess.run(
@@ -76,7 +85,7 @@ def _run(directory: Path, cpus: set[int], blas_threads: int) -> dict[str, bytes]
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_outputs_are_byte_identical_on_one_cpu_or_all_and_any_blas_threads(tmp_path):
-    assert (N_TRAIN + N_TEST) * DIM >= scenefuse_io._PARALLEL_MIN  # so every table is split
+    assert (N_TRAIN + N_TEST) * DIM >= _split.PARALLEL_MIN  # so every table is split
     every = os.sched_getaffinity(0)
     runs = {
         (name, blas): _run(tmp_path / f"{name}-{blas}", cpus, blas)
@@ -88,6 +97,33 @@ def test_outputs_are_byte_identical_on_one_cpu_or_all_and_any_blas_threads(tmp_p
     for key, outputs in runs.items():
         assert outputs.keys() == first.keys(), key
         assert [name for name in first if outputs[name] != first[name]] == [], key
+
+
+def _kernel_run(directory: Path, **kernel: str) -> dict[str, bytes]:
+    """Every output file of the fixture ``featurize-text`` and ``fuse --scheme concat``,
+    run in ``directory`` with the environment values ``kernel`` set."""
+    directory.mkdir()
+    env = _child_env(**kernel)
+    for argv in (
+        ["featurize-text", "--transcriptions", str(FIXTURES / "transcriptions.jsonl"),
+         "--embeddings", str(FIXTURES / "embeddings.txt"), "--out", "text_k3.txt", "--k", "3",
+         "--threshold", "0.70"],
+        ["fuse", "--a", str(FIXTURES / "image_features.txt"), "--b", "text_k3.txt",
+         "--out", "fused.txt", "--scheme", "concat"],
+    ):
+        done = subprocess.run([sys.executable, "-m", "scenefuse", *argv], cwd=directory, env=env,
+                              capture_output=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, b""), argv
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_text_features_and_concat_fusion_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel of a DYNAMIC_ARCH OpenBLAS build (numpy's
+    # wheels); a build without it ignores the variable, and the two runs agree trivially
+    default = _kernel_run(tmp_path / "default")
+    prescott = _kernel_run(tmp_path / "prescott", OPENBLAS_CORETYPE="Prescott")
+    assert {"text_k3.txt", "fused.txt"} <= set(default)
+    assert default == prescott
 
 
 def _shuffled(keys: list) -> list:

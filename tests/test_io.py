@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scenefuse import _split
 from scenefuse import io as scenefuse_io
 from scenefuse.classifier import ClassifierModel, init_model
 from scenefuse.data import CleaningReport, Manifest, ManifestRow, VqaRecord
@@ -125,13 +126,13 @@ def _split_into(parts: int | None):
     """Split every float table, whatever its size, into ``parts`` ranges (None: no patch).
 
     Ranges start past the bytes that the header's read took, so reads are cut to at
-    most 16 bytes (less if ``_CHUNK`` is already patched lower) to leave a small
+    most 16 bytes (less if ``CHUNK`` is already patched lower) to leave a small
     table something to split.
     """
     if parts is None:
         return nullcontext()
-    chunk = min(scenefuse_io._CHUNK, 16)
-    return mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=0, _cpus=lambda: parts, _CHUNK=chunk)
+    chunk = min(_split.CHUNK, 16)
+    return mock.patch.multiple(_split, PARALLEL_MIN=0, cpus=lambda: parts, CHUNK=chunk)
 
 
 def _spying(target, name: str, calls: list):
@@ -246,8 +247,9 @@ class TestFloatTables:
     @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
     def test_a_pipe_loads_as_its_file_does(self, tmp_path, kind):
         # a pipe states no size, so its matrix grows (here a row at a time) up to the
-        # header's count, and a count no allocation could hold fails as in a file
-        loader = FLOAT_TABLES[kind][0]
+        # header's count, and a count no allocation could hold fails as in a file;
+        # a pipe is read in one range, without asking how many parts its values make
+        loader, asked = FLOAT_TABLES[kind][0], []
         text = _table_text(kind, [["0.5", "1.5"], ["2.5", "3.5"], ["4.5", "5.5"]])
         for count in ("3", "1000000000000"):
             data = text.replace("3 ", f"{count} ", 1)  # the header's count comes first
@@ -257,10 +259,11 @@ class TestFloatTables:
             writer = threading.Thread(target=pipe.write_text, args=(data, "utf-8"))
             writer.start()
             try:
-                with mock.patch.object(scenefuse_io, "_BLOCK", 2):
+                with mock.patch.object(scenefuse_io, "_BLOCK", 2), _spying(_split, "parts", asked):
                     through_pipe = _load_or_message(loader, pipe)
             finally:
                 writer.join()
+            assert asked == []
             from_file = _load_or_message(loader, file)
             assert isinstance(from_file, str) == (count != "3"), from_file
             if isinstance(from_file, str):
@@ -341,14 +344,14 @@ def _fatal_in_children(target, name: str):
 
 
 def _watching_children(results: list):
-    """Patch ``_Forks.result`` to append each temp file it gives (None: the child failed)."""
-    real = scenefuse_io._Forks.result
+    """Patch ``Forks.result`` to append each temp file it gives (None: the child failed)."""
+    real = _split.Forks.result
 
     def result(forks, index):
         results.append(real(forks, index))
         return results[-1]
 
-    return mock.patch.object(scenefuse_io._Forks, "result", result)
+    return mock.patch.object(_split.Forks, "result", result)
 
 
 class TestSplit:
@@ -367,7 +370,7 @@ class TestSplit:
         with _split_into(parts), _watching_children(results), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             assert FLOAT_TABLES[kind][0](path) == self.TABLE
-        assert [call.args[0] for call in ranges.call_args_list] == [parts]  # never rerun
+        assert [call.args[0] for call in ranges.call_args_list] == [True]  # never rerun
         assert len(results) == parts - 1 and None not in results
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
@@ -382,14 +385,15 @@ class TestSplit:
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
     def test_a_killed_loader_child_costs_time_not_values(self, tmp_path, kind):
-        loader, results = FLOAT_TABLES[kind][0], []
+        loader, results, asked = FLOAT_TABLES[kind][0], [], []
         self.WRITERS[kind](tmp_path / "table.txt", self.TABLE)
-        with _split_into(3), _fatal_in_children(scenefuse_io, "_Span"), \
-                _watching_children(results), \
+        with _split_into(3), _fatal_in_children(_split, "Span"), \
+                _watching_children(results), _spying(_split, "parts", asked), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             loaded = loader(tmp_path / "table.txt")
         assert results[0] is None  # so the parent read the file again, in one range
-        assert [call.args[0] for call in ranges.call_args_list] == [3, 1]  # and only once
+        assert [call.args[0] for call in ranges.call_args_list] == [True, False]  # and only once
+        assert len(asked) == 1  # by the first pass; the rerun does not ask
         assert loaded == self.TABLE
         assert _no_child_left()
 
@@ -418,12 +422,12 @@ class TestSplit:
         lines[line - 1] = text
         path.write_bytes(b"".join(lines))
         started = []
-        with _split_into(2), _spying(scenefuse_io._Forks, "start", started), \
+        with _split_into(2), _spying(_split.Forks, "start", started), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             with pytest.raises(ValueError) as exc:
                 load_features(path)
         assert str(exc.value) == f"{path}{message}"
-        assert [call.args[0] for call in ranges.call_args_list] == ([2, 1] if rerun else [2])
+        assert [call.args[0] for call in ranges.call_args_list] == [True, False][: 1 + rerun]
         assert len(started) == children
         assert _no_child_left()
 
@@ -446,15 +450,15 @@ class TestSplit:
     def test_only_a_table_of_parallel_min_values_is_split(self, tmp_path, rows, split):
         table = RowTable(list(self.TABLE)[:rows], self.TABLE.matrix[:rows])
         started = []
-        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2, _CHUNK=64), \
-                _spying(scenefuse_io._Forks, "start", started):
+        with mock.patch.multiple(_split, PARALLEL_MIN=120, cpus=lambda: 2, CHUNK=64), \
+                _spying(_split.Forks, "start", started):
             write_features(tmp_path / "table.txt", table)
             assert load_features(tmp_path / "table.txt") == table
         assert len(started) == (2 if split else 0)  # one child writes, one loads
 
     @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
     def test_a_table_below_parallel_min_is_read_once_by_the_parent(self, tmp_path, faulty):
-        # fewer values than _PARALLEL_MIN, in a file of many reads: no range is chosen,
+        # fewer values than PARALLEL_MIN, in a file of many reads: no range is chosen,
         # no child is made and every byte is read once, whether the table loads or not
         path, started, line_ends, read = tmp_path / "table.txt", [], [], []
         table = RowTable(list(self.TABLE)[:39], self.TABLE.matrix[:39])
@@ -462,22 +466,22 @@ class TestSplit:
         if faulty:  # the last value of the last row
             path.write_bytes(path.read_bytes()[:-1] + b"x\n")
         assert len(table) * table.dim < 120 and path.stat().st_size >= 20 * 64
-        real_readinto = scenefuse_io._Span.readinto
+        real_read = _split.Span.read
 
-        def span_read(span, buffer):
-            read.append(real_readinto(span, buffer))
+        def span_read(span, n):
+            read.append(real_read(span, n))
             return read[-1]
 
-        with mock.patch.multiple(scenefuse_io, _PARALLEL_MIN=120, _cpus=lambda: 2, _CHUNK=64), \
-                _spying(scenefuse_io._Forks, "start", started), \
-                _spying(scenefuse_io, "_line_ends", line_ends), \
-                mock.patch.object(scenefuse_io._Span, "readinto", span_read), \
+        with mock.patch.multiple(_split, PARALLEL_MIN=120, cpus=lambda: 2, CHUNK=64), \
+                _spying(_split.Forks, "start", started), \
+                _spying(_split, "line_ends", line_ends), \
+                mock.patch.object(_split.Span, "read", span_read), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             loaded = _load_or_message(load_features, path)
         assert loaded == ("PATH:40: unparseable float" if faulty else table)
-        assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
+        assert [call.args[0] for call in ranges.call_args_list] == [True]  # never rerun
         assert started == [] and line_ends == []
-        assert sum(read) == path.stat().st_size
+        assert sum(map(len, read)) == path.stat().st_size
 
     @pytest.mark.parametrize(
         "kind, text",
@@ -494,14 +498,14 @@ class TestSplit:
             one_range = _load_or_message(loader, path)
         starts = []
         for chunk in range(1, len(text) + 1):
-            with mock.patch.object(scenefuse_io, "_CHUNK", chunk), _split_into(2), \
-                    _spying(scenefuse_io, "_line_ends", starts), \
+            with mock.patch.object(_split, "CHUNK", chunk), _split_into(2), \
+                    _spying(_split, "line_ends", starts), \
                     mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
                 loaded = _load_or_message(loader, path)
             if isinstance(one_range, str):
                 assert loaded == one_range
             else:
-                assert [call.args[0] for call in ranges.call_args_list] == [2]  # never rerun
+                assert [call.args[0] for call in ranges.call_args_list] == [True]  # never rerun
                 assert _loaded_matrix(kind, loaded).tobytes() == (
                     _loaded_matrix(kind, one_range).tobytes()
                 )
@@ -512,14 +516,14 @@ class TestSplit:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert scenefuse_io._cpus() == 1
+            assert _split.cpus() == 1
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert scenefuse_io._cpus() == len(os.sched_getaffinity(0))
+        assert _split.cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "fork")
-        assert scenefuse_io._cpus() == 1
+        assert _split.cpus() == 1
 
 
 class TestDecodeErrors:
@@ -582,7 +586,7 @@ class TestLineReader:
             expected = str(whole.value)
             pattern = r":\d+: not UTF-8 \(byte 0x[0-9a-f]{2} at column \d+\)"
             assert re.fullmatch(re.escape(str(path)) + pattern, expected), expected
-        with mock.patch.object(scenefuse_io, "_CHUNK", chunk):
+        with mock.patch.object(_split, "CHUNK", chunk):
             try:
                 got = list(scenefuse_io._lines(path))
             except ValueError as exc:
@@ -666,7 +670,7 @@ class TestVocabulary:
         path.write_bytes(_lexicon_bytes(lexicon, len(rows[0][1])))
         vocabulary = {f"w{i}" for i, (out, _) in enumerate(rows) if not out} | set(strangers)
         full = load_embeddings(path)
-        with mock.patch.object(scenefuse_io, "_CHUNK", chunk), \
+        with mock.patch.object(_split, "CHUNK", chunk), \
                 mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
             kept = load_embeddings(path, vocabulary)
         expected = [token for token in full if token in vocabulary]
@@ -715,7 +719,7 @@ class TestVocabulary:
             message = str(exc)
         else:
             message = None
-        with mock.patch.object(scenefuse_io, "_CHUNK", chunk), \
+        with mock.patch.object(_split, "CHUNK", chunk), \
                 mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
             if message is None:
                 kept = load_embeddings(path, vocabulary)
@@ -857,7 +861,7 @@ class TestFaultOrder:
         loader, data, message = FAULT_ORDER[case]
         path = tmp_path / "input"
         path.write_bytes(data)
-        with mock.patch.object(scenefuse_io, "_CHUNK", chunk) if chunk else nullcontext(), \
+        with mock.patch.object(_split, "CHUNK", chunk) if chunk else nullcontext(), \
                 _split_into(parts):
             with pytest.raises(ValueError) as exc:
                 loader(path)

@@ -42,7 +42,8 @@ def _fixture_sessions() -> list[tuple[list[str], list[str]]]:
 
 
 def _shown(line: str) -> re.Pattern:
-    """``line`` as a pattern in which each ``...`` stands for any run of list values."""
+    """``line`` as a pattern in which each ``...`` stands for any run of list values, or
+    for the last digits of a value that depend on the BLAS kernel."""
     return re.compile("[^\\]]*".join(map(re.escape, line.split("..."))))
 
 

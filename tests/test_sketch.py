@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,28 @@ class TestMcbFuse:
             rng.standard_normal((6, n1)), rng.standard_normal((6, n2)), px, py, normalize=normalize
         )
         assert fused[:, unreachable].tobytes() == np.zeros((6, unreachable.sum())).tobytes()
+
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2), (32, 32), (300, 2048), (70, 5)])
+    @pytest.mark.parametrize("d", [1, 2, 61, 64, 997, 1024, 16000])
+    def test_support_mask_is_the_pair_hash_recount(self, d, dims):
+        # the oracle sketches every (i, j) pair: dims above and below d, d prime and 2**k
+        px = make_sketch_params(dims[0], d, seed=d)
+        py = make_sketch_params(dims[1], d, seed=d + 1)
+        recount = np.bincount(((px.h[:, None] + py.h[None, :]) % d).ravel(), minlength=d)
+        assert np.array_equal(support_mask(px, py), recount > 0)
+
+    def test_support_mask_makes_no_pair_matrix(self):
+        # 2048-d image and 300-d text features at d=16000: the pair hashes alone take 4.9 MB
+        px = make_sketch_params(2048, 16000, seed=1)
+        py = make_sketch_params(300, 16000, seed=2)
+        support_mask(px, py)  # numpy's FFT caches its plan on the first call
+        tracemalloc.start()
+        try:
+            support_mask(px, py)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 300 * 8 / 2  # half the pair matrix; about 0.9 MB here
 
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("d", [1000, 1024])
