@@ -15,7 +15,7 @@ SPLITS = ("train", "test")
 INTERACTIONS = ("additive", "multiplicative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestRow:
     image_id: str
     label: str

@@ -488,15 +488,20 @@ def _string(value, field: str) -> str:
 
 def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
     records: dict[str, TranscriptionRecord] = {}
+    # all words share one str per distinct token and one float per distinct non-zero confidence
+    share = {}.setdefault
+
+    def word(w) -> TranscribedWord:
+        token, conf = _string(w["token"], "token"), _confidence(w["conf"])
+        # a zero is kept as read: -0.0 == 0.0 would hand back the other sign
+        return TranscribedWord(share(token, token), share(conf, conf) if conf else conf)
+
     with _reading(path) as lines:
         for lineno, line in enumerate(lines, start=1):
             obj = _json(path, line, lineno)
             try:
                 image_id = obj["image_id"]
-                words = tuple(
-                    TranscribedWord(_string(w["token"], "token"), _confidence(w["conf"]))
-                    for w in obj["words"]
-                )
+                words = tuple(map(word, obj["words"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad transcription record: {exc}") from None
             if not isinstance(image_id, str) or not image_id:
@@ -521,6 +526,7 @@ def write_transcriptions(path, records: Mapping[str, TranscriptionRecord]) -> No
 def load_manifest(path) -> Manifest:
     rows = []
     seen: set[str] = set()
+    share = {}.setdefault  # one str per distinct label or split for all the rows
     with _reading(path) as lines:
         for lineno, line in enumerate(lines, start=1):
             fields = line.split("\t")
@@ -531,7 +537,7 @@ def load_manifest(path) -> Manifest:
                 raise ValueError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
             seen.add(image_id)
             try:
-                rows.append(ManifestRow(image_id=image_id, label=label, split=split))
+                rows.append(ManifestRow(image_id, share(label, label), share(split, split)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return Manifest(rows=tuple(rows))

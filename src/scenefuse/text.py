@@ -24,7 +24,7 @@ def tokenize(raw: str) -> list[str]:
     return _TOKEN_RUN.findall(raw.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscribedWord:
     token: str
     confidence: float
@@ -36,7 +36,7 @@ class TranscribedWord:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptionRecord:
     """Recognizer output for one image; the word list may be empty."""
 

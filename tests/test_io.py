@@ -1,5 +1,7 @@
 import builtins
+import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -38,7 +40,7 @@ from scenefuse.io import (
     write_transcriptions,
     write_vqa,
 )
-from scenefuse.text import RowTable, TranscribedWord
+from scenefuse.text import RowTable, TranscribedWord, TranscriptionRecord
 
 # any value a JSON document can hold, nested a little
 JSON_VALUES = st.recursive(
@@ -1076,6 +1078,118 @@ class TestTranscriptionFormat:
             load_transcriptions(bad)
 
 
+def _zipf_transcriptions(path, records: int = 2500, words: int = 20, vocab: int = 3000) -> int:
+    """A JSONL corpus of Zipf-drawn tokens with 3-decimal confidences; returns its word count."""
+    rng = np.random.default_rng(7)
+    p = 1.0 / np.arange(1, vocab + 1) ** 1.07
+    ranks = rng.choice(vocab, (records, words), p=p / p.sum())
+    confs = np.round(rng.uniform(0.3, 1.0, (records, words)), 3)
+    path.write_text("".join(
+        json.dumps({"image_id": f"img-{i:05d}",
+                    "words": [{"token": f"w{r}", "conf": c} for r, c in zip(ranks[i].tolist(), confs[i].tolist())]})
+        + "\n"
+        for i in range(records)
+    ), encoding="utf-8")
+    return ranks.size
+
+
+class TestLoadedWords:
+    """What ``load_transcriptions`` builds: one small object per word, equal tokens shared."""
+
+    def test_a_loaded_word_costs_at_most_120_bytes(self, tmp_path):
+        # a word with a __dict__ and its own token str and float costs about 185 bytes
+        path = tmp_path / "ocr.jsonl"
+        words = _zipf_transcriptions(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = load_transcriptions(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(r.words) for r in records.values()) == words
+        assert held / words <= 120, f"{held / words:.0f} B per word"
+
+    def test_equal_tokens_and_confidences_are_one_object(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"image_id": "a", "words": [{"token": "sale", "conf": 0.9}, {"token": "sale", "conf": 0.4}]}\n'
+            '{"image_id": "b", "words": [{"token": "shoe", "conf": 0.9}, {"token": "sale", "conf": 0.8}]}\n'
+        )
+        records = load_transcriptions(path)
+        (first, again), (shoe, other) = records["a"].words, records["b"].words
+        assert first.token is again.token is other.token == "sale"
+        assert first.confidence is shoe.confidence == 0.9
+
+    def test_zero_confidences_keep_their_sign(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"image_id": "a", "words": [{"token": "x", "conf": -0.0}, {"token": "y", "conf": 0.0}]}\n'
+            '{"image_id": "b", "words": [{"token": "x", "conf": 0.0}, {"token": "y", "conf": -0.0}]}\n'
+        )
+        records = load_transcriptions(path)
+        signs = [[math.copysign(1.0, w.confidence) for w in records[i].words] for i in "ab"]
+        assert signs == [[-1.0, 1.0], [1.0, -1.0]]
+
+    def test_equal_confidence_texts_load_as_equal_values(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"image_id": "a", "words": [{"token": "x", "conf": 0.5}, {"token": "y", "conf": 0.50}]}\n'
+            '{"image_id": "b", "words": [{"token": "x", "conf": 5e-1}, {"token": "y", "conf": 1}]}\n'
+        )
+        records = load_transcriptions(path)
+        assert [w.confidence for r in records.values() for w in r.words] == [0.5, 0.5, 0.5, 1.0]
+        assert type(records["b"].words[1].confidence) is float
+
+    def test_write_load_write_is_byte_stable(self, tmp_path):
+        source = tmp_path / "ocr.jsonl"
+        _zipf_transcriptions(source, records=300)
+        records = load_transcriptions(source)
+        records["img-00000"] = TranscriptionRecord(
+            "img-00000", (TranscribedWord("w1", -0.0), TranscribedWord("w1", 0.0))
+        )
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_transcriptions(first, records)
+        write_transcriptions(second, load_transcriptions(first))
+        assert second.read_bytes() == first.read_bytes()
+        assert load_transcriptions(second) == records
+
+    def test_records_hold_no_instance_dict(self):
+        word = TranscribedWord("sun", 0.9)
+        record = TranscriptionRecord("img-1", [word])
+        row = ManifestRow("img-1", "beach", "train")
+        for obj in (word, record, row):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, "x")
+        assert record.words == (word,)
+        assert word == TranscribedWord("sun", 0.9) != TranscribedWord("sun", 0.8)
+        assert hash(word) == hash(("sun", 0.9))
+        assert hash(record) == hash(("img-1", (word,)))
+        assert hash(row) == hash(("img-1", "beach", "train"))
+        assert repr(word) == "TranscribedWord(token='sun', confidence=0.9)"
+        assert repr(record) == (
+            "TranscriptionRecord(image_id='img-1', "
+            "words=(TranscribedWord(token='sun', confidence=0.9),))"
+        )
+        assert repr(row) == "ManifestRow(image_id='img-1', label='beach', split='train')"
+        assert dataclasses.asdict(record) == {
+            "image_id": "img-1", "words": ({"token": "sun", "confidence": 0.9},)
+        }
+        assert dataclasses.asdict(row) == {"image_id": "img-1", "label": "beach", "split": "train"}
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TranscribedWord("", 0.5), "token must be non-empty"),
+        (lambda: TranscribedWord("x", 1.5), r"confidence 1\.5 outside \[0, 1\]"),
+        (lambda: ManifestRow("", "cat", "train"), "image_id must be non-empty"),
+        (lambda: ManifestRow("a", "", "train"), "label must be non-empty"),
+        (lambda: ManifestRow("a", "cat", "dev"), r"split must be one of \('train', 'test'\), got 'dev'"),
+    ])
+    def test_validation_messages(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
 class TestManifestFormat:
     @given(
         st.lists(
@@ -1110,6 +1224,12 @@ class TestManifestFormat:
         write_manifest(out, manifest)
         assert load_manifest(out) == manifest
         assert out.read_bytes() == (fixtures_dir / "manifest.tsv").read_bytes()
+
+    def test_equal_labels_and_splits_are_one_object(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("a\tcat\ttrain\nb\tcat\ttrain\nc\tdog\ttest\n")
+        first, second, _ = load_manifest(path).rows
+        assert first.label is second.label and first.split is second.split
 
     def test_bad_split_names_line(self, tmp_path):
         bad = tmp_path / "m.tsv"
