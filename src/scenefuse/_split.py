@@ -1,9 +1,10 @@
-"""How a large float table is split across CPUs: the rule, the byte ranges and the forks.
+"""How work is split across CPUs: the rule for a large float table, the byte ranges and the forks.
 
 ``parts`` is the one rule for loads and writes alike.  ``line_ends`` cuts a
 regular file into ranges, ``Span`` reads one range, and ``Forks`` runs a job in
-a forked child per range.  What a child does and how its rows are merged stay
-with the formats in ``scenefuse.io``.
+a forked child: one per range for a float table, one per share of the cells for
+``train-eval``.  What a child does and how its results are merged stay with its
+caller (``scenefuse.io``, ``scenefuse.cli``).
 """
 
 from __future__ import annotations
@@ -15,14 +16,18 @@ import threading
 CHUNK = 1 << 18  # bytes per read of a line loader
 PARALLEL_MIN = 1 << 17  # values (rows x width) from which a float table is split across CPUs
 
+_in_child = False  # set in a child of ``Forks``
+_running: set[int] = set()  # pids of the children of ``Forks`` this process has not reaped
+
 
 def cpus() -> int:
     """The CPUs this process may run on.
 
-    One without ``os.fork`` or ``os.sched_getaffinity``, and while another Python
-    thread runs, since a fork copies only the thread that calls it.
+    One without ``os.fork`` or ``os.sched_getaffinity``, while another Python
+    thread runs, since a fork copies only the thread that calls it, and in a child
+    of ``Forks`` or while this process has one running, since those use the others.
     """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if _in_child or _running or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
 
@@ -68,7 +73,8 @@ class Forks:
     ``start(job, *args)`` makes the temp file, then the child, which calls
     ``job(file, *args)`` and leaves by ``os._exit`` alone, so no ``atexit``
     handler runs and no buffer of the parent is flushed in it: status 0 if the
-    job returned, else 1.  Leaving the ``with`` block kills and reaps every
+    job returned, else 1.  ``cpus()`` is one in the child, and in the parent until
+    the child is reaped.  Leaving the ``with`` block kills and reaps every
     child not yet reaped by ``result`` and closes every temp file.
     """
 
@@ -89,7 +95,8 @@ class Forks:
         except OSError:  # no temp file or no child: the job counts as failed
             return index
         if pid == 0:
-            status = 1
+            global _in_child
+            _in_child, status = True, 1
             try:
                 job(out, *args)
                 out.flush()
@@ -97,11 +104,13 @@ class Forks:
             finally:
                 os._exit(status)
         self._pids[index] = pid
+        _running.add(pid)
         return index
 
     def result(self, index: int):
         """The temp file of job ``index``, at its first byte, once its child exits 0; else None."""
         pid = self._pids.pop(index, None)
+        _running.discard(pid)
         if pid is None or os.waitpid(pid, 0)[1] != 0:  # a wait status of 0 is exit status 0
             return None
         out = self._files[index]
@@ -113,6 +122,7 @@ class Forks:
             if self._pids:
                 import signal  # not at startup: only a job given up on needs it
 
+                _running.difference_update(self._pids.values())
                 for pid in self._pids.values():
                     os.kill(pid, signal.SIGKILL)
                 for pid in self._pids.values():

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import tempfile
 from collections import Counter
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _split
 from .classifier import LabeledSet, TrainConfig, evaluate, init_model, train
 from .data import (
     Manifest,
@@ -245,7 +247,75 @@ def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_
     accuracy, confusion = evaluate(trained, test_set)
     if model_path:
         save_model(model_path, trained)
-    return accuracy, confusion, history
+    return accuracy, confusion.tolist(), history
+
+
+def _regular_size(path) -> int | None:
+    """The size of ``path`` if it is a regular file, else None (a pipe, a device, no file)."""
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
+
+
+def _placed(paths: list, workers: int) -> list[list[int]]:
+    """The indices of the cells each of ``workers`` runs, in cell order; the parent's first.
+
+    Only a regular file may go to a worker other than the parent.  Those are placed
+    largest first onto the least-loaded worker, so the parent takes the largest; every
+    other cell runs in the parent.
+    """
+    sizes = {i: size for i, path in enumerate(paths) if (size := _regular_size(path)) is not None}
+    plan = [[i for i in range(len(paths)) if i not in sizes]] + [[] for _ in range(workers - 1)]
+    loads = [0] * workers
+    for index in sorted(sizes, key=lambda i: -sizes[i]):
+        worker = loads.index(min(loads))
+        plan[worker].append(index)
+        loads[worker] += sizes[index]
+    return [sorted(cells) for cells in plan]
+
+
+def _worker_cells(out, manifest, paths, cfg, class_names) -> None:
+    """``_train_eval_cell`` of each of ``paths`` in turn, written to ``out`` as one JSON list."""
+    results = [_train_eval_cell(manifest, path, cfg, class_names, None) for path in paths]
+    out.write(json.dumps(results).encode())
+
+
+def _train_eval_cells(manifest: Manifest, paths: list, cfg: TrainConfig, class_names, model_path):
+    """``_train_eval_cell`` of every path, in cell order, across the CPUs the process may use.
+
+    The parent forks a worker (``_split.Forks``) for each other share of ``_placed``,
+    then runs its own cells, holding its first fault; until the workers are reaped,
+    ``_split.cpus()`` is one, so no load in any of them is split.  Then it walks the
+    cells in order: a worker's result is taken (``repr`` round-trips every float
+    through JSON), a cell whose worker failed is run again in the parent, and the held
+    fault is raised at its turn, so results and the first fault are the serial ones.
+    """
+    workers = _split.cpus() if len(paths) > 1 else 1
+    own, *shares = _placed(paths, workers)
+    results: list = [None] * len(paths)
+    held = None
+    with _split.Forks() as forks:
+        started = [(forks.start(_worker_cells, manifest, [paths[i] for i in share], cfg,
+                                class_names), share) for share in shares if share]
+        for index in own:
+            try:
+                results[index] = _train_eval_cell(manifest, paths[index], cfg, class_names,
+                                                  model_path)
+            except Exception as exc:  # raised at its turn, after the cells before it
+                held = index, exc
+                break
+        for job, share in started:
+            if (out := forks.result(job)) is not None:
+                for index, result in zip(share, json.load(out)):
+                    results[index] = result
+    for index, path in enumerate(paths):
+        if held is not None and held[0] == index:
+            raise held[1]
+        if results[index] is None:
+            results[index] = _train_eval_cell(manifest, path, cfg, class_names, model_path)
+    return results
 
 
 def _format_grid(cell_results: list[dict]) -> str:
@@ -283,10 +353,9 @@ def _cmd_train_eval(args) -> int:
             raise ValueError(f"manifest split {split!r} is empty")
     class_names = manifest.class_names()
     cell_results = []
-    for row_label, col_label, path in cells:
-        accuracy, confusion, history = _train_eval_cell(
-            manifest, path, cfg, class_names, args.save_model
-        )
+    trained = _train_eval_cells(manifest, [path for *_, path in cells], cfg, class_names,
+                                args.save_model)
+    for (row_label, col_label, path), (accuracy, confusion, history) in zip(cells, trained):
         cell_results.append(
             {
                 "row": row_label,
@@ -294,7 +363,7 @@ def _cmd_train_eval(args) -> int:
                 "features": str(path),
                 "accuracy": accuracy,
                 "accuracy_percent": float(_pct(accuracy)),
-                "confusion": confusion.tolist(),
+                "confusion": confusion,
                 "final_train_loss": history[-1],
                 "loss_history": history,
             }

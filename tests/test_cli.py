@@ -1,16 +1,19 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from scenefuse import _split, cli
 from scenefuse.classifier import evaluate, train
 from scenefuse.cli import main
-from scenefuse import _split
 from scenefuse.data import Manifest, ManifestRow, clean_corpus, join_labeled
 from scenefuse.io import (
     load_embeddings,
@@ -646,7 +649,12 @@ class TestTrainEval:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
 
-    def test_each_cell_records_the_losses_that_train_returns(self, fixtures_dir, tmp_path):
+    def test_each_cell_records_the_losses_that_train_returns(
+        self, fixtures_dir, tmp_path, monkeypatch
+    ):
+        # one CPU: a cell worker's calls to train never reach the spy; the route over
+        # every CPU is held to this one by tests/test_invariance.py
+        monkeypatch.setattr(_split, "cpus", lambda: 1)
         report_path = tmp_path / "report.json"
         text = TestFuse().featurize(fixtures_dir, tmp_path)
         with _returns_of_train() as histories:
@@ -709,6 +717,164 @@ class TestTrainEval:
         )
         assert rc == 2
         assert "ad-0001" in capsys.readouterr().err
+
+
+def _cell_tables(fixtures_dir, directory, widths) -> list:
+    """One feature file per width over the fixture manifest's images; a wider one is larger."""
+    ids = load_manifest(fixtures_dir / "manifest.tsv").ids()
+    rng, paths = np.random.default_rng(5), []
+    for width in widths:
+        paths.append(directory / f"w{width}.txt")
+        write_features(paths[-1], RowTable(ids, rng.standard_normal((len(ids), width))))
+    return paths
+
+
+def _broken(path, line: int):
+    """A copy of feature file ``path`` whose ``line`` holds one value: ``path:line`` fails."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].split(" ")[0] + "\n"
+    broken = path.with_name("bad-" + path.name)
+    broken.write_text("".join(lines))
+    return broken
+
+
+def _run_cells(fixtures_dir, tmp_path, paths, *flags):
+    """Run train-eval over one cell per path: its exit code and report bytes (None: no report)."""
+    report = tmp_path / "cells.json"
+    report.unlink(missing_ok=True)
+    cells = [a for i, path in enumerate(paths) for a in ("--cell", f"r{i}:acc:{path}")]
+    rc = run_cli("train-eval", "--manifest", fixtures_dir / "manifest.tsv", *cells,
+                 "--epochs", 4, "--report-json", report, *flags)
+    return rc, report.read_bytes() if report.exists() else None
+
+
+def _started_jobs(monkeypatch) -> list:
+    """Patch ``Forks.start`` to append the arguments of each job it starts."""
+    started, real = [], _split.Forks.start
+
+    def start(forks, job, *args):
+        started.append(args)
+        return real(forks, job, *args)
+
+    monkeypatch.setattr(_split.Forks, "start", start)
+    return started
+
+
+def _no_child_left() -> bool:
+    """Whether every child process made here has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestTrainEvalWorkers:
+    """train-eval's cells spread over forked workers give the one-CPU run's bytes and faults."""
+
+    def test_cells_are_placed_largest_first_onto_the_least_loaded_worker(self, tmp_path):
+        paths = []
+        for index, size in enumerate([10, 50, 30, 20, 40]):
+            paths.append(str(tmp_path / f"{index}.txt"))
+            Path(paths[-1]).write_bytes(b"x" * size)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        paths += [str(fifo), str(tmp_path / "missing.txt")]
+        assert cli._placed(paths, 1) == [list(range(7))]
+        # a tie goes to the first worker; the parent is the first
+        assert cli._placed(paths, 2) == [[0, 1, 3, 5, 6], [2, 4]]
+        assert cli._placed(paths, 3) == [[1, 5, 6], [0, 4], [2, 3]]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("first", ["on-a-worker", "in-the-parent"])
+    def test_the_first_bad_cell_in_cell_order_wins(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch, cpus, first
+    ):
+        # the parent takes the largest file; the smaller ones go to a worker
+        small, middle, large = _cell_tables(fixtures_dir, tmp_path, [3, 8, 40])
+        bad_small, bad_large = _broken(small, 4), _broken(large, 9)
+        if first == "on-a-worker":
+            paths, message = [bad_small, middle, bad_large], f"{bad_small}:4: expected 3 values"
+        else:
+            paths, message = [bad_large, middle, bad_small], f"{bad_large}:9: expected 40 values"
+        assert cli._placed([str(p) for p in paths], 2)[0] == [paths.index(bad_large)]
+        monkeypatch.setattr(_split, "cpus", lambda: cpus)
+        assert _run_cells(fixtures_dir, tmp_path, paths) == (2, None)
+        assert capsys.readouterr() == ("", f"error: {message}, got 1\n")
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("failure", ["none", "no-fork", "exit-1", "killed"])
+    def test_a_worker_that_fails_costs_time_not_bytes(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch, failure
+    ):
+        paths = _cell_tables(fixtures_dir, tmp_path, [3, 8, 40])
+        with mock.patch.object(_split, "cpus", lambda: 1):
+            one_cpu = _run_cells(fixtures_dir, tmp_path, paths)
+        expected = (one_cpu, capsys.readouterr())
+        monkeypatch.setattr(_split, "cpus", lambda: 2)
+        started = _started_jobs(monkeypatch)
+        if failure == "no-fork":
+            def fork():
+                raise OSError("no fork here")
+
+            monkeypatch.setattr(os, "fork", fork)
+        elif failure == "exit-1":
+            def failing(*args):
+                raise ValueError("the worker fails")
+
+            monkeypatch.setattr(cli, "_worker_cells", failing)
+        elif failure == "killed":
+            def killed(*args):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            monkeypatch.setattr(cli, "_worker_cells", killed)
+        assert (_run_cells(fixtures_dir, tmp_path, paths), capsys.readouterr()) == expected
+        assert expected[0][0] == 0
+        assert [args[1] for args in started] == [[str(paths[0]), str(paths[1])]]
+        assert _no_child_left()
+
+    def test_a_cell_that_is_not_a_regular_file_runs_in_the_parent(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        small, large = _cell_tables(fixtures_dir, tmp_path, [3, 40])
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_split, "cpus", lambda: cpus)
+            started = _started_jobs(monkeypatch)
+            # a child process, not a thread, feeds the FIFO: a live thread keeps cpus() at 1
+            feeder = subprocess.Popen([
+                sys.executable, "-c",
+                "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())",
+                str(small), str(fifo),
+            ])
+            try:
+                runs.append((_run_cells(fixtures_dir, tmp_path, [fifo, small, large]),
+                             capsys.readouterr()))
+            finally:
+                try:
+                    feeder.wait(timeout=60)
+                finally:
+                    feeder.kill()
+            assert [args[1] for args in started] == ([] if cpus == 1 else [[str(small)]])
+            monkeypatch.undo()
+        assert runs[0][0][0] == 0
+        assert runs[0] == runs[1]
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("cells, flags", [(3, []), (1, []), (1, ["--save-model", "m.txt"])],
+                             ids=["one-cpu", "one-cell", "save-model"])
+    def test_one_cpu_or_one_cell_makes_no_worker_and_no_temp_file(
+        self, fixtures_dir, tmp_path, monkeypatch, cells, flags
+    ):
+        paths = _cell_tables(fixtures_dir, tmp_path, [3, 8, 40][:cells])
+        monkeypatch.setattr(_split, "cpus", lambda: 1 if cells > 1 else 2)
+        for name in ("fork", "_exit"):
+            monkeypatch.setattr(os, name, mock.Mock(side_effect=AssertionError(name)))
+        monkeypatch.setattr(_split.tempfile, "TemporaryFile", mock.Mock(side_effect=AssertionError))
+        monkeypatch.chdir(tmp_path)
+        assert _run_cells(fixtures_dir, tmp_path, paths, *flags)[0] == 0
 
 
 class TestVqa:

@@ -2,7 +2,8 @@
 
 Each CPU run is the README walkthrough (synth, fuse by mcb and concat, train-eval
 with a saved model) at a size where every feature table is split across CPUs,
-then ``featurize-text --manifest`` on the fixtures.  The commands run in child
+a train-eval grid of three cells, which spreads them over forked workers, then
+``featurize-text --manifest`` on the fixtures.  The commands run in child
 processes, so the CPU set and ``OPENBLAS_NUM_THREADS`` are set only for them.
 The kernel check runs the fixture ``featurize-text`` and ``fuse --scheme concat``
 the same way, with and without ``OPENBLAS_CORETYPE``.
@@ -50,6 +51,9 @@ def _commands() -> list[list[str]]:
         ["fuse", *pair, "--out", "concat.txt", "--scheme", "concat"],
         ["train-eval", "--manifest", "synth/manifest.tsv", "--features", "mcb.txt",
          "--epochs", "5", "--save-model", "model.txt", "--report-json", "report.json"],
+        ["train-eval", "--manifest", "synth/manifest.tsv", "--cell", "a:acc:synth/features_a.txt",
+         "--cell", "concat:acc:concat.txt", "--cell", "mcb:acc:mcb.txt", "--epochs", "3",
+         "--report-json", "cells.json"],
         ["featurize-text", "--transcriptions", str(FIXTURES / "transcriptions.jsonl"),
          "--embeddings", str(FIXTURES / "embeddings.txt"),
          "--manifest", str(FIXTURES / "manifest.tsv"), "--out", "text_k{k}.txt",
@@ -93,7 +97,8 @@ def test_outputs_are_byte_identical_on_one_cpu_or_all_and_any_blas_threads(tmp_p
         for blas in (1, 2)
     }
     first = runs["one", 1]
-    assert {"mcb.txt", "concat.txt", "model.txt", "report.json", "text_k3.txt"} <= set(first)
+    assert {"mcb.txt", "concat.txt", "model.txt", "report.json", "cells.json",
+            "text_k3.txt"} <= set(first)
     for key, outputs in runs.items():
         assert outputs.keys() == first.keys(), key
         assert [name for name in first if outputs[name] != first[name]] == [], key

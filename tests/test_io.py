@@ -527,6 +527,32 @@ class TestSplit:
         monkeypatch.delattr(os, "fork")
         assert _split.cpus() == 1
 
+    @pytest.mark.parametrize("reaped_by", ["result", "exit"])
+    def test_one_cpu_inside_a_child_of_forks_and_in_its_parent_until_it_is_reaped(
+        self, reaped_by
+    ):
+        # so a large table loaded while train-eval's cell workers run is not split again
+        every = len(os.sched_getaffinity(0))
+        read_end, write_end = os.pipe()
+
+        def job(out):
+            os.read(read_end, 1)  # until the parent has looked
+            out.write(f"{_split.cpus()} {_split.parts(_split.PARALLEL_MIN)}".encode())
+
+        try:
+            with _split.Forks() as forks:
+                index = forks.start(job)
+                assert (_split.cpus(), _split.parts(_split.PARALLEL_MIN)) == (1, 1)
+                os.write(write_end, b"x")
+                if reaped_by == "result":
+                    assert forks.result(index).read() == b"1 1"
+                    assert _split.cpus() == every
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert _split.cpus() == every
+        assert _no_child_left()
+
 
 class TestDecodeErrors:
     @pytest.mark.parametrize(

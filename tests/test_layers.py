@@ -23,15 +23,33 @@ def _imported(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_io_makes_no_process():
-    tree = _tree("io.py")
-    calls = [
+_PROCESS_CALLS = {"fork", "waitpid", "kill", "_exit"}
+
+
+def _process_calls(tree: ast.Module) -> list[str]:
+    """Where ``tree`` names ``os.fork``, ``os.waitpid``, ``os.kill`` or ``os._exit``."""
+    names = [
         f"os.{node.attr}" for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "os" and node.attr in {"fork", "waitpid", "kill", "_exit"}
+        and node.value.id == "os" and node.attr in _PROCESS_CALLS
     ]
-    assert calls == []
+    return names + [
+        f"os.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names if alias.name in _PROCESS_CALLS
+    ]
+
+
+def test_io_makes_no_process():
+    tree = _tree("io.py")
+    assert _process_calls(tree) == []
     assert {"tempfile", "threading", "signal"}.isdisjoint(_imported(tree))
+
+
+def test_no_module_but_split_makes_a_process():
+    calls = {path.name: _process_calls(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    assert calls.pop("_split.py")  # the check sees the calls that are there
+    assert calls == dict.fromkeys(calls, [])
 
 
 def test_split_imports_nothing_from_the_package():
