@@ -1,7 +1,9 @@
 """How work is split across CPUs: the rule for a large float table, the byte ranges and the forks.
 
-``parts`` is the one rule for loads and writes alike.  ``line_ends`` cuts a
-regular file into ranges, ``Span`` reads one range, and ``Forks`` runs a job in
+``parts`` is the one rule for loads and writes alike, and ``regular_size`` the
+one test of whether a file is regular, so that a load may split it and a
+``train-eval`` cell on it may go to a worker.  ``line_ends`` cuts a regular
+file into ranges, ``Span`` reads one range, and ``Forks`` runs a job in
 a forked child: one per range for a float table, one per share of the cells for
 ``train-eval``.  What a child does and how its results are merged stay with its
 caller (``scenefuse.io``, ``scenefuse.cli``).
@@ -10,6 +12,7 @@ caller (``scenefuse.io``, ``scenefuse.cli``).
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 import threading
 
@@ -38,6 +41,16 @@ def parts(values: int) -> int:
     ``cpus()`` from ``PARALLEL_MIN`` values on, else one.
     """
     return cpus() if values >= PARALLEL_MIN else 1
+
+
+def regular_size(file) -> int | None:
+    """The size of ``file`` (a path or a descriptor) if it is a regular file, else None
+    (a pipe, a device, no file)."""
+    try:
+        info = os.stat(file)
+    except (OSError, ValueError):
+        return None
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
 
 
 def line_ends(fd: int, start: int, size: int, count: int) -> list[int]:

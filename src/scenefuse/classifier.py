@@ -29,6 +29,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.l2 < 0:
             raise ValueError("l2 must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import stat
 import sys
 import tempfile
 from collections import Counter
@@ -250,15 +248,6 @@ def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_
     return accuracy, confusion.tolist(), history
 
 
-def _regular_size(path) -> int | None:
-    """The size of ``path`` if it is a regular file, else None (a pipe, a device, no file)."""
-    try:
-        info = os.stat(path)
-    except (OSError, ValueError):
-        return None
-    return info.st_size if stat.S_ISREG(info.st_mode) else None
-
-
 def _placed(paths: list, workers: int) -> list[list[int]]:
     """The indices of the cells each of ``workers`` runs, in cell order; the parent's first.
 
@@ -266,7 +255,7 @@ def _placed(paths: list, workers: int) -> list[list[int]]:
     largest first onto the least-loaded worker, so the parent takes the largest; every
     other cell runs in the parent.
     """
-    sizes = {i: size for i, path in enumerate(paths) if (size := _regular_size(path)) is not None}
+    sizes = {i: size for i, path in enumerate(paths) if (size := _split.regular_size(path)) is not None}
     plan = [[i for i in range(len(paths)) if i not in sizes]] + [[] for _ in range(workers - 1)]
     loads = [0] * workers
     for index in sorted(sizes, key=lambda i: -sizes[i]):

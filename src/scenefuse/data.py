@@ -149,6 +149,8 @@ class SynthConfig:
             raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 SynthSplit = tuple[np.ndarray, np.ndarray, np.ndarray]

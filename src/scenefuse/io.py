@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import shutil
-import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -216,8 +215,7 @@ def _float_rows(
     this order: a bad byte anywhere, the header, the header's row count, then the first bad row.
     """
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        size = info.st_size if stat.S_ISREG(info.st_mode) else None
+        size = _split.regular_size(fh.fileno())
         args = path, fh, size, head, read_head, check_row, sep, keep
         try:
             return _ranges(size is not None, *args)

@@ -398,6 +398,16 @@ class TestFuse:
         manifest = load_run_manifest(str(out) + ".run.json")
         assert manifest.params["seed_a"] != manifest.params["seed_b"]
 
+    def test_a_negative_seed_is_a_hash_seed_like_any_other(self, fixtures_dir, tmp_path):
+        # the hash seeds go through splitmix64's 64-bit mask, so fuse takes any integer
+        text = self.featurize(fixtures_dir, tmp_path)
+        out = tmp_path / "fused.txt"
+        assert run_cli(
+            "fuse", "--a", fixtures_dir / "image_features.txt", "--b", text,
+            "--out", out, "--scheme", "mcb", "--d", 8, "--seed", -1,
+        ) == 0
+        assert load_run_manifest(str(out) + ".run.json").params["seed_a"] == 0
+
     def test_mcb_records_sketch_occupancy(self, fixtures_dir, tmp_path):
         text = self.featurize(fixtures_dir, tmp_path)
         out = tmp_path / "fused.txt"
@@ -536,13 +546,14 @@ class TestTrainEval:
         [
             (["--features", "{x}", "--lr", "nan"], "learning_rate must be finite, got nan"),
             (["--features", "{x}", "--epochs", "0"], "epochs must be >= 1"),
+            (["--features", "{x}", "--seed", "-1"], "seed must be nonnegative, got -1"),
             (["--cell", "bad"], "--cell must be ROW:COL:PATH"),
             (["--cell", "a:b:{x}", "--cell", "a:b:{y}"], "ROW:COL pairs must be distinct"),
             (["--cell", "a:b:{x}", "--cell", "c:d:{y}", "--save-model", "{y}"],
              "--save-model keeps one model, but 2 cells were given"),
             ([], "provide --features or at least one --cell"),
         ],
-        ids=["lr", "epochs", "cell", "repeated-cell", "save-model", "no-cell"],
+        ids=["lr", "epochs", "seed", "cell", "repeated-cell", "save-model", "no-cell"],
     )
     def test_flags_are_checked_before_the_manifest_is_read(
         self, tmp_path, capsys, flags, message
@@ -1007,7 +1018,8 @@ class TestVqa:
         [("--lr", "nan", "learning_rate must be finite, got nan"),
          ("--l2", "inf", "l2 must be finite, got inf"),
          ("--epochs", "0", "epochs must be >= 1"),
-         ("--batch", "0", "batch_size must be >= 1")],
+         ("--batch", "0", "batch_size must be >= 1"),
+         ("--seed", "-1", "seed must be nonnegative, got -1")],
     )
     def test_training_flags_are_checked_before_any_file_is_read(
         self, tmp_path, capsys, flag, value, message
@@ -1097,6 +1109,12 @@ class TestSynth:
         out = tmp_path / "synth"
         assert run_cli("synth", "--out", out, f"--sigma={sigma}") == 2
         assert capsys.readouterr().err == f"error: noise_sigma must be finite, got {sigma}\n"
+        assert not out.exists()
+
+    def test_a_negative_seed_fails_before_anything_is_created(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert run_cli("synth", "--out", out, "--seed", -1) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
         assert not out.exists()
 
     def test_additive_interaction_accepted(self, tmp_path):

@@ -1,8 +1,13 @@
 """Which module does what, read from the source: ``io`` keeps the file formats, and
-``_split`` alone makes processes and holds the rule that splits a float table."""
+``_split`` alone makes processes, asks whether a file is regular and holds the rule
+that splits a float table.  The package namespace holds what the README's "Library
+use" block imports from it, plus the math oracles."""
 
 import ast
 from pathlib import Path
+
+import scenefuse
+from test_readme import _library_block
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "scenefuse"
 
@@ -40,6 +45,22 @@ def _process_calls(tree: ast.Module) -> list[str]:
     ]
 
 
+_STAT_CALLS = {"os.stat", "os.fstat", "stat.S_ISREG"}
+
+
+def _stat_calls(tree: ast.Module) -> list[str]:
+    """Where ``tree`` names ``os.stat``, ``os.fstat`` or ``stat.S_ISREG``."""
+    names = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    ]
+    names += [
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    return [name for name in names if name in _STAT_CALLS]
+
+
 def test_io_makes_no_process():
     tree = _tree("io.py")
     assert _process_calls(tree) == []
@@ -70,3 +91,21 @@ def test_parallel_min_is_compared_in_one_place():
         if isinstance(node, ast.Compare) and names(node) & {"PARALLEL_MIN", "_PARALLEL_MIN"}
     ]
     assert len(compares) == 1, compares
+
+
+def test_no_module_but_split_asks_whether_a_file_is_regular():
+    calls = {path.name: _stat_calls(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    assert calls.pop("_split.py")  # the check sees the calls that are there
+    assert calls == dict.fromkeys(calls, [])
+
+
+_ORACLES = {"circular_convolve_naive", "outer_sketch_oracle", "loss_and_grad"}
+
+
+def test_the_package_exports_the_readme_names_and_the_oracles():
+    readme = [
+        alias.name for node in ast.walk(ast.parse(_library_block()))
+        if isinstance(node, ast.ImportFrom) and node.module == "scenefuse" for alias in node.names
+    ]
+    assert sorted(scenefuse.__all__) == sorted({*readme, *_ORACLES})
+    assert all(callable(getattr(scenefuse, name)) for name in scenefuse.__all__)
