@@ -108,6 +108,8 @@ def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierMod
         raise ValueError("need at least two classes")
     if len(set(names)) != len(names):
         raise ValueError("duplicate class names")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     W = rng.uniform(-0.01, 0.01, size=(len(names), dim))
     return ClassifierModel(W=W, b=np.zeros(len(names)), class_names=names)

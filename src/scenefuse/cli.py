@@ -39,6 +39,7 @@ from .io import (
     save_model,
     write_cleaning_report,
     write_embeddings,
+    write_feature_rows,
     write_features,
     write_manifest,
     write_run_manifest,
@@ -52,7 +53,7 @@ from .text import (
     TranscriptionRecord,
     aggregate,
     fit_tfidf,
-    text_feature,
+    select_top_k,
     tokenize,
 )
 
@@ -79,6 +80,13 @@ def _check_distinct(values, what: str) -> None:
 # -- featurize-text ------------------------------------------------------------
 
 
+def _summed(ranked: list[list[str]], k: int, table: RowTable):
+    """``write_feature_rows``'s producer: per image, the sum of the first ``k`` of its tokens."""
+    return lambda start, stop: np.array(
+        [aggregate(tokens[:k], table).vector for tokens in ranked[start:stop]]
+    )
+
+
 def _cmd_featurize_text(args) -> int:
     ks = args.k or [5]
     if len(ks) > 1 and "{k}" not in str(args.out):
@@ -101,15 +109,12 @@ def _cmd_featurize_text(args) -> int:
     else:
         corpus = cleaned
     model = fit_tfidf(corpus.values())
+    # each k's tokens are the first k of one ranking, at the largest k
+    ranked = [select_top_k(record, model, max(ks)) for record in corpus.values()]
     for k in ks:
-        matrix = np.empty((len(corpus), table.dim))
-        misses = 0
-        for row, record in enumerate(corpus.values()):
-            feat = text_feature(record, model, table, k)
-            matrix[row] = feat.vector
-            misses += feat.miss_count
+        misses = sum(token not in table.index for tokens in ranked for token in tokens[:k])
         out = Path(str(args.out).replace("{k}", str(k)))
-        write_features(out, RowTable(corpus, matrix))
+        write_feature_rows(out, corpus, table.dim, _summed(ranked, k, table))
         manifest = _run_manifest(
             "featurize-text",
             params={

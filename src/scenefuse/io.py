@@ -307,26 +307,38 @@ def _check_keys(keys: Iterable[str], sep: str, what: str) -> None:
             raise ValueError(f"{what} {key!r} is not valid UTF-8 text") from None
 
 
-def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> None:
+def _check_distinct(keys: Iterable[str], what: str) -> None:
+    """Raise ``ValueError`` naming the first key of ``keys`` that comes a second time."""
+    seen: set[str] = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"{what} {key!r} repeats")
+        seen.add(key)
+
+
+def _write_rows(path, keys: Iterable[str], dim: int, rows, sep: str, kind: str, key_name: str):
     """Write a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
 
-    A bad key or a non-finite row raises before the file is opened.  Values are ``repr``
-    of Python floats, the shortest decimal that reads back to the same float64.
+    ``rows(start, stop)`` is ``write_feature_rows``'s producer.  A bad or repeated key,
+    then a non-finite row, raises before the file is opened.  Values are ``repr`` of
+    Python floats, the shortest decimal that reads back to the same float64.
 
     ``_split.parts`` of the table's values gives its number of runs of rows.  The parent
-    streams the header and the first run to the file; a forked child writes each other
-    run to a temp file, which the parent then copies in order.  A run whose child fails
-    is written by the parent, so the bytes never depend on the split.
+    streams the header and the first run to the file; a forked child builds and writes
+    each other run to a temp file, which the parent then copies in order.  A run whose
+    child fails is written by the parent, so the bytes never depend on the split.
     """
-    _check_keys(table, sep, f"{kind} {key_name}")
-    _check_finite(table, table.matrix, kind)
-    keys, matrix = list(table), table.matrix
-    parts = _split.parts(matrix.size)
+    keys = list(keys)
+    _check_keys(keys, sep, f"{kind} {key_name}")
+    _check_distinct(keys, f"{kind} {key_name}")
+    _check_finite(keys, dim, rows, kind)
+    parts = _split.parts(len(keys) * dim)
     bounds = [len(keys) * part // parts for part in range(parts + 1)]
 
     def lines(start: int, end: int) -> Iterator[str]:
-        rows = zip(keys[start:end], matrix[start:end])
-        return (key + sep + " ".join(map(repr, row.tolist())) + "\n" for key, row in rows)
+        for at, stop in _blocks(start, end, dim):
+            for key, row in zip(keys[at:stop], rows(at, stop)):
+                yield key + sep + " ".join(map(repr, row.tolist())) + "\n"
 
     def write(out, start: int, end: int) -> None:
         with open(out.fileno(), "w", encoding="utf-8", closefd=False) as text:
@@ -335,7 +347,7 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
     runs = list(zip(bounds[1:], bounds[2:]))
     with open(path, "w", encoding="utf-8") as fh, _split.Forks() as forks:
         started = [forks.start(write, start, end) for start, end in runs]
-        fh.write(f"{len(keys)} {table.dim}\n")
+        fh.write(f"{len(keys)} {dim}\n")
         fh.writelines(lines(0, bounds[1]))
         for index, (start, end) in zip(started, runs):
             out = forks.result(index)
@@ -346,17 +358,33 @@ def _write_table(path, table: RowTable, sep: str, kind: str, key_name: str) -> N
                 shutil.copyfileobj(out, fh.buffer, _split.CHUNK)
 
 
-def _check_finite(keys: Iterable[str], matrix: np.ndarray, kind: str) -> None:
-    """Raise ``ValueError`` naming the key of the first row of ``matrix`` that is not all finite.
+def _blocks(start: int, end: int, dim: int) -> Iterator[tuple[int, int]]:
+    """Rows ``start`` to ``end`` as ranges of ``_BLOCK`` values (one row at least) each."""
+    step = max(1, _BLOCK // dim)
+    return ((at, min(at + step, end)) for at in range(start, end, step))
 
-    Rows are checked ``_BLOCK`` values at a time, so no mask of the whole matrix is made.
+
+def _check_finite(keys: Sequence[str], dim: int, rows, kind: str) -> None:
+    """Raise ``ValueError`` naming the key of the first row of ``rows`` that is not all finite.
+
+    ``rows(start, stop)`` is asked for one ``_blocks`` range at a time, so no more than
+    a block of the table, nor a mask of the whole table, is made.  A block of another
+    shape than ``(stop - start, dim)`` raises too.
     """
-    step = max(1, _BLOCK // matrix.shape[1])
-    for start in range(0, matrix.shape[0], step):
-        finite = np.isfinite(matrix[start : start + step]).all(axis=1)
+    for start, stop in _blocks(0, len(keys), dim):
+        block = rows(start, stop)
+        if block.shape != (stop - start, dim):
+            raise ValueError(f"rows {start} to {stop} came as {block.shape}, not "
+                             f"{(stop - start, dim)}")
+        finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            key = next(islice(keys, start + int(np.argmin(finite)), None))
+            key = keys[start + int(np.argmin(finite))]
             raise ValueError(f"{kind} for {key!r} has non-finite values")
+
+
+def _slices(matrix: np.ndarray):
+    """The producer ``rows(start, stop)`` of ``matrix``: its rows ``start`` to ``stop``."""
+    return lambda start, stop: matrix[start:stop]
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -436,7 +464,7 @@ def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable
 
 
 def write_embeddings(path, table: RowTable) -> None:
-    _write_table(path, table, " ", "embedding", "token")
+    _write_rows(path, table, table.dim, _slices(table.matrix), " ", "embedding", "token")
 
 
 # -- feature file: "<count> <dim>" then "<image_id>\t<v1> <v2> ..." -----------
@@ -462,7 +490,20 @@ def load_features(path) -> RowTable:
 
 
 def write_features(path, features: RowTable) -> None:
-    _write_table(path, features, "\t", "feature", "id")
+    _write_rows(path, features, features.dim, _slices(features.matrix), "\t", "feature", "id")
+
+
+def write_feature_rows(path, keys: Iterable[str], dim: int, rows) -> None:
+    """Write the feature file of ``keys``, whose ``dim`` values ``rows`` produces on demand.
+
+    ``rows(start, stop)`` returns the ``(stop - start, dim)`` values of the rows of
+    ``keys[start:stop]``.  It is asked for at most ``max(1, _BLOCK // dim)`` rows at a
+    time, every row twice (once to check before the file is opened, once to write it),
+    and must give the same values each time; a forked child may make the second call.
+    So no process holds more than one block of the table.  The bytes, messages and fault
+    order are those of ``write_features`` on the same rows.
+    """
+    _write_rows(path, keys, dim, rows, "\t", "feature", "id")
 
 
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}
@@ -577,7 +618,8 @@ def write_vqa(path, records: Sequence[VqaRecord]) -> None:
 
 def save_model(path, model: ClassifierModel) -> None:
     _check_keys(model.class_names, "\t", "class name")
-    _check_finite(model.class_names, np.column_stack([model.W, model.b]), "model row")
+    matrix = np.column_stack([model.W, model.b])
+    _check_finite(model.class_names, matrix.shape[1], _slices(matrix), "model row")
     rows = (" ".join(f"{v:.17g}" for v in (*row, bias)) for row, bias in zip(model.W, model.b))
     _write_lines(path, [f"{model.n_classes} {model.dim}", "\t".join(model.class_names), *rows])
 

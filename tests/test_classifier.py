@@ -93,6 +93,10 @@ class TestInitModel:
         with pytest.raises(ValueError):
             init_model(4, ["only"], seed=0)
 
+    def test_a_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            init_model(4, ["a", "b"], seed=-1)
+
 
 def _softmax_of(model, x) -> np.ndarray:
     """softmax(Wx + b) of the row ``x``, through ``loss_and_grad``.

@@ -4,7 +4,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +28,14 @@ from scenefuse.io import (
     write_manifest,
 )
 from scenefuse.sketch import make_sketch_params
-from scenefuse.text import RowTable, fit_tfidf, select_top_k, tokenize
+from scenefuse.text import (
+    RowTable,
+    TranscriptionRecord,
+    fit_tfidf,
+    select_top_k,
+    text_feature,
+    tokenize,
+)
 
 
 def run_cli(*argv):
@@ -299,6 +306,70 @@ class TestFeaturizeText:
         report = json.loads(report_path.read_text())
         assert report["removed_words"] == report["total_words"] - report["kept_words"]
         assert report["emptied_records"] == 1  # ad-0006 loses both words
+
+
+def _split_corpus(tmp_path, images: int = 400, dim: int = 400):
+    """Transcriptions and a lexicon whose (images x dim) text features are split when written.
+
+    Tokens are drawn with Zipf-like weights from 500 words; the lexicon misses every tenth.
+    """
+    rng = np.random.default_rng(21)
+    words = [f"w{i}" for i in range(500)]
+    weights = 1.0 / np.arange(1, 501)
+    lines = []
+    for i in range(images):
+        picks = rng.choice(500, 20, p=weights / weights.sum())
+        confs = np.round(rng.uniform(0.3, 1.0, 20), 3)
+        lines.append(json.dumps({"image_id": f"img-{i:04d}", "words": [
+            {"token": words[w], "conf": c} for w, c in zip(picks.tolist(), confs.tolist())
+        ]}))
+    transcriptions = tmp_path / "ocr.jsonl"
+    transcriptions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lexicon_words = [w for i, w in enumerate(words) if i % 10 != 9]
+    lexicon = tmp_path / "lexicon.txt"
+    write_embeddings(lexicon, RowTable(lexicon_words, rng.standard_normal((450, dim))))
+    return transcriptions, lexicon
+
+
+class TestFeaturizeTextRoute:
+    """Each k's file is that of the per-record route: ``text_feature`` of every record into
+    one matrix, then ``write_features``; its misses are a recount against the lexicon."""
+
+    @staticmethod
+    def _per_record(transcriptions, lexicon, manifest, k: int, out) -> int:
+        cleaned, _ = clean_corpus(load_transcriptions(transcriptions), 0.7)
+        table = load_embeddings(lexicon, {w.token for r in cleaned.values() for w in r.words})
+        if manifest:
+            ids = load_manifest(manifest).ids()
+            cleaned = {i: cleaned.get(i, TranscriptionRecord(image_id=i)) for i in ids}
+        model = fit_tfidf(cleaned.values())
+        matrix = np.array([text_feature(r, model, table, k).vector for r in cleaned.values()])
+        write_features(out, RowTable(cleaned, matrix))
+        full = load_embeddings(lexicon)
+        return sum(t not in full for r in cleaned.values() for t in select_top_k(r, model, k))
+
+    @pytest.mark.parametrize("corpus", ["fixtures", "split"])
+    def test_every_k_writes_the_per_record_file(self, fixtures_dir, tmp_path, corpus):
+        if corpus == "fixtures":
+            transcriptions = fixtures_dir / "transcriptions.jsonl"
+            lexicon, manifest = fixtures_dir / "embeddings.txt", fixtures_dir / "manifest.tsv"
+            split = nullcontext()
+        else:
+            transcriptions, lexicon = _split_corpus(tmp_path)
+            manifest, split = None, mock.patch.object(_split, "cpus", lambda: 3)
+        with split:
+            assert corpus == "fixtures" or _split.parts(400 * 400) == 3
+            assert run_cli(
+                "featurize-text", "--transcriptions", transcriptions, "--embeddings", lexicon,
+                *(["--manifest", manifest] if manifest else []),
+                "--out", tmp_path / "text_k{k}.txt", "--k", 1, "--k", 3,
+            ) == 0
+        for k in (1, 3):
+            misses = self._per_record(transcriptions, lexicon, manifest, k, tmp_path / "old.txt")
+            assert (tmp_path / f"text_k{k}.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+            run = load_run_manifest(tmp_path / f"text_k{k}.txt.run.json")
+            assert run.results["lexicon_misses"] == misses
+            assert corpus == "fixtures" or misses > 0
 
 
 def _zero_lexicon(path, tokens, dim=6):

@@ -34,6 +34,7 @@ from scenefuse.io import (
     save_model,
     write_cleaning_report,
     write_embeddings,
+    write_feature_rows,
     write_features,
     write_manifest,
     write_run_manifest,
@@ -552,6 +553,118 @@ class TestSplit:
             os.close(write_end)
         assert _split.cpus() == every
         assert _no_child_left()
+
+
+def _asking(path, matrix: np.ndarray):
+    """A producer of ``matrix``'s rows that appends each ``start stop`` it is asked for to ``path``.
+
+    Each range is one ``O_APPEND`` write, so the asks of forked children land there too.
+    """
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{start} {stop}\n".encode())
+        finally:
+            os.close(fd)
+        return matrix[start:stop]
+
+    return rows
+
+
+def _asked(path) -> list[tuple[int, int]]:
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+class TestFeatureRows:
+    """``write_feature_rows``: a feature file whose rows a producer makes a block at a time."""
+
+    KEYS = [f"k{i}" for i in range(40)]
+    MATRIX = np.random.default_rng(1).standard_normal((40, 3))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 6, 7, 1 << 14])
+    def test_rows_are_asked_for_a_block_at_a_time_twice_each(self, tmp_path, parts, block):
+        asks = tmp_path / "asks.txt"
+        with mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+            write_feature_rows(tmp_path / "t.txt", self.KEYS, 3, _asking(asks, self.MATRIX))
+        step = max(1, block // 3)
+        asked = _asked(asks)
+        assert all(0 < stop - start <= step for start, stop in asked)
+        if step < len(self.KEYS):
+            assert (0, len(self.KEYS)) not in asked
+        # every row once to check it, in order, then once to write it
+        rows = [row for start, stop in asked for row in range(start, stop)]
+        check = len(self.KEYS)
+        assert rows[:check] == list(range(check))
+        assert sorted(rows[check:]) == list(range(check))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [0, 27, 39])  # 27 and 39 lie in the last run of 2 or 3
+    def test_a_non_finite_row_raises_with_its_key_before_the_file_exists(
+        self, tmp_path, parts, bad
+    ):
+        path, matrix = tmp_path / "t.txt", self.MATRIX.copy()
+        matrix[bad, 1] = np.nan
+        started = []
+        with _split_into(parts), mock.patch.object(scenefuse_io, "_BLOCK", 6), \
+                _spying(_split.Forks, "start", started), \
+                pytest.raises(ValueError, match=f"^feature for 'k{bad}' has non-finite values$"):
+            write_feature_rows(path, self.KEYS, 3, lambda start, stop: matrix[start:stop])
+        assert not path.exists() and not started
+
+    @given(matrix=FINITE_MATRICES, parts=st.sampled_from([1, 2, 3]), block=st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_the_bytes_are_those_of_write_features(self, tmp_path_factory, matrix, parts, block):
+        base, keys = tmp_path_factory.getbasetemp(), [f"k{i}" for i in range(len(matrix))]
+        write_features(base / "table.txt", RowTable(keys, matrix))
+        with mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+            write_feature_rows(base / "rows.txt", keys, matrix.shape[1],
+                               lambda start, stop: matrix[start:stop])
+        assert (base / "rows.txt").read_bytes() == (base / "table.txt").read_bytes()
+
+    def test_a_killed_child_leaves_its_run_to_the_parent(self, tmp_path):
+        results, asks = [], tmp_path / "asks.txt"
+        write_features(tmp_path / "table.txt", RowTable(self.KEYS, self.MATRIX))
+        with _split_into(3), mock.patch.object(scenefuse_io, "_BLOCK", 6), \
+                _fatal_in_children(builtins, "open"), _watching_children(results):
+            write_feature_rows(tmp_path / "rows.txt", self.KEYS, 3, _asking(asks, self.MATRIX))
+        assert results == [None, None]  # so the parent wrote both children's rows
+        assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "table.txt").read_bytes()
+        assert _no_child_left()
+        # the parent asked for every row to check it and again to write it
+        assert sorted(row for start, stop in _asked(asks) for row in range(start, stop)) == \
+            sorted(2 * list(range(len(self.KEYS))))
+
+    def test_a_write_holds_about_one_block_of_rows(self, tmp_path):
+        # 2000 rows of 300 values made on demand, 4.8 MB as one matrix; one block is 128 kB
+        keys, dim = [f"k{i}" for i in range(2000)], 300
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            block = np.arange(start * dim, stop * dim, dtype=float).reshape(-1, dim)
+            block /= 7  # in place: one block's array, as a producer of new rows makes
+            return block
+
+        with mock.patch.object(_split, "cpus", lambda: 1):
+            tracemalloc.start()
+            try:
+                write_feature_rows(tmp_path / "t.txt", keys, dim, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * scenefuse_io._BLOCK * 8, peak
+
+    def test_a_repeated_key_raises_before_the_file_exists(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="^feature id 'k1' repeats$"):
+            write_feature_rows(path, ["k0", "k1", "k1"], 3, lambda a, b: self.MATRIX[a:b])
+        assert not path.exists()
+
+    def test_a_block_of_the_wrong_shape_raises_before_the_file_exists(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match=r"^rows 0 to 2 came as \(2, 2\), not \(2, 3\)$"):
+            write_feature_rows(path, ["a", "b"], 3, lambda a, b: self.MATRIX[a:b, :2])
+        assert not path.exists()
 
 
 class TestDecodeErrors:
@@ -1441,6 +1554,12 @@ KEYED_WRITERS = {
         lambda path, key: write_features(path, RowTable([key, "z"], [[1.0], [2.0]])),
         lambda path: list(load_features(path)),
     ),
+    "feature-rows": (
+        lambda path, key: write_feature_rows(
+            path, [key, "z"], 1, lambda start, stop: np.array([[1.0], [2.0]])[start:stop]
+        ),
+        lambda path: list(load_features(path)),
+    ),
     "embeddings": (
         lambda path, key: write_embeddings(path, RowTable([key, "z"], [[1.0], [2.0]])),
         lambda path: list(load_embeddings(path)),
@@ -1458,8 +1577,8 @@ KEYED_WRITERS = {
         lambda path: [load_manifest(path).rows[0].label],
     ),
 }
-SEPARATORS = {"features": "\t", "embeddings": " ", "model": "\t", "manifest-id": "\t",
-              "manifest-label": "\t"}
+SEPARATORS = {"features": "\t", "feature-rows": "\t", "embeddings": " ", "model": "\t",
+              "manifest-id": "\t", "manifest-label": "\t"}
 
 
 class TestKeys:
