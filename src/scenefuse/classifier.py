@@ -64,7 +64,7 @@ class LabeledSet:
 
     Without ``rows`` the labels go to the rows of X in order, and X has n rows.  A
     split of a larger table (``join_labeled``) names its rows rather than copying
-    them; ``features`` gathers them.
+    them; ``features`` gathers them, or views them when they are one ascending run.
     """
 
     X: np.ndarray
@@ -95,8 +95,18 @@ class LabeledSet:
         return self.y.shape[0]
 
     def features(self, picks=slice(None)) -> np.ndarray:
-        """The feature rows of the labels ``picks`` (an index array or slice; all by default)."""
-        return self.X[picks] if self.rows is None else self.X[self.rows[picks]]
+        """The feature rows of the labels ``picks`` (an index array or slice; all by default).
+
+        A slice of a set whose ``rows`` are one ascending run (``start``, ``start + 1``,
+        ...) is a view of X, as it is of a set without ``rows``; anything else is a copy.
+        """
+        if self.rows is None:
+            return self.X[picks]
+        n = len(self)
+        start = int(self.rows[0]) if n else 0
+        if isinstance(picks, slice) and np.array_equal(self.rows, np.arange(start, start + n)):
+            return self.X[start : start + n][picks]
+        return self.X[self.rows[picks]]
 
 
 def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierModel:
@@ -129,16 +139,27 @@ def _check_fits(data: LabeledSet, model: ClassifierModel) -> None:
 
 
 def _loss_grad(
-    W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
+    W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float,
+    grad_w: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The loss and its gradients; ``grad_w`` is written into the buffer ``grad_w``.
+
+    ``grad_w`` and ``scratch`` are C-contiguous buffers shaped like W, made here when
+    not given.  ``scratch`` holds ``W * W`` and then ``l2 * W``, so ``np.sum`` runs over
+    one contiguous (C, D) array, as it did over the temporary ``W * W``.
+    """
+    if grad_w is None or scratch is None:
+        grad_w, scratch = np.empty_like(W, order="C"), np.empty_like(W, order="C")
     probs = _softmax_rows(X @ W.T + b)
     n = X.shape[0]
-    loss = float(-np.log(probs[np.arange(n), y]).mean() + 0.5 * l2 * np.sum(W * W))
+    np.multiply(W, W, out=scratch)
+    loss = float(-np.log(probs[np.arange(n), y]).mean() + 0.5 * l2 * np.sum(scratch))
     probs[np.arange(n), y] -= 1.0
     probs /= n
-    grad_w = probs.T @ X + l2 * W
-    grad_b = probs.sum(axis=0)
-    return loss, grad_w, grad_b
+    np.matmul(probs.T, X, out=grad_w)
+    np.multiply(l2, W, out=scratch)
+    np.add(grad_w, scratch, out=grad_w)
+    return loss, grad_w, probs.sum(axis=0)
 
 
 def loss_and_grad(
@@ -157,7 +178,9 @@ def train(
     """Mini-batch SGD over shuffled epochs; returns the trained copy and per-epoch mean loss.
 
     Raises ValueError as soon as a batch loss is not finite, or when the last step leaves
-    weights that are not (training diverged).
+    weights that are not (training diverged).  Every step writes its (C, D) gradient and
+    scratch into the same two buffers, made once per call, so no step allocates an array
+    as large as W.
     """
     if not data:
         raise ValueError("no training data")
@@ -165,6 +188,7 @@ def train(
     y = data.y
     W = model.W.copy()
     b = model.b.copy()
+    grad_w, scratch = np.empty_like(W), np.empty_like(W)
     rng = np.random.default_rng(cfg.seed)
     n = len(data)
     history: list[float] = []
@@ -175,13 +199,15 @@ def train(
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                loss, grad_w, grad_b = _loss_grad(W, b, data.features(idx), y[idx], cfg.l2)
+                loss, _, grad_b = _loss_grad(
+                    W, b, data.features(idx), y[idx], cfg.l2, grad_w, scratch
+                )
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged in epoch {epoch}: loss is {loss}; "
                         f"lower the learning rate (now {cfg.learning_rate:g})"
                     )
-                W -= cfg.learning_rate * grad_w
+                W -= np.multiply(cfg.learning_rate, grad_w, out=scratch)
                 b -= cfg.learning_rate * grad_b
                 epoch_loss += loss * idx.size
             history.append(epoch_loss / n)

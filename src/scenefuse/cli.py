@@ -148,7 +148,7 @@ def _cmd_featurize_text(args) -> int:
 # -- fuse ----------------------------------------------------------------------
 
 
-_FUSE_BLOCK = 1 << 14  # values (rows x output width) that fuse computes at a time
+_FUSE_BLOCK = 1 << 14  # values (rows x width) that fuse computes, and vqa copies, at a time
 
 
 def _fuse_aligned(feats_a: RowTable, feats_b: RowTable, spec: FusionSpec) -> np.ndarray:
@@ -185,6 +185,11 @@ def _cmd_fuse(args) -> int:
         )
     if not feats_a:
         raise ValueError("no feature rows to fuse")
+    if spec.scheme == "average" and feats_a.dim != feats_b.dim:
+        raise ValueError(
+            f"average requires equal dims, but {args.a} has {feats_a.dim} and "
+            f"{args.b} has {feats_b.dim}"
+        )
     fused = RowTable(feats_a, _fuse_aligned(feats_a, feats_b, spec))
     write_features(args.out, fused)
     results = {
@@ -239,10 +244,13 @@ def _report(args, command: str, params: dict, results: dict) -> None:
 def _train_eval_cell(manifest: Manifest, features_path, cfg: TrainConfig, class_names, model_path):
     """Accuracy, confusion and epoch losses of one cell; the model goes to ``model_path`` if set.
 
-    The model must not outlive the cell: alive while the next cell's file is read, it
-    can split the heap that file would reuse (+11 MB peak RSS on synth_mcb).
+    The table holds the manifest's train rows, then its test rows, and no other: each
+    split is one run of rows, so the test split is scored in place.  The model must not
+    outlive the cell: alive while the next cell's file is read, it can split the heap
+    that file would reuse (+11 MB peak RSS on synth_mcb).
     """
-    features = load_features(features_path)
+    ids = [row.image_id for split in ("train", "test") for row in manifest.split_rows(split)]
+    features = load_features(features_path, ids)
     train_set = join_labeled(manifest, features, "train", class_names)
     test_set = join_labeled(manifest, features, "test", class_names)
     model = init_model(features.dim, class_names, cfg.seed)
@@ -423,12 +431,20 @@ def _cmd_vqa(args) -> int:
     answer_index = {answer: i for i, answer in enumerate(vocab)}
 
     def labeled(rows) -> LabeledSet:
-        ids = [r.image_id for r in rows]
-        question = np.stack([aggregate(tokenize(r.question), table).vector for r in rows])
-        return LabeledSet(
-            X=np.concatenate([question, *(feats.rows(ids) for feats in blocks.values())], axis=1),
-            y=np.array([answer_index[r.answer] for r in rows]),
-        )
+        """The question sums, then each block's image rows, filled into one matrix."""
+        X = np.empty((len(rows), table.dim + sum(feats.dim for feats in blocks.values())))
+        for at, r in enumerate(rows):
+            X[at, : table.dim] = aggregate(tokenize(r.question), table).vector
+        left = table.dim
+        for feats in blocks.values():
+            picks = np.array([feats.index[r.image_id] for r in rows], dtype=np.intp)
+            step = max(1, _FUSE_BLOCK // feats.dim)
+            for start in range(0, len(rows), step):
+                X[start : start + step, left : left + feats.dim] = feats.matrix[
+                    picks[start : start + step]
+                ]
+            left += feats.dim
+        return LabeledSet(X=X, y=np.array([answer_index[r.answer] for r in rows]))
 
     train_set = labeled([r for r in train_records if r.answer in answer_index])
     dropped_train = len(train_records) - len(train_set)

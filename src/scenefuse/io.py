@@ -339,6 +339,7 @@ def _write_rows(path, keys: Iterable[str], dim: int, rows, sep: str, kind: str, 
         for at, stop in _blocks(start, end, dim):
             for key, row in zip(keys[at:stop], rows(at, stop)):
                 yield key + sep + " ".join(map(repr, row.tolist())) + "\n"
+            del row  # a view that holds the block while the producer builds the next
 
     def write(out, start: int, end: int) -> None:
         with open(out.fileno(), "w", encoding="utf-8", closefd=False) as text:
@@ -367,9 +368,10 @@ def _blocks(start: int, end: int, dim: int) -> Iterator[tuple[int, int]]:
 def _check_finite(keys: Sequence[str], dim: int, rows, kind: str) -> None:
     """Raise ``ValueError`` naming the key of the first row of ``rows`` that is not all finite.
 
-    ``rows(start, stop)`` is asked for one ``_blocks`` range at a time, so no more than
-    a block of the table, nor a mask of the whole table, is made.  A block of another
-    shape than ``(stop - start, dim)`` raises too.
+    ``rows(start, stop)`` is asked for one ``_blocks`` range at a time, and each block
+    is let go before the next is asked for, so no more than a block of the table, nor
+    a mask of the whole table, is held.  A block of another shape than
+    ``(stop - start, dim)`` raises too.
     """
     for start, stop in _blocks(0, len(keys), dim):
         block = rows(start, stop)
@@ -380,6 +382,7 @@ def _check_finite(keys: Sequence[str], dim: int, rows, kind: str) -> None:
         if not finite.all():
             key = keys[start + int(np.argmin(finite))]
             raise ValueError(f"{kind} for {key!r} has non-finite values")
+        del block  # before the producer builds the next
 
 
 def _slices(matrix: np.ndarray):
@@ -470,7 +473,39 @@ def write_embeddings(path, table: RowTable) -> None:
 # -- feature file: "<count> <dim>" then "<image_id>\t<v1> <v2> ..." -----------
 
 
-def load_features(path) -> RowTable:
+def _in_order(keys: list, matrix: np.ndarray, position: Mapping[str, int]) -> list:
+    """``keys`` sorted by ``position``; the rows of ``matrix`` move in place to match.
+
+    Row ``i`` of the result is row ``source[i]`` of the input.  Each cycle of that
+    permutation is followed with one row held aside, so no second matrix is made.
+    """
+    source = sorted(range(len(keys)), key=lambda row: position[keys[row]])
+    done = [False] * len(keys)
+    for start, first in enumerate(source):
+        if done[start] or first == start:
+            continue
+        held, at = matrix[start].copy(), start
+        while source[at] != start:
+            matrix[at] = matrix[source[at]]
+            done[at], at = True, source[at]
+        matrix[at] = held
+        done[at] = True
+    return [keys[row] for row in source]
+
+
+def load_features(path, order: Sequence[str] | None = None) -> RowTable:
+    """The feature file at ``path``; given distinct ids ``order``, only their rows, in that order.
+
+    Every row is read and checked either way, so a fault in a row that is not kept
+    still raises, with the message the full load gives.  An id of ``order`` that the
+    file lacks is left out.  The kept rows are placed as they are read, in file order,
+    then moved in place into the order of ``order``.
+    """
+    position = None
+    if order is not None:
+        _check_distinct(order, "order id")
+        position = {image_id: at for at, image_id in enumerate(order)}
+
     def check_row(line: str, lineno: int, dim: int, ids: dict[str, None]) -> str:
         if line.count("\t") != 1:
             raise ValueError(f"{path}:{lineno}: expected '<image_id>\\t<values>'")
@@ -485,7 +520,9 @@ def load_features(path) -> RowTable:
         ids[image_id] = None
         return image_id
 
-    ids, matrix = _float_rows(path, 1, _count_dim_header, check_row, "\t")
+    ids, matrix = _float_rows(path, 1, _count_dim_header, check_row, "\t", position)
+    if position is not None:
+        ids = _in_order(ids, matrix, position)
     return RowTable(ids, matrix)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,27 @@ class TestLabeledSet:
         assert data.features().tolist() == [[3.0], [1.0]]
         assert data.features(np.array([1])).tolist() == [[1.0]]
         assert LabeledSet(X=[[1.0], [2.0]], y=[1, 0]).features().tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize("rows", [[3, 4, 5, 6], [7], []], ids=["odd-offset", "one", "none"])
+    def test_a_slice_of_rows_in_one_ascending_run_is_a_view_of_x(self, rows):
+        X = np.arange(24.0).reshape(8, 3)
+        data = LabeledSet(X=X, y=np.zeros(len(rows), dtype=int), rows=np.array(rows, dtype=int))
+        for picks in (slice(None), slice(1, None), slice(None, None, -1)):
+            got = data.features(picks)
+            assert got.base is not None  # a view
+            assert np.shares_memory(got, data.X) == bool(len(got))
+            assert got.tobytes() == X[np.array(rows, dtype=int)[picks]].tobytes()
+        picked = data.features(np.arange(len(rows)))
+        assert not np.shares_memory(picked, data.X)
+
+    @pytest.mark.parametrize("rows", [[3, 4, 6], [5, 4, 3], [2, 2]],
+                             ids=["gap", "descending", "repeat"])
+    def test_other_rows_are_gathered_into_a_copy(self, rows):
+        X = np.arange(24.0).reshape(8, 3)
+        data = LabeledSet(X=X, y=np.zeros(len(rows), dtype=int), rows=rows)
+        got = data.features()
+        assert not np.shares_memory(got, data.X)
+        assert got.tobytes() == X[rows].tobytes()
 
     @pytest.mark.parametrize(
         "rows,match",
@@ -307,3 +329,151 @@ class TestEvaluate:
         m = init_model(2, ["a", "b"], seed=0)
         with pytest.raises(ValueError):
             evaluate(m, LabeledSet(X=np.zeros((1, 2)), y=[5]))
+
+
+def _reference_loss_grad(W, b, X, y, l2):
+    """``classifier._loss_grad`` as it was before its step buffers: a new array per (C, D) term."""
+    logits = X @ W.T + b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=1, keepdims=True)
+    n = X.shape[0]
+    loss = float(-np.log(probs[np.arange(n), y]).mean() + 0.5 * l2 * np.sum(W * W))
+    probs[np.arange(n), y] -= 1.0
+    probs /= n
+    grad_w = probs.T @ X + l2 * W
+    grad_b = probs.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def _reference_train(model, data, cfg):
+    """``classifier.train`` as it was before its step buffers, messages included."""
+    y, W, b = data.y, model.W.copy(), model.b.copy()
+    rng = np.random.default_rng(cfg.seed)
+    n = len(data)
+    history = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grad_w, grad_b = _reference_loss_grad(W, b, data.features(idx), y[idx],
+                                                            cfg.l2)
+                if not np.isfinite(loss):
+                    raise ValueError(
+                        f"training diverged in epoch {epoch}: loss is {loss}; "
+                        f"lower the learning rate (now {cfg.learning_rate:g})"
+                    )
+                W -= cfg.learning_rate * grad_w
+                b -= cfg.learning_rate * grad_b
+                epoch_loss += loss * idx.size
+            history.append(epoch_loss / n)
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise ValueError(
+            f"training diverged in epoch {cfg.epochs}: the weights are not finite; "
+            f"lower the learning rate (now {cfg.learning_rate:g})"
+        )
+    return W, b, history
+
+
+def _reference_evaluate(W, b, data, classes):
+    """``classifier.evaluate`` as it was: the set's rows gathered into a copy, then scored."""
+    rows = data.X if data.rows is None else data.X[data.rows]
+    pred = np.argmax(rows @ W.T + b, axis=1)
+    confusion = np.zeros((classes, classes), dtype=np.int64)
+    np.add.at(confusion, (data.y, pred), 1)
+    return float((pred == data.y).mean()), confusion
+
+
+def _sets(rng, n, dim, classes, layout):
+    """Train and test sets of n and n // 3 labeled rows; ``layout`` places them in X.
+
+    "copies": each set owns its rows; "runs": one table, train rows first, then the test
+    rows from an odd offset on; "scattered": one shuffled table, each set named by index.
+    """
+    n_test = n // 3
+    X = rng.standard_normal((n + n_test + 1, dim))
+    y = rng.integers(0, classes, n + n_test)
+    if layout == "copies":
+        return LabeledSet(X[:n], y[:n]), LabeledSet(X[n : n + n_test], y[n:])
+    if layout == "runs":
+        start = n | 1  # an odd row offset, past the train rows
+        return (LabeledSet(X, y[:n], rows=np.arange(n)),
+                LabeledSet(X, y[n:], rows=np.arange(start, start + n_test)))
+    rows = rng.permutation(len(X))
+    return LabeledSet(X, y[:n], rows=rows[:n]), LabeledSet(X, y[n:], rows=rows[n : n + n_test])
+
+
+class TestStepBuffers:
+    """train with its two (C, D) step buffers against a copy of the loop that allocated per step."""
+
+    @pytest.mark.parametrize("layout", ["copies", "runs", "scattered"])
+    @pytest.mark.parametrize("l2", [0.0, 0.003])
+    @pytest.mark.parametrize(
+        "n, dim, classes, batch",
+        [(203, 17, 5, 16), (301, 24, 200, 64), (10, 3, 2, 64)],
+        ids=["partial-last-batch", "200-classes", "one-short-batch"],
+    )
+    def test_weights_losses_and_scores_are_bit_identical(self, layout, l2, n, dim, classes, batch):
+        rng = np.random.default_rng(n + classes)
+        train_set, test_set = _sets(rng, n, dim, classes, layout)
+        model = init_model(dim, [f"c{i}" for i in range(classes)], seed=4)
+        cfg = TrainConfig(learning_rate=0.4, epochs=3, batch_size=batch, seed=9, l2=l2)
+        trained, history = train(model, train_set, cfg)
+        W, b, expected = _reference_train(model, train_set, cfg)
+        assert (trained.W.tobytes(), trained.b.tobytes()) == (W.tobytes(), b.tobytes())
+        assert history == expected
+        accuracy, confusion = evaluate(trained, test_set)
+        expected_accuracy, expected_confusion = _reference_evaluate(W, b, test_set, classes)
+        assert accuracy == expected_accuracy
+        assert confusion.tolist() == expected_confusion.tolist()
+        got = loss_and_grad(trained, test_set, l2)
+        want = _reference_loss_grad(W, b, test_set.features(), test_set.y, l2)
+        assert got[0] == want[0]
+        assert [g.tobytes() for g in got[1:]] == [g.tobytes() for g in want[1:]]
+
+    @pytest.mark.parametrize("rate, l2", [(1e300, 0.0), (1e300, 0.5), (1e154, 0.0)])
+    def test_divergence_is_found_in_the_same_epoch_with_the_same_message(self, rate, l2):
+        rng = np.random.default_rng(14)
+        model = init_model(3, ["a", "b", "c"], seed=15)
+        data = make_batch(rng, model, 37)
+        cfg = TrainConfig(learning_rate=rate, epochs=6, batch_size=8, seed=2, l2=l2)
+        with pytest.raises(ValueError) as expected:
+            _reference_train(model, data, cfg)
+        with pytest.raises(ValueError) as got:
+            train(model, data, cfg)
+        assert str(got.value) == str(expected.value)
+
+    def test_a_step_allocates_no_array_as_large_as_w(self):
+        # 200 x 2000 weights are 3.2 MB; each step used to make five arrays of that size
+        rng = np.random.default_rng(3)
+        model = init_model(2000, [f"c{i}" for i in range(200)], seed=1)
+        data = LabeledSet(rng.standard_normal((40, 2000)), rng.integers(0, 200, 40))
+        cfg = TrainConfig(epochs=2, batch_size=8, l2=0.01)
+        tracemalloc.start()
+        try:
+            train(model, data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the trained W and b, the two buffers, and one batch's small arrays
+        assert peak < 3.5 * model.W.nbytes, peak
+
+
+class TestScoringInPlace:
+    def test_scoring_a_split_in_one_run_makes_no_copy_of_its_rows(self):
+        # the test split is 3000 of 4001 rows (6.1 MB), from an odd row offset on
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((4001, 256))
+        data = LabeledSet(X, rng.integers(0, 4, 3000), rows=np.arange(1001, 4001))
+        model = init_model(256, ["a", "b", "c", "d"], seed=0)
+        tracemalloc.start()
+        try:
+            accuracy, confusion = evaluate(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected_accuracy, expected_confusion = _reference_evaluate(model.W, model.b, data, 4)
+        assert (accuracy, confusion.tolist()) == (expected_accuracy, expected_confusion.tolist())
+        assert peak < data.features().nbytes / 8, peak

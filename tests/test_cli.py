@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest import mock
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 from scenefuse import _split, cli
-from scenefuse.classifier import evaluate, train
+from scenefuse.classifier import LabeledSet, TrainConfig, evaluate, init_model, train
 from scenefuse.cli import main
-from scenefuse.data import Manifest, ManifestRow, clean_corpus, join_labeled
+from scenefuse.data import Manifest, ManifestRow, VqaRecord, clean_corpus, join_labeled
 from scenefuse.io import (
     load_embeddings,
     load_features,
@@ -26,11 +27,13 @@ from scenefuse.io import (
     write_embeddings,
     write_features,
     write_manifest,
+    write_vqa,
 )
 from scenefuse.sketch import make_sketch_params
 from scenefuse.text import (
     RowTable,
     TranscriptionRecord,
+    aggregate,
     fit_tfidf,
     select_top_k,
     text_feature,
@@ -553,6 +556,20 @@ class TestFuse:
         assert capsys.readouterr().err == "error: sketch_dim must be >= 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_average_of_unequal_widths_names_both_files_before_fusing(
+        self, fixtures_dir, tmp_path, capsys
+    ):
+        image, text = fixtures_dir / "image_features.txt", self.featurize(fixtures_dir, tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "fused.txt"
+        with mock.patch.object(cli, "_fuse_aligned", side_effect=AssertionError("fused")):
+            rc = run_cli("fuse", "--a", image, "--b", text, "--out", out, "--scheme", "average")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: average requires equal dims, but {image} has 5 and {text} has 6\n"
+        )
+        assert not out.exists()
+
     def test_id_mismatch_lists_difference(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"
         feats = load_features(fixtures_dir / "image_features.txt")
@@ -957,6 +974,222 @@ class TestTrainEvalWorkers:
         monkeypatch.setattr(_split.tempfile, "TemporaryFile", mock.Mock(side_effect=AssertionError))
         monkeypatch.chdir(tmp_path)
         assert _run_cells(fixtures_dir, tmp_path, paths, *flags)[0] == 0
+
+
+def _cell_loaded_whole(manifest, path, cfg, class_names):
+    """A train-eval cell as it was: the whole file loaded in file order, each split named by
+    index into it, and the test split gathered into a copy to be scored."""
+    features = load_features(path)
+    train_set = join_labeled(manifest, features, "train", class_names)
+    test_set = join_labeled(manifest, features, "test", class_names)
+    trained, history = train(init_model(features.dim, class_names, cfg.seed), train_set, cfg)
+    pred = np.argmax(features.matrix[test_set.rows] @ trained.W.T + trained.b, axis=1)
+    confusion = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
+    np.add.at(confusion, (test_set.y, pred), 1)
+    return float((pred == test_set.y).mean()), confusion.tolist(), history, trained
+
+
+def _cell_corpus(directory, n_train: int, n_test: int, classes: int, widths) -> tuple:
+    """A shuffled manifest and one feature file per width, each in its own shuffled row order
+    and holding seven ids the manifest lacks."""
+    rng = np.random.default_rng(n_train + classes)
+    ids = [f"img-{i:04d}" for i in range(n_train + n_test + 7)]
+    splits = ["train"] * n_train + ["test"] * n_test
+    rows = [ManifestRow(ids[i], f"c{i % classes:03d}", splits[i])
+            for i in rng.permutation(n_train + n_test)]
+    manifest = Manifest(rows=tuple(rows))
+    write_manifest(directory / "manifest.tsv", manifest)
+    paths = []
+    for width in widths:
+        order = rng.permutation(len(ids))
+        labels = np.array([int(ids[i][4:]) % classes for i in order])
+        matrix = rng.standard_normal((len(ids), width)) + np.cos(labels[:, None] + np.arange(width))
+        paths.append(directory / f"w{width}.txt")
+        write_features(paths[-1], RowTable([ids[i] for i in order], matrix))
+    return manifest, paths
+
+
+# per case: train rows (odd, so the test split starts at an odd row), test rows, classes
+CELL_CASES = {"3-classes": (101, 40, 3), "200-classes": (201, 60, 200)}
+
+
+class TestTrainEvalInPlace:
+    """Each cell holds its train rows, then its test rows, and scores the test split in place."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("case", sorted(CELL_CASES))
+    def test_a_cell_trains_and_scores_as_the_whole_file_route_did(self, tmp_path, case, l2):
+        manifest, paths = _cell_corpus(tmp_path, *CELL_CASES[case], widths=[3, 17])
+        names = manifest.class_names()
+        cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=16, seed=5, l2=l2)
+        for path in paths:
+            accuracy, confusion, history, trained = _cell_loaded_whole(manifest, path, cfg, names)
+            got = cli._train_eval_cell(manifest, path, cfg, names, tmp_path / "model.txt")
+            assert got == (accuracy, confusion, history)
+            assert load_model(tmp_path / "model.txt") == trained
+
+    def test_the_table_holds_the_train_rows_then_the_test_rows_and_no_other(self, tmp_path):
+        manifest, (path,) = _cell_corpus(tmp_path, 101, 40, 3, widths=[5])
+        loaded = []
+
+        def loading(*args):
+            loaded.append(load_features(*args))
+            return loaded[-1]
+
+        with mock.patch.object(cli, "load_features", loading), \
+                mock.patch.object(cli, "evaluate", wraps=evaluate) as scored:
+            cli._train_eval_cell(manifest, path, TrainConfig(epochs=1), manifest.class_names(),
+                                 None)
+        (table,) = loaded
+        split_ids = [row.image_id for split in ("train", "test")
+                     for row in manifest.split_rows(split)]
+        assert list(table) == split_ids
+        assert table.matrix.tobytes() == load_features(path).rows(split_ids).tobytes()
+        (test_set,) = [call.args[1] for call in scored.call_args_list]
+        assert test_set.rows.tolist() == list(range(101, 141))
+        assert np.shares_memory(test_set.features(), table.matrix)
+
+    @pytest.mark.parametrize("case", sorted(CELL_CASES))
+    def test_reports_are_those_of_the_whole_file_route_on_1_2_and_3_cpus(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        manifest, paths = _cell_corpus(tmp_path, *CELL_CASES[case], widths=[3, 8, 40])
+        names = manifest.class_names()
+        cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=16, seed=2, l2=0.01)
+        expected = [_cell_loaded_whole(manifest, path, cfg, names)[:3] for path in paths]
+        cells = [a for i, path in enumerate(paths) for a in ("--cell", f"r{i}:acc:{path}")]
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_split, "cpus", lambda: cpus)
+            report = tmp_path / f"report-{cpus}.json"
+            assert run_cli("train-eval", "--manifest", tmp_path / "manifest.tsv", *cells,
+                           "--lr", 0.3, "--epochs", 3, "--batch", 16, "--seed", 2,
+                           "--l2", 0.01, "--report-json", report) == 0
+            results = load_run_manifest(report).results["cells"]
+            assert [(cell["accuracy"], cell["confusion"], cell["loss_history"])
+                    for cell in results] == expected
+            outputs.append((capsys.readouterr(), json.loads(report.read_text())["results"]))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert _no_child_left()
+
+
+def _vqa_sets_concatenated(vqa, manifest, embeddings, feature_paths, answer_vocab):
+    """The answer vocabulary, then the train and test matrices and labels of the vqa command as
+    it built them: question sums stacked, each block's rows copied out of its table, all
+    concatenated."""
+    records = load_vqa(vqa)
+    split_of = {row.image_id: row.split for row in load_manifest(manifest).rows}
+    table = load_embeddings(embeddings, {t for r in records for t in tokenize(r.question)})
+    blocks = [load_features(path) for path in feature_paths]
+    train_records = [r for r in records if split_of[r.image_id] == "train"]
+    counts = Counter(r.answer for r in train_records)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    answer_index = {answer: i for i, (answer, _) in enumerate(ranked[:answer_vocab])}
+
+    def labeled(rows):
+        ids = [r.image_id for r in rows]
+        question = np.stack([aggregate(tokenize(r.question), table).vector for r in rows])
+        return (np.concatenate([question, *(feats.rows(ids) for feats in blocks)], axis=1),
+                np.array([answer_index[r.answer] for r in rows]))
+
+    test_records = [r for r in records if split_of[r.image_id] == "test"]
+    return (list(answer_index), labeled([r for r in train_records if r.answer in answer_index]),
+            labeled([r for r in test_records if r.answer in answer_index]))
+
+
+def _vqa_corpus(directory, questions: int, images: int = 60) -> list:
+    """A seeded vqa corpus: its --vqa, --manifest, --embeddings, --image- and --text-features."""
+    rng = np.random.default_rng(questions)
+    ids = [f"img-{i:03d}" for i in range(images)]
+    words = [f"w{i}" for i in range(43)]  # the last three miss the lexicon
+    write_embeddings(directory / "lexicon.txt",
+                     RowTable(words[:40], rng.standard_normal((40, 300))))
+    rows = [ManifestRow(image_id, "x", "test" if i % 5 == 0 else "train")
+            for i, image_id in enumerate(ids)]
+    write_manifest(directory / "manifest.tsv", Manifest(rows=tuple(rows)))
+    for name, width in (("image", 64), ("text", 300)):
+        order = rng.permutation(images)
+        write_features(directory / f"{name}.txt",
+                       RowTable([ids[i] for i in order], rng.standard_normal((images, width))))
+    write_vqa(directory / "vqa.jsonl", [
+        VqaRecord(ids[int(rng.integers(images))],
+                  " ".join(words[int(w)] for w in rng.integers(0, 43, 5)),
+                  f"a{int(rng.integers(6))}")
+        for _ in range(questions)
+    ])
+    return [directory / name for name in
+            ("vqa.jsonl", "manifest.tsv", "lexicon.txt", "image.txt", "text.txt")]
+
+
+class TestVqaInPlace:
+    """vqa fills one matrix per split: the question sums, then each block's rows."""
+
+    @pytest.mark.parametrize("mode", ["question", "question-image", "question-image-text"])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_sets_and_report_are_those_of_the_concatenating_route(
+        self, tmp_path, monkeypatch, mode, l2, cpus
+    ):
+        vqa, manifest, lexicon, image, text = _vqa_corpus(tmp_path, 301)
+        feature_paths = {"question": [], "question-image": [image],
+                         "question-image-text": [image, text]}[mode]
+        vocab, (X, y), (X_test, y_test) = _vqa_sets_concatenated(
+            vqa, manifest, lexicon, feature_paths, 5
+        )
+        seen = []
+
+        def training(model, data, cfg):
+            seen.append(data)
+            return train(model, data, cfg)
+
+        def scoring(model, data):
+            seen.append(data)
+            return evaluate(model, data)
+
+        report = tmp_path / "report.json"
+        # every float table, however small, is split over ``cpus`` ranges: reads of 16 bytes
+        # leave the ranges past the header's read something to split
+        monkeypatch.setattr(_split, "cpus", lambda: cpus)
+        monkeypatch.setattr(_split, "PARALLEL_MIN", 0)
+        monkeypatch.setattr(_split, "CHUNK", 16)
+        started = _started_jobs(monkeypatch)
+        with mock.patch.object(cli, "train", training), mock.patch.object(cli, "evaluate", scoring):
+            assert run_cli("vqa", "--vqa", vqa, "--manifest", manifest, "--embeddings", lexicon,
+                           "--image-features", image, "--text-features", text, "--mode", mode,
+                           "--answer-vocab", 5, "--epochs", 4, "--batch", 16, "--l2", l2,
+                           "--report-json", report) == 0
+        # the lexicon and each feature file, each split into ``cpus`` ranges
+        assert len(started) == (1 + len(feature_paths)) * (cpus - 1)
+        assert [(s.X.tobytes(), s.y.tolist()) for s in seen] == [
+            (X.tobytes(), y.tolist()), (X_test.tobytes(), y_test.tolist())
+        ]
+        cfg = TrainConfig(learning_rate=0.1, epochs=4, batch_size=16, seed=0, l2=l2)
+        results = load_run_manifest(report).results
+        trained, history = train(init_model(X.shape[1], vocab, 0), LabeledSet(X, y), cfg)
+        assert results["loss_history"] == history
+        correct = int(np.trace(evaluate(trained, LabeledSet(X_test, y_test))[1]))
+        assert results["accuracy"] == correct / results["n_test"]
+
+    def test_building_a_split_holds_no_second_matrix(self, tmp_path):
+        # 3000 questions of 664 values: the sets are 15.9 MB, and the old route held the
+        # stacked question sums and each block's copied rows beside a set's matrix
+        paths = _vqa_corpus(tmp_path, 3000)
+        sizes = []
+
+        def training(model, data, cfg):
+            sizes.append(data.X.nbytes)
+            return model, [1.0]
+
+        def scoring(model, data):
+            sizes.append(data.X.nbytes)
+            return evaluate(model, data)
+
+        with mock.patch.object(cli, "train", training), mock.patch.object(cli, "evaluate", scoring):
+            peak = _traced_peak("vqa", "--vqa", paths[0], "--manifest", paths[1],
+                                "--embeddings", paths[2], "--image-features", paths[3],
+                                "--text-features", paths[4], "--answer-vocab", 6)
+        assert sum(sizes) > 15_000_000
+        assert peak < 1.2 * sum(sizes), (peak, sizes)
 
 
 class TestVqa:

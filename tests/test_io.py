@@ -652,7 +652,7 @@ class TestFeatureRows:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 3 * scenefuse_io._BLOCK * 8, peak
+        assert peak < 2 * scenefuse_io._BLOCK * 8, peak
 
     def test_a_repeated_key_raises_before_the_file_exists(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -905,6 +905,118 @@ class TestVocabulary:
             tracemalloc.stop()
         assert kept == RowTable(vocabulary, table.rows(vocabulary))
         assert peak < table.matrix.nbytes / 2
+
+
+def _feature_bytes(rows: list[tuple[str, list[str]]], dim: int, count: int | None = None) -> bytes:
+    """A feature file of ``rows`` whose header states ``count`` rows (default: as many as given)."""
+    lines = [f"{len(rows) if count is None else count} {dim}"]
+    lines += [key + "\t" + " ".join(fields) for key, fields in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+# per kind of fault, a feature file whose one bad row, "other", is not in the order kept
+FAULTY_FEATURES = {
+    **{
+        fault: _feature_bytes([("kept", _FIELDS), ("other", change(_FIELDS)), ("last", _FIELDS)], 2)
+        for fault, change in ROW_FAULTS.items()
+    },
+    "duplicate-id": _feature_bytes([("other", _FIELDS), ("kept", _FIELDS), ("other", _FIELDS)], 2),
+    "header-count": _feature_bytes([("kept", _FIELDS), ("other", _FIELDS)], 2, count=3),
+}
+
+
+class TestOrder:
+    """``load_features(path, order)``: the rows of the ids of ``order``, in that order."""
+
+    @given(
+        matrix=FINITE_MATRICES,
+        picks=st.lists(st.integers(0, 7), unique=True),  # a pick past the file's rows is absent
+        chunk=st.integers(1, 64),
+        block=st.integers(1, 4),
+        parts=st.sampled_from(PARTS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_rows_of_the_ids_come_bit_for_bit_in_that_order(
+        self, tmp_path_factory, matrix, picks, chunk, block, parts
+    ):
+        path = tmp_path_factory.getbasetemp() / "features.txt"
+        full = RowTable([f"i{k}" for k in range(len(matrix))], matrix)
+        write_features(path, full)
+        order = [f"i{k}" for k in picks]
+        with mock.patch.object(_split, "CHUNK", chunk), \
+                mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+            kept = load_features(path, order)
+        expected = [image_id for image_id in order if image_id in full]
+        assert list(kept) == expected
+        assert kept.matrix.tobytes() == full.rows(expected).tobytes()
+        assert kept.dim == full.dim and not kept.matrix.flags.writeable
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_a_split_load_places_every_range_by_the_order(self, tmp_path, parts):
+        rng = np.random.default_rng(6)
+        full = RowTable([f"i{k}" for k in range(40)], rng.standard_normal((40, 3)))
+        path = tmp_path / "features.txt"
+        write_features(path, full)
+        order = [f"i{k}" for k in rng.permutation(45)]  # five ids the file lacks
+        started = []
+        with _split_into(parts), _spying(_split.Forks, "start", started):
+            kept = load_features(path, order)
+        assert len(started) == parts - 1
+        expected = [image_id for image_id in order if image_id in full]
+        assert kept == RowTable(expected, full.rows(expected))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("fault", sorted(FAULTY_FEATURES))
+    def test_a_fault_in_a_row_not_kept_fails_as_the_full_load_does(self, tmp_path, fault, parts):
+        path = tmp_path / "features.txt"
+        path.write_bytes(FAULTY_FEATURES[fault])
+        with pytest.raises(ValueError) as whole:
+            load_features(path)
+        with _split_into(parts), pytest.raises(ValueError) as kept:
+            load_features(path, ["last", "kept"])
+        assert str(kept.value) == str(whole.value)
+
+    def test_a_repeated_id_raises_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(ValueError, match="^order id 'a' repeats$"):
+            load_features(tmp_path / "missing.txt", ["a", "b", "a"])
+
+    def test_a_pipe_loads_as_its_file_does(self, tmp_path):
+        data = _feature_bytes([(f"i{k}", [f"{k}.5", "1.0"]) for k in range(5)], 2)
+        file, pipe = tmp_path / "f.txt", tmp_path / "f.pipe"
+        file.write_bytes(data)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+        writer.start()
+        order = ["i3", "x", "i0", "i4"]
+        try:
+            with mock.patch.object(scenefuse_io, "_BLOCK", 2):
+                through_pipe = load_features(pipe, order)
+        finally:
+            if writer.is_alive():  # the load failed before it opened the pipe
+                with open(pipe, "rb") as fh:
+                    fh.read()
+            writer.join()
+        assert through_pipe == load_features(file, order)
+        assert list(through_pipe) == ["i3", "i0", "i4"]
+
+    def test_a_reordered_load_holds_no_second_matrix(self, tmp_path):
+        # the 4.8 MB of rows kept, one block and one chunk of text; a reordered copy of
+        # the rows would take the peak past 9.6 MB
+        rows, dim = 2000, 300
+        rng = np.random.default_rng(2)
+        table = RowTable([f"i{k}" for k in range(rows)], rng.integers(-9, 9, (rows, dim)) / 8)
+        path = tmp_path / "features.txt"
+        write_features(path, table)
+        order = [f"i{k}" for k in rng.permutation(rows)]
+        with mock.patch.object(_split, "cpus", lambda: 1):
+            tracemalloc.start()
+            try:
+                kept = load_features(path, order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert kept == RowTable(order, table.rows(order))
+        assert peak < 1.5 * table.matrix.nbytes, peak
 
 
 # per case: loader, file bytes, the message after "path"; each message is the one that the
