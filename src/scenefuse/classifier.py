@@ -58,18 +58,12 @@ class ClassifierModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """Class indices y (n,) of n feature rows: row ``rows[i]`` of X (count, dim) has label ``y[i]``.
-
-    Without ``rows`` the labels go to the rows of X in order, and X has n rows.  A
-    split of a larger table (``join_labeled``) names its rows rather than copying
-    them; ``features`` gathers them, or views them when they are one ascending run.
-    """
+    """Feature rows X (n, dim) and their class indices y (n,): row ``i`` has label ``y[i]``."""
 
     X: np.ndarray
     y: np.ndarray
-    rows: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=float)
@@ -78,35 +72,13 @@ class LabeledSet:
             raise ValueError(f"X must be 2-d, got shape {X.shape}")
         if y.ndim != 1 or y.dtype.kind not in "iu":
             raise ValueError(f"y must be a 1-d integer array, got {y.dtype} of shape {y.shape}")
-        if self.rows is None:
-            if y.shape[0] != X.shape[0]:
-                raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} labels")
-        else:
-            rows = np.asarray(self.rows)
-            if rows.shape != y.shape or rows.dtype.kind not in "iu":
-                raise ValueError(f"rows must be {y.shape[0]} integers, one per label")
-            if rows.size and (rows.min() < 0 or rows.max() >= X.shape[0]):
-                raise ValueError(f"rows must lie in [0, {X.shape[0]})")
-            object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
+        if y.shape[0] != X.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} labels")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y.astype(np.int64))
 
     def __len__(self) -> int:
         return self.y.shape[0]
-
-    def features(self, picks=slice(None)) -> np.ndarray:
-        """The feature rows of the labels ``picks`` (an index array or slice; all by default).
-
-        A slice of a set whose ``rows`` are one ascending run (``start``, ``start + 1``,
-        ...) is a view of X, as it is of a set without ``rows``; anything else is a copy.
-        """
-        if self.rows is None:
-            return self.X[picks]
-        n = len(self)
-        start = int(self.rows[0]) if n else 0
-        if isinstance(picks, slice) and np.array_equal(self.rows, np.arange(start, start + n)):
-            return self.X[start : start + n][picks]
-        return self.X[self.rows[picks]]
 
 
 def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierModel:
@@ -169,7 +141,7 @@ def loss_and_grad(
     if not batch:
         raise ValueError("empty batch")
     _check_fits(batch, model)
-    return _loss_grad(model.W, model.b, batch.features(), batch.y, l2)
+    return _loss_grad(model.W, model.b, batch.X, batch.y, l2)
 
 
 def train(
@@ -199,9 +171,7 @@ def train(
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                loss, _, grad_b = _loss_grad(
-                    W, b, data.features(idx), y[idx], cfg.l2, grad_w, scratch
-                )
+                loss, _, grad_b = _loss_grad(W, b, data.X[idx], y[idx], cfg.l2, grad_w, scratch)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged in epoch {epoch}: loss is {loss}; "
@@ -228,7 +198,7 @@ def evaluate(model: ClassifierModel, data: LabeledSet) -> tuple[float, np.ndarra
         raise ValueError("no evaluation data")
     _check_fits(data, model)
     y = data.y
-    pred = np.argmax(data.features() @ model.W.T + model.b, axis=1)
+    pred = np.argmax(data.X @ model.W.T + model.b, axis=1)
     confusion = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
     np.add.at(confusion, (y, pred), 1)
     return float((pred == y).mean()), confusion

@@ -105,9 +105,10 @@ def join_labeled(
 ) -> LabeledSet:
     """One split's feature rows, in manifest order, with their class indices.
 
-    The set holds the table's matrix itself and the split's row indices into it,
-    not a copy of the rows.  Every manifest row of the split must have a feature
-    row; missing ids are reported together.
+    A split whose rows are one ascending run of the table (as both splits are when
+    the table was loaded in train-then-test order) is a view of those rows; any
+    other split is a copy of them.  Every manifest row of the split must have a
+    feature row; missing ids are reported together.
     """
     rows = manifest.split_rows(split)
     if not rows:
@@ -122,7 +123,10 @@ def join_labeled(
         raise ValueError(f"labels missing from class set: {', '.join(unknown)}")
     labels = np.array([index[row.label] for row in rows])
     picks = np.array([features.index[row.image_id] for row in rows])
-    return LabeledSet(X=features.matrix, y=labels, rows=picks)
+    start = int(picks[0])
+    if np.array_equal(picks, np.arange(start, start + len(picks))):
+        return LabeledSet(X=features.matrix[start : start + len(picks)], y=labels)
+    return LabeledSet(X=features.matrix[picks], y=labels)
 
 
 @dataclass(frozen=True)

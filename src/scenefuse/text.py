@@ -135,7 +135,7 @@ def select_top_k(record: TranscriptionRecord, model: TfIdfModel, k: int) -> list
     return [token for token, _ in ranked[:k]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TextFeature:
     vector: np.ndarray
     selected: tuple[str, ...]

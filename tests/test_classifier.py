@@ -13,6 +13,8 @@ from scenefuse.classifier import (
     loss_and_grad,
     train,
 )
+from scenefuse.data import Manifest, ManifestRow, join_labeled
+from scenefuse.text import RowTable
 
 
 def make_batch(rng, model, size):
@@ -44,47 +46,31 @@ class TestLabeledSet:
         with pytest.raises(ValueError, match=match):
             LabeledSet(X=X, y=y)
 
-    def test_rows_name_the_rows_of_x_that_the_labels_belong_to(self):
-        data = LabeledSet(X=[[1.0], [2.0], [3.0]], y=[0, 1], rows=[2, 0])
-        assert len(data) == 2
-        assert data.features().tolist() == [[3.0], [1.0]]
-        assert data.features(np.array([1])).tolist() == [[1.0]]
-        assert LabeledSet(X=[[1.0], [2.0]], y=[1, 0]).features().tolist() == [[1.0], [2.0]]
-
-    @pytest.mark.parametrize("rows", [[3, 4, 5, 6], [7], []], ids=["odd-offset", "one", "none"])
-    def test_a_slice_of_rows_in_one_ascending_run_is_a_view_of_x(self, rows):
-        X = np.arange(24.0).reshape(8, 3)
-        data = LabeledSet(X=X, y=np.zeros(len(rows), dtype=int), rows=np.array(rows, dtype=int))
-        for picks in (slice(None), slice(1, None), slice(None, None, -1)):
-            got = data.features(picks)
-            assert got.base is not None  # a view
-            assert np.shares_memory(got, data.X) == bool(len(got))
-            assert got.tobytes() == X[np.array(rows, dtype=int)[picks]].tobytes()
-        picked = data.features(np.arange(len(rows)))
-        assert not np.shares_memory(picked, data.X)
-
-    @pytest.mark.parametrize("rows", [[3, 4, 6], [5, 4, 3], [2, 2]],
-                             ids=["gap", "descending", "repeat"])
-    def test_other_rows_are_gathered_into_a_copy(self, rows):
-        X = np.arange(24.0).reshape(8, 3)
-        data = LabeledSet(X=X, y=np.zeros(len(rows), dtype=int), rows=rows)
-        got = data.features()
-        assert not np.shares_memory(got, data.X)
-        assert got.tobytes() == X[rows].tobytes()
+    def test_a_contiguous_float_x_is_kept_not_copied(self):
+        table = np.arange(24.0).reshape(8, 3)
+        table.flags.writeable = False
+        data = LabeledSet(table[3:7], [0, 1, 0, 1])
+        assert np.shares_memory(data.X, table)
+        assert data.X.ctypes.data == table[3:].ctypes.data
 
     @pytest.mark.parametrize(
-        "rows,match",
-        [
-            ([0, 1], "rows must be 3 integers, one per label"),
-            ([[0], [1], [2]], "rows must be 3 integers, one per label"),
-            ([0.0, 1.0, 2.0], "rows must be 3 integers, one per label"),
-            ([0, 1, 4], r"rows must lie in \[0, 4\)"),
-            ([0, -1, 2], r"rows must lie in \[0, 4\)"),
-        ],
+        "X",
+        [np.arange(24, dtype=np.float32).reshape(8, 3), np.arange(48.0).reshape(8, 6)[:, ::2]],
+        ids=["float32", "strided"],
     )
-    def test_rejects_malformed_rows(self, rows, match):
-        with pytest.raises(ValueError, match=match):
-            LabeledSet(X=np.zeros((4, 2)), y=[0, 1, 0], rows=rows)
+    def test_any_other_x_is_copied_to_contiguous_float64(self, X):
+        data = LabeledSet(X, np.zeros(8, dtype=int))
+        assert not np.shares_memory(data.X, X)
+        assert data.X.dtype == np.float64 and data.X.flags.c_contiguous
+        assert data.X.tolist() == X.tolist()
+
+    def test_sets_compare_and_hash_by_identity(self):
+        # a generated __eq__ compared the arrays field by field, which numpy cannot answer
+        a = LabeledSet(np.zeros((2, 2)), [0, 1])
+        b = LabeledSet(np.zeros((2, 2)), [0, 1])
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert len({a, b, a}) == 2
 
     def test_feature_dim_checked_against_model(self):
         m = init_model(3, ["a", "b"], seed=0)
@@ -358,8 +344,7 @@ def _reference_train(model, data, cfg):
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                loss, grad_w, grad_b = _reference_loss_grad(W, b, data.features(idx), y[idx],
-                                                            cfg.l2)
+                loss, grad_w, grad_b = _reference_loss_grad(W, b, data.X[idx], y[idx], cfg.l2)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged in epoch {epoch}: loss is {loss}; "
@@ -378,9 +363,8 @@ def _reference_train(model, data, cfg):
 
 
 def _reference_evaluate(W, b, data, classes):
-    """``classifier.evaluate`` as it was: the set's rows gathered into a copy, then scored."""
-    rows = data.X if data.rows is None else data.X[data.rows]
-    pred = np.argmax(rows @ W.T + b, axis=1)
+    """``classifier.evaluate`` as it was: the set's rows copied, then scored."""
+    pred = np.argmax(data.X.copy() @ W.T + b, axis=1)
     confusion = np.zeros((classes, classes), dtype=np.int64)
     np.add.at(confusion, (data.y, pred), 1)
     return float((pred == data.y).mean()), confusion
@@ -389,8 +373,8 @@ def _reference_evaluate(W, b, data, classes):
 def _sets(rng, n, dim, classes, layout):
     """Train and test sets of n and n // 3 labeled rows; ``layout`` places them in X.
 
-    "copies": each set owns its rows; "runs": one table, train rows first, then the test
-    rows from an odd offset on; "scattered": one shuffled table, each set named by index.
+    "copies": each set owns its rows; "runs": views of one table, train rows first, then
+    the test rows from an odd offset on; "scattered": ``join_labeled`` of one shuffled table.
     """
     n_test = n // 3
     X = rng.standard_normal((n + n_test + 1, dim))
@@ -399,10 +383,16 @@ def _sets(rng, n, dim, classes, layout):
         return LabeledSet(X[:n], y[:n]), LabeledSet(X[n : n + n_test], y[n:])
     if layout == "runs":
         start = n | 1  # an odd row offset, past the train rows
-        return (LabeledSet(X, y[:n], rows=np.arange(n)),
-                LabeledSet(X, y[n:], rows=np.arange(start, start + n_test)))
+        return LabeledSet(X[:n], y[:n]), LabeledSet(X[start : start + n_test], y[n:])
     rows = rng.permutation(len(X))
-    return LabeledSet(X, y[:n], rows=rows[:n]), LabeledSet(X, y[n:], rows=rows[n : n + n_test])
+    ids = [f"r{i}" for i in range(len(X))]
+    names = [f"c{i}" for i in range(classes)]
+    manifest = Manifest(rows=tuple(
+        ManifestRow(ids[row], names[label], "train" if at < n else "test")
+        for at, (row, label) in enumerate(zip(rows, y))
+    ))
+    table = RowTable(ids, X)
+    return tuple(join_labeled(manifest, table, split, names) for split in ("train", "test"))
 
 
 class TestStepBuffers:
@@ -429,7 +419,7 @@ class TestStepBuffers:
         assert accuracy == expected_accuracy
         assert confusion.tolist() == expected_confusion.tolist()
         got = loss_and_grad(trained, test_set, l2)
-        want = _reference_loss_grad(W, b, test_set.features(), test_set.y, l2)
+        want = _reference_loss_grad(W, b, test_set.X, test_set.y, l2)
         assert got[0] == want[0]
         assert [g.tobytes() for g in got[1:]] == [g.tobytes() for g in want[1:]]
 
@@ -465,9 +455,15 @@ class TestScoringInPlace:
     def test_scoring_a_split_in_one_run_makes_no_copy_of_its_rows(self):
         # the test split is 3000 of 4001 rows (6.1 MB), from an odd row offset on
         rng = np.random.default_rng(8)
-        X = rng.standard_normal((4001, 256))
-        data = LabeledSet(X, rng.integers(0, 4, 3000), rows=np.arange(1001, 4001))
-        model = init_model(256, ["a", "b", "c", "d"], seed=0)
+        table = RowTable([f"r{i}" for i in range(4001)], rng.standard_normal((4001, 256)))
+        names = ["a", "b", "c", "d"]
+        manifest = Manifest(rows=tuple(
+            ManifestRow(image_id, names[label], "train" if i < 1001 else "test")
+            for i, (image_id, label) in enumerate(zip(table, rng.integers(0, 4, 4001)))
+        ))
+        data = join_labeled(manifest, table, "test", names)
+        assert np.shares_memory(data.X, table.matrix)
+        model = init_model(256, names, seed=0)
         tracemalloc.start()
         try:
             accuracy, confusion = evaluate(model, data)
@@ -476,4 +472,4 @@ class TestScoringInPlace:
             tracemalloc.stop()
         expected_accuracy, expected_confusion = _reference_evaluate(model.W, model.b, data, 4)
         assert (accuracy, confusion.tolist()) == (expected_accuracy, expected_confusion.tolist())
-        assert peak < data.features().nbytes / 8, peak
+        assert peak < data.X.nbytes / 8, peak

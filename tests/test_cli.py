@@ -977,13 +977,13 @@ class TestTrainEvalWorkers:
 
 
 def _cell_loaded_whole(manifest, path, cfg, class_names):
-    """A train-eval cell as it was: the whole file loaded in file order, each split named by
-    index into it, and the test split gathered into a copy to be scored."""
+    """A train-eval cell as it was: the whole file loaded in file order, and each split
+    gathered from it into a copy, the test split scored from that copy."""
     features = load_features(path)
     train_set = join_labeled(manifest, features, "train", class_names)
     test_set = join_labeled(manifest, features, "test", class_names)
     trained, history = train(init_model(features.dim, class_names, cfg.seed), train_set, cfg)
-    pred = np.argmax(features.matrix[test_set.rows] @ trained.W.T + trained.b, axis=1)
+    pred = np.argmax(test_set.X @ trained.W.T + trained.b, axis=1)
     confusion = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
     np.add.at(confusion, (test_set.y, pred), 1)
     return float((pred == test_set.y).mean()), confusion.tolist(), history, trained
@@ -1046,8 +1046,9 @@ class TestTrainEvalInPlace:
         assert list(table) == split_ids
         assert table.matrix.tobytes() == load_features(path).rows(split_ids).tobytes()
         (test_set,) = [call.args[1] for call in scored.call_args_list]
-        assert test_set.rows.tolist() == list(range(101, 141))
-        assert np.shares_memory(test_set.features(), table.matrix)
+        assert np.shares_memory(test_set.X, table.matrix)
+        assert test_set.X.ctypes.data == table.matrix[101:].ctypes.data
+        assert test_set.X.shape == (40, 5)
 
     @pytest.mark.parametrize("case", sorted(CELL_CASES))
     def test_reports_are_those_of_the_whole_file_route_on_1_2_and_3_cpus(

@@ -104,16 +104,16 @@ class TestJoinLabeled:
         feats = RowTable(["i1", "i2", "i3"], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         examples = join_labeled(self.make_manifest(), feats, "train")
         assert len(examples) == 2
-        assert np.array_equal(examples.features(), [[1.0, 0.0], [1.0, 1.0]])  # manifest order
+        assert np.array_equal(examples.X, [[1.0, 0.0], [1.0, 1.0]])  # manifest order
         assert examples.y[0] == 0  # cat sorts first
         assert examples.y[1] == 1
-        assert np.shares_memory(examples.X, feats.matrix)  # the rows are named, not copied
+        assert np.shares_memory(examples.X, feats.matrix)  # one run of rows: a view
 
     def test_join_follows_the_manifest_not_the_table(self):
         feats = RowTable(["i3", "i2", "i1"], [[1.0, 2.0], [1.0, 1.0], [1.0, 0.0]])
         examples = join_labeled(self.make_manifest(), feats, "train")
-        assert np.array_equal(examples.features(), [[1.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(examples.features([1]), [[1.0, 1.0]])
+        assert np.array_equal(examples.X, [[1.0, 0.0], [1.0, 1.0]])
+        assert not np.shares_memory(examples.X, feats.matrix)  # rows 2, 1: a copy
         assert examples.y.tolist() == [0, 1]
 
     def test_missing_id_named_in_error(self):
@@ -130,6 +130,70 @@ class TestJoinLabeled:
         feats = RowTable(["i1", "i2", "i3"], np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dog"):
             join_labeled(self.make_manifest(), feats, "train", class_names=["cat"])
+
+    @staticmethod
+    def split_of(rows, size=8):
+        """A table of ``size`` rows and a manifest whose train split is ``rows``, in order."""
+        ids = [f"r{i}" for i in range(size)]
+        table = RowTable(ids, np.arange(size * 3.0).reshape(size, 3))
+        picked = set(rows)
+        manifest = Manifest(rows=tuple(
+            [ManifestRow(ids[row], f"c{row % 2}", "train") for row in rows]
+            + [ManifestRow(ids[row], "c0", "test") for row in range(size) if row not in picked]
+        ))
+        return table, join_labeled(manifest, table, "train", ["c0", "c1"])
+
+    @pytest.mark.parametrize("rows", [[3, 4, 5, 6], [7], list(range(8))],
+                             ids=["odd-offset", "one", "whole"])
+    def test_a_split_in_one_ascending_run_is_a_view_of_the_table(self, rows):
+        table, data = self.split_of(rows)
+        assert np.shares_memory(data.X, table.matrix)
+        assert data.X.ctypes.data == table.matrix[rows[0]:].ctypes.data
+        assert data.X.tobytes() == table.matrix[rows].tobytes()
+        assert data.y.tolist() == [row % 2 for row in rows]
+
+    @pytest.mark.parametrize("rows", [[3, 4, 6], [5, 4, 3], [4, 5, 3]],
+                             ids=["gap", "descending", "rotated"])
+    def test_other_splits_are_gathered_into_a_copy(self, rows):
+        table, data = self.split_of(rows)
+        assert not np.shares_memory(data.X, table.matrix)
+        assert data.X.tobytes() == table.matrix[rows].tobytes()
+        assert data.y.tolist() == [row % 2 for row in rows]
+
+    def test_a_split_without_rows_is_rejected(self):
+        feats = RowTable(["i1", "i2", "i3"], np.zeros((3, 2)))
+        manifest = Manifest(rows=(ManifestRow("i1", "cat", "train"),))
+        with pytest.raises(ValueError, match="no rows in split 'test'"):
+            join_labeled(manifest, feats, "test")
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_a_run_is_a_view_and_other_rows_a_copy_and_both_train_as_the_copy_does(self, l2):
+        # the train split is rows 1 to 160, an odd offset; the test split is rows 0 and
+        # 161 to 240 in shuffled manifest order
+        rng = np.random.default_rng(6)
+        ids = [f"img-{i:03d}" for i in range(241)]
+        table = RowTable(ids, rng.standard_normal((241, 9)))
+        test_ids = [ids[i] for i in rng.permutation([0, *range(161, 241)])]
+        manifest = Manifest(rows=tuple(
+            ManifestRow(image_id, f"c{int(image_id[4:]) % 3}", split)
+            for split, split_ids in (("train", ids[1:161]), ("test", test_ids))
+            for image_id in split_ids
+        ))
+        run, scattered = (join_labeled(manifest, table, split) for split in ("train", "test"))
+        assert np.shares_memory(run.X, table.matrix) and run.X.shape == (160, 9)
+        assert run.X.ctypes.data == table.matrix[1:].ctypes.data
+        assert not np.shares_memory(scattered.X, table.matrix)
+        assert scattered.X.tobytes() == table.rows(test_ids).tobytes()
+        cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=16, seed=2, l2=l2)
+        for data, split_ids in ((run, ids[1:161]), (scattered, test_ids)):
+            copy = LabeledSet(table.rows(split_ids), data.y)
+            model = init_model(9, manifest.class_names(), seed=1)
+            (got, got_history), (want, want_history) = (train(model, d, cfg) for d in (data, copy))
+            assert got == want and got_history == want_history
+            for scored in (run, scattered):
+                accuracy, confusion = evaluate(got, scored)
+                expected = evaluate(want, LabeledSet(np.array(scored.X), scored.y))
+                assert (accuracy, confusion.tolist()) == (expected[0], expected[1].tolist())
 
 
 class TestSynthConfig:

@@ -288,6 +288,14 @@ class TestFilterByConfidence:
 
 
 class TestTextFeaturePipeline:
+    def test_features_compare_and_hash_by_identity(self):
+        # a generated __eq__ compared the vectors field by field, which numpy cannot answer
+        table = RowTable(["a"], [[1.0, 2.0]])
+        first, second = aggregate(["a"], table), aggregate(["a"], table)
+        assert first == first and first != second
+        assert first in [second, first] and second not in [first]
+        assert len({first, second, first}) == 2
+
     def test_select_then_embed_misses_consume_slots(self):
         # a selected token missing from the lexicon still uses one of the k slots
         table = RowTable(["common"], [[1.0, 1.0]])
