@@ -1,12 +1,12 @@
-"""How work is split across CPUs: the rule for a large float table, the byte ranges and the forks.
+"""How work is split: a table into blocks of rows, a large float table across CPUs.
 
-``parts`` is the one rule for loads and writes alike, and ``regular_size`` the
-one test of whether a file is regular, so that a load may split it and a
-``train-eval`` cell on it may go to a worker.  ``line_ends`` cuts a regular
-file into ranges, ``Span`` reads one range, and ``Forks`` runs a job in
-a forked child: one per range for a float table, one per share of the cells for
-``train-eval``.  What a child does and how its results are merged stay with its
-caller (``scenefuse.io``, ``scenefuse.cli``).
+``blocks`` is the one walk over a table's rows, ``BLOCK`` values at a time, ``parts``
+the one rule for loads and writes alike, and ``regular_size`` the one test of whether
+a file is regular, so that a load may split it and a ``train-eval`` cell on it may go
+to a worker.  ``line_ends`` cuts a regular file into ranges, ``Span`` reads one range,
+and ``Forks`` runs a job in a forked child: one per range for a float table, one per
+share of the cells for ``train-eval``.  What a child does and how its results are
+merged stay with its caller (``scenefuse.io``, ``scenefuse.cli``).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import tempfile
 import threading
 
 CHUNK = 1 << 18  # bytes per read of a line loader
+BLOCK = 1 << 14  # values (rows x width) per np.loadtxt call, producer request or fuse_rows call
 PARALLEL_MIN = 1 << 17  # values (rows x width) from which a float table is split across CPUs
 
 _in_child = False  # set in a child of ``Forks``
@@ -41,6 +42,17 @@ def parts(values: int) -> int:
     ``cpus()`` from ``PARALLEL_MIN`` values on, else one.
     """
     return cpus() if values >= PARALLEL_MIN else 1
+
+
+def block_rows(width: int) -> int:
+    """The rows in a block of a table ``width`` values wide: ``BLOCK // width``, one at least."""
+    return max(1, BLOCK // width)
+
+
+def blocks(start: int, end: int, width: int):
+    """Rows ``start`` to ``end`` of a table ``width`` values wide, as one ``slice`` per block."""
+    step = block_rows(width)
+    return (slice(at, min(at + step, end)) for at in range(start, end, step))
 
 
 def regular_size(file) -> int | None:

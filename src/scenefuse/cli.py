@@ -148,11 +148,8 @@ def _cmd_featurize_text(args) -> int:
 # -- fuse ----------------------------------------------------------------------
 
 
-_FUSE_BLOCK = 1 << 14  # values (rows x width) that fuse computes, and vqa copies, at a time
-
-
 def _fuse_aligned(feats_a: RowTable, feats_b: RowTable, spec: FusionSpec) -> np.ndarray:
-    """``fuse_rows`` of each id's rows of a and b, in a's order, one block of rows at a time.
+    """``fuse_rows`` of each id's rows of a and b, in a's order, one ``_split`` block at a time.
 
     Beside the output, only one block's rows of b and its ``fuse_rows`` temporaries
     are held: no reordered copy of b, and no temporary as large as the output (mcb's
@@ -160,9 +157,7 @@ def _fuse_aligned(feats_a: RowTable, feats_b: RowTable, spec: FusionSpec) -> np.
     """
     b_rows = np.array([feats_b.index[key] for key in feats_a])
     fused = np.empty((len(feats_a), spec.out_dim(feats_a.dim, feats_b.dim)))
-    step = max(1, _FUSE_BLOCK // fused.shape[1])
-    for start in range(0, len(fused), step):
-        block = slice(start, start + step)
+    for block in _split.blocks(0, len(fused), fused.shape[1]):
         fused[block] = fuse_rows(feats_a.matrix[block], feats_b.matrix[b_rows[block]], spec)
     return fused
 
@@ -403,7 +398,9 @@ def _cmd_vqa(args) -> int:
 
     records = load_vqa(args.vqa)
     manifest = load_manifest(args.manifest)
-    table = load_embeddings(args.embeddings, {t for r in records for t in tokenize(r.question)})
+    share = {}.setdefault  # one token list per distinct question, one str per distinct token
+    words = {q: [share(t, t) for t in tokenize(q)] for q in {r.question for r in records}}
+    table = load_embeddings(args.embeddings, {t for tokens in words.values() for t in tokens})
     split_of = {row.image_id: row.split for row in manifest.rows}
     missing = sorted({r.image_id for r in records} - set(split_of))
     if missing:
@@ -434,15 +431,12 @@ def _cmd_vqa(args) -> int:
         """The question sums, then each block's image rows, filled into one matrix."""
         X = np.empty((len(rows), table.dim + sum(feats.dim for feats in blocks.values())))
         for at, r in enumerate(rows):
-            X[at, : table.dim] = aggregate(tokenize(r.question), table).vector
+            X[at, : table.dim] = aggregate(words[r.question], table).vector
         left = table.dim
         for feats in blocks.values():
             picks = np.array([feats.index[r.image_id] for r in rows], dtype=np.intp)
-            step = max(1, _FUSE_BLOCK // feats.dim)
-            for start in range(0, len(rows), step):
-                X[start : start + step, left : left + feats.dim] = feats.matrix[
-                    picks[start : start + step]
-                ]
+            for block in _split.blocks(0, len(rows), feats.dim):
+                X[block, left : left + feats.dim] = feats.matrix[picks[block]]
             left += feats.dim
         return LabeledSet(X=X, y=np.array([answer_index[r.answer] for r in rows]))
 
@@ -697,7 +691,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

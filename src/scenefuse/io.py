@@ -27,7 +27,6 @@ from .data import CleaningReport, Manifest, ManifestRow, VqaRecord
 from .text import RowTable, TranscribedWord, TranscriptionRecord
 
 
-_BLOCK = 1 << 14  # values (rows x width) per np.loadtxt call of a float table
 # every character at which str.splitlines breaks a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -166,29 +165,29 @@ class _Matrix:
         return self.matrix[: self.filled]
 
 
-def _scan(path, lines: Iterable[str], first: int, width: int, check_row, sep, keep, keys, put):
-    """Check and parse ``lines``, the first on line ``first``, ``_BLOCK // width`` rows at a time.
+def _scan(path, lines: Iterable[str], first: int, width: int, check_row, keep, keys, put):
+    """Check and parse ``lines``, the first on line ``first``, one ``_split`` block at a time.
 
-    Each row goes through ``check_row`` as it is read, and each block through
-    ``_block_values``; ``put`` takes the values of a block's kept rows.  Stops at
-    the first fault in line order and returns the keys kept, the rows read (the
-    faulty one included) and that fault, or None.
+    Each row goes through ``check_row``, which splits it into its key and values, as it
+    is read, and each block's values through ``_block_values``; ``put`` takes the values
+    of a block's kept rows.  Stops at the first fault in line order and returns the keys
+    kept, the rows read (the faulty one included) and that fault, or None.
     """
     kept: list = []
     read, fault = 0, None
     while fault is None:
         lineno, blobs, wanted = first + read, [], []
-        for line in islice(lines, max(1, _BLOCK // width)):
+        for line in islice(lines, _split.block_rows(width)):
             read += 1
             try:
-                key = check_row(line, first + read - 1, width, keys)
+                key, blob = check_row(line, first + read - 1, width, keys)
             except ValueError as exc:
                 fault = exc
                 break
             if keep is None or key in keep:
                 wanted.append(len(blobs))
                 kept.append(key)
-            blobs.append(line if sep is None else line.partition(sep)[2])
+            blobs.append(blob)
         if not blobs:
             break
         try:
@@ -200,15 +199,15 @@ def _scan(path, lines: Iterable[str], first: int, width: int, check_row, sep, ke
 
 
 def _float_rows(
-    path, head: int, read_head, check_row, sep, keep: Collection[str] | None = None
+    path, head: int, read_head, check_row, keep: Collection[str] | None = None
 ) -> tuple[list, np.ndarray]:
     """The keys and the ``(rows, width)`` values of the rows after the ``head`` header lines.
 
     ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and returns
     ``(count, width, miscount)``, where ``miscount(n)`` is the message for a file of ``n``
     rows.  ``check_row(line, lineno, width, keys)`` raises ``ValueError`` on a row whose
-    structure is wrong, may record its key in ``keys``, and returns the key that ``keep``
-    is matched against; without ``keep`` every row is kept.  Line numbers start at 1.
+    structure is wrong, may record its key in ``keys``, and returns its key and values text;
+    ``keep`` holds the keys to keep (every row without it).  Line numbers start at 1.
 
     ``_ranges`` reads the file, opened once, split by ``_split.parts`` if it is regular; a
     split load in doubt (``_Doubt``) reads it again in one range from byte 0.  Faults win in
@@ -216,7 +215,7 @@ def _float_rows(
     """
     with open(path, "rb") as fh:
         size = _split.regular_size(fh.fileno())
-        args = path, fh, size, head, read_head, check_row, sep, keep
+        args = path, fh, size, head, read_head, check_row, keep
         try:
             return _ranges(size is not None, *args)
         except _Doubt:
@@ -227,7 +226,7 @@ class _Doubt(ValueError):
     """A split load whose ranges may not show the whole file's first fault."""
 
 
-def _ranges(split: bool, path, fh, size, head, read_head, check_row, sep, keep) -> tuple:
+def _ranges(split: bool, path, fh, size, head, read_head, check_row, keep) -> tuple:
     """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe), split only if ``split``.
 
     The parent reads the header through ``_reading``, by ``os.pread`` from byte 0
@@ -252,7 +251,7 @@ def _ranges(split: bool, path, fh, size, head, read_head, check_row, sep, keep) 
 
         def scan(out, start: int, end: int) -> None:
             part, seen = _lines(path, _split.Span(fd, start, end).read), {}
-            kept, read, fault = _scan(path, part, 1, width, check_row, sep, keep, seen, out.write)
+            kept, read, fault = _scan(path, part, 1, width, check_row, keep, seen, out.write)
             if fault is not None:
                 raise fault
             meta = json.dumps([read, list(seen), kept]).encode()
@@ -261,7 +260,7 @@ def _ranges(split: bool, path, fh, size, head, read_head, check_row, sep, keep) 
         started = [forks.start(scan, start, end) for start, end in zip(ends, ends[1:])]
         # a row past the header's count is only counted
         kept, read, fault = _scan(
-            path, islice(lines, count), head + 1, width, check_row, sep, keep, keys, rows.put
+            path, islice(lines, count), head + 1, width, check_row, keep, keys, rows.put
         )
         read += sum(1 for _ in lines)
         for index in started:
@@ -336,8 +335,8 @@ def _write_rows(path, keys: Iterable[str], dim: int, rows, sep: str, kind: str, 
     bounds = [len(keys) * part // parts for part in range(parts + 1)]
 
     def lines(start: int, end: int) -> Iterator[str]:
-        for at, stop in _blocks(start, end, dim):
-            for key, row in zip(keys[at:stop], rows(at, stop)):
+        for block in _split.blocks(start, end, dim):
+            for key, row in zip(keys[block], rows(block.start, block.stop)):
                 yield key + sep + " ".join(map(repr, row.tolist())) + "\n"
             del row  # a view that holds the block while the producer builds the next
 
@@ -359,30 +358,24 @@ def _write_rows(path, keys: Iterable[str], dim: int, rows, sep: str, kind: str, 
                 shutil.copyfileobj(out, fh.buffer, _split.CHUNK)
 
 
-def _blocks(start: int, end: int, dim: int) -> Iterator[tuple[int, int]]:
-    """Rows ``start`` to ``end`` as ranges of ``_BLOCK`` values (one row at least) each."""
-    step = max(1, _BLOCK // dim)
-    return ((at, min(at + step, end)) for at in range(start, end, step))
-
-
 def _check_finite(keys: Sequence[str], dim: int, rows, kind: str) -> None:
     """Raise ``ValueError`` naming the key of the first row of ``rows`` that is not all finite.
 
-    ``rows(start, stop)`` is asked for one ``_blocks`` range at a time, and each block
+    ``rows(start, stop)`` is asked for one ``_split`` block at a time, and each block
     is let go before the next is asked for, so no more than a block of the table, nor
     a mask of the whole table, is held.  A block of another shape than
     ``(stop - start, dim)`` raises too.
     """
-    for start, stop in _blocks(0, len(keys), dim):
-        block = rows(start, stop)
-        if block.shape != (stop - start, dim):
-            raise ValueError(f"rows {start} to {stop} came as {block.shape}, not "
-                             f"{(stop - start, dim)}")
-        finite = np.isfinite(block).all(axis=1)
+    for block in _split.blocks(0, len(keys), dim):
+        values = rows(block.start, block.stop)
+        if values.shape != (block.stop - block.start, dim):
+            raise ValueError(f"rows {block.start} to {block.stop} came as {values.shape}, not "
+                             f"{(block.stop - block.start, dim)}")
+        finite = np.isfinite(values).all(axis=1)
         if not finite.all():
-            key = keys[start + int(np.argmin(finite))]
+            key = keys[block.start + int(np.argmin(finite))]
             raise ValueError(f"{kind} for {key!r} has non-finite values")
-        del block  # before the producer builds the next
+        del values  # before the producer builds the next
 
 
 def _slices(matrix: np.ndarray):
@@ -442,19 +435,19 @@ def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable
     rejected at its header.
     """
 
-    def check_row(line: str, lineno: int, dim: int, tokens: dict[str, None]) -> str:
+    def check_row(line: str, lineno: int, dim: int, tokens: dict[str, None]) -> tuple:
         fields = line.count(" ") + 1
         if fields != dim + 1:
             raise ValueError(
                 f"{path}:{lineno}: expected token plus {dim} values, got {fields} fields"
             )
-        token = line.partition(" ")[0]
+        token, _, blob = line.partition(" ")
         if not token:
             raise ValueError(f"{path}:{lineno}: empty token")
         if token in tokens:
             raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
         tokens[token] = None
-        return token
+        return token, blob
 
     def read_head(path, lines: list[str]):
         count, dim, miscount = _count_dim_header(path, lines)
@@ -462,7 +455,7 @@ def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable
             raise ValueError(f"{path}:1: embedding table is empty")
         return count, dim, miscount
 
-    tokens, matrix = _float_rows(path, 1, read_head, check_row, " ", vocabulary)
+    tokens, matrix = _float_rows(path, 1, read_head, check_row, vocabulary)
     return RowTable(tokens, matrix)
 
 
@@ -506,7 +499,7 @@ def load_features(path, order: Sequence[str] | None = None) -> RowTable:
         _check_distinct(order, "order id")
         position = {image_id: at for at, image_id in enumerate(order)}
 
-    def check_row(line: str, lineno: int, dim: int, ids: dict[str, None]) -> str:
+    def check_row(line: str, lineno: int, dim: int, ids: dict[str, None]) -> tuple:
         if line.count("\t") != 1:
             raise ValueError(f"{path}:{lineno}: expected '<image_id>\\t<values>'")
         image_id, _, blob = line.partition("\t")
@@ -518,9 +511,9 @@ def load_features(path, order: Sequence[str] | None = None) -> RowTable:
         if fields != dim:
             raise ValueError(f"{path}:{lineno}: expected {dim} values, got {fields}")
         ids[image_id] = None
-        return image_id
+        return image_id, blob
 
-    ids, matrix = _float_rows(path, 1, _count_dim_header, check_row, "\t", position)
+    ids, matrix = _float_rows(path, 1, _count_dim_header, check_row, position)
     if position is not None:
         ids = _in_order(ids, matrix, position)
     return RowTable(ids, matrix)
@@ -534,7 +527,7 @@ def write_feature_rows(path, keys: Iterable[str], dim: int, rows) -> None:
     """Write the feature file of ``keys``, whose ``dim`` values ``rows`` produces on demand.
 
     ``rows(start, stop)`` returns the ``(stop - start, dim)`` values of the rows of
-    ``keys[start:stop]``.  It is asked for at most ``max(1, _BLOCK // dim)`` rows at a
+    ``keys[start:stop]``.  It is asked for at most ``_split.block_rows(dim)`` rows at a
     time, every row twice (once to check before the file is opened, once to write it),
     and must give the same values each time; a forked child may make the second call.
     So no process holds more than one block of the table.  The bytes, messages and fault
@@ -685,12 +678,13 @@ def load_model(path) -> ClassifierModel:
             f"{path}: expected {n_classes} weight rows, got {rows}"
         )
 
-    def check_row(line: str, lineno: int, width: int, _) -> None:
+    def check_row(line: str, lineno: int, width: int, _) -> tuple:
         fields = line.count(" ") + 1
         if fields != width:
             raise ValueError(f"{path}:{lineno}: expected {width} values, got {fields}")
+        return None, line  # a weight row has no key: its values are the whole line
 
-    _, values = _float_rows(path, 2, read_head, check_row, None)
+    _, values = _float_rows(path, 2, read_head, check_row)
     dim = values.shape[1] - 1
     return ClassifierModel(W=values[:, :dim].copy(), b=values[:, dim].copy(), class_names=names)
 

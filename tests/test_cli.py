@@ -570,6 +570,21 @@ class TestFuse:
         )
         assert not out.exists()
 
+    def test_an_allocation_that_fails_exits_2_and_writes_nothing(
+        self, fixtures_dir, tmp_path, capsys
+    ):
+        # patched in: where memory is overcommitted, a real request this size may not fail at once
+        image, out = fixtures_dir / "image_features.txt", tmp_path / "fused.txt"
+        refused = MemoryError(
+            "Unable to allocate 87.3 TiB for an array with shape (12, 1000000000000) and data "
+            "type float64"
+        )
+        with mock.patch.object(cli, "_fuse_aligned", side_effect=refused):
+            rc = run_cli("fuse", "--a", image, "--b", image, "--out", out, "--d", 10**12)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {refused}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_id_mismatch_lists_difference(self, fixtures_dir, tmp_path, capsys):
         partial = tmp_path / "partial.txt"
         feats = load_features(fixtures_dir / "image_features.txt")
@@ -1171,6 +1186,17 @@ class TestVqaInPlace:
         correct = int(np.trace(evaluate(trained, LabeledSet(X_test, y_test))[1]))
         assert results["accuracy"] == correct / results["n_test"]
 
+    def test_each_distinct_question_is_tokenized_once(self, tmp_path, capsys):
+        paths = _vqa_corpus(tmp_path, 301)
+        records = load_vqa(paths[0])
+        # the first question asked again, of the last record's image
+        write_vqa(paths[0], [*records, VqaRecord(records[-1].image_id, records[0].question, "a0")])
+        with mock.patch.object(cli, "tokenize", wraps=tokenize) as tokenized:
+            assert run_cli("vqa", "--vqa", paths[0], "--manifest", paths[1], "--embeddings",
+                           paths[2], "--mode", "question", "--answer-vocab", 5) == 0
+        asked = [call.args[0] for call in tokenized.call_args_list]
+        assert sorted(asked) == sorted({r.question for r in records})
+
     def test_building_a_split_holds_no_second_matrix(self, tmp_path):
         # 3000 questions of 664 values: the sets are 15.9 MB, and the old route held the
         # stacked question sums and each block's copied rows beside a set's matrix
@@ -1420,6 +1446,18 @@ class TestSynth:
         out = tmp_path / "synth"
         assert run_cli("synth", "--out", out, "--seed", -1) == 2
         assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
+    def test_an_allocation_that_fails_exits_2_before_anything_is_created(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        refused = MemoryError(
+            "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type "
+            "int64"
+        )
+        with mock.patch.object(cli, "make_synthetic", side_effect=refused):
+            rc = run_cli("synth", "--out", out, "--n-train", 10**12, "--n-test", 1)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {refused}\n"
         assert not out.exists()
 
     def test_additive_interaction_accepted(self, tmp_path):

@@ -300,10 +300,10 @@ def test_fuse_output_does_not_depend_on_its_block_size(tmp_path, monkeypatch, sc
     runs = {}
     for block_rows in (1, 7, None, rows, 10 * rows):
         if block_rows is not None:
-            monkeypatch.setattr(cli, "_FUSE_BLOCK", width * block_rows)
+            monkeypatch.setattr(_split, "BLOCK", width * block_rows)
         with mock.patch.object(cli, "fuse_rows", wraps=cli.fuse_rows) as fused:
             runs[block_rows] = _outputs(tmp_path, monkeypatch, *argv)
-        assert fused.call_count == -(-rows // max(1, cli._FUSE_BLOCK // width))
+        assert fused.call_count == -(-rows // max(1, _split.BLOCK // width))
         monkeypatch.undo()
     assert all(outputs == runs[None] for outputs in runs.values())
 

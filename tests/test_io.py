@@ -177,12 +177,12 @@ class TestFloatTables:
         text = _table_text(kind, rows)
         path.write_text(text, encoding="utf-8")
         try:
-            with mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+            with mock.patch.object(_split, "BLOCK", block), _split_into(parts):
                 loaded = loader(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}:"), str(exc)
             if parts is not None:  # a split load gives the message of the one-range load
-                with mock.patch.object(scenefuse_io, "_BLOCK", block), \
+                with mock.patch.object(_split, "BLOCK", block), \
                         pytest.raises(ValueError) as whole:
                     loader(path)
                 assert str(exc) == str(whole.value)
@@ -262,7 +262,7 @@ class TestFloatTables:
             writer = threading.Thread(target=pipe.write_text, args=(data, "utf-8"))
             writer.start()
             try:
-                with mock.patch.object(scenefuse_io, "_BLOCK", 2), _spying(_split, "parts", asked):
+                with mock.patch.object(_split, "BLOCK", 2), _spying(_split, "parts", asked):
                     through_pipe = _load_or_message(loader, pipe)
             finally:
                 writer.join()
@@ -298,9 +298,9 @@ class TestFloatTables:
         assert not path.exists()
 
     def test_a_bad_row_past_the_first_checked_block_is_named(self, tmp_path):
-        # rows are checked _BLOCK values at a time: here one row per block
+        # rows are checked _split.BLOCK values at a time: here one row per block
         path = tmp_path / "table.txt"
-        with mock.patch.object(scenefuse_io, "_BLOCK", 1), \
+        with mock.patch.object(_split, "BLOCK", 1), \
                 pytest.raises(ValueError, match="feature for 'c' has"):
             write_features(path, RowTable(["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0], [5.0, np.nan]]))
         assert not path.exists()
@@ -586,7 +586,7 @@ class TestFeatureRows:
     @pytest.mark.parametrize("block", [1, 6, 7, 1 << 14])
     def test_rows_are_asked_for_a_block_at_a_time_twice_each(self, tmp_path, parts, block):
         asks = tmp_path / "asks.txt"
-        with mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+        with mock.patch.object(_split, "BLOCK", block), _split_into(parts):
             write_feature_rows(tmp_path / "t.txt", self.KEYS, 3, _asking(asks, self.MATRIX))
         step = max(1, block // 3)
         asked = _asked(asks)
@@ -607,7 +607,7 @@ class TestFeatureRows:
         path, matrix = tmp_path / "t.txt", self.MATRIX.copy()
         matrix[bad, 1] = np.nan
         started = []
-        with _split_into(parts), mock.patch.object(scenefuse_io, "_BLOCK", 6), \
+        with _split_into(parts), mock.patch.object(_split, "BLOCK", 6), \
                 _spying(_split.Forks, "start", started), \
                 pytest.raises(ValueError, match=f"^feature for 'k{bad}' has non-finite values$"):
             write_feature_rows(path, self.KEYS, 3, lambda start, stop: matrix[start:stop])
@@ -618,7 +618,7 @@ class TestFeatureRows:
     def test_the_bytes_are_those_of_write_features(self, tmp_path_factory, matrix, parts, block):
         base, keys = tmp_path_factory.getbasetemp(), [f"k{i}" for i in range(len(matrix))]
         write_features(base / "table.txt", RowTable(keys, matrix))
-        with mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+        with mock.patch.object(_split, "BLOCK", block), _split_into(parts):
             write_feature_rows(base / "rows.txt", keys, matrix.shape[1],
                                lambda start, stop: matrix[start:stop])
         assert (base / "rows.txt").read_bytes() == (base / "table.txt").read_bytes()
@@ -626,7 +626,7 @@ class TestFeatureRows:
     def test_a_killed_child_leaves_its_run_to_the_parent(self, tmp_path):
         results, asks = [], tmp_path / "asks.txt"
         write_features(tmp_path / "table.txt", RowTable(self.KEYS, self.MATRIX))
-        with _split_into(3), mock.patch.object(scenefuse_io, "_BLOCK", 6), \
+        with _split_into(3), mock.patch.object(_split, "BLOCK", 6), \
                 _fatal_in_children(builtins, "open"), _watching_children(results):
             write_feature_rows(tmp_path / "rows.txt", self.KEYS, 3, _asking(asks, self.MATRIX))
         assert results == [None, None]  # so the parent wrote both children's rows
@@ -652,7 +652,7 @@ class TestFeatureRows:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 2 * scenefuse_io._BLOCK * 8, peak
+        assert peak < 2 * _split.BLOCK * 8, peak
 
     def test_a_repeated_key_raises_before_the_file_exists(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -812,7 +812,7 @@ class TestVocabulary:
         vocabulary = {f"w{i}" for i, (out, _) in enumerate(rows) if not out} | set(strangers)
         full = load_embeddings(path)
         with mock.patch.object(_split, "CHUNK", chunk), \
-                mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+                mock.patch.object(_split, "BLOCK", block), _split_into(parts):
             kept = load_embeddings(path, vocabulary)
         expected = [token for token in full if token in vocabulary]
         assert list(kept) == expected
@@ -861,7 +861,7 @@ class TestVocabulary:
         else:
             message = None
         with mock.patch.object(_split, "CHUNK", chunk), \
-                mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+                mock.patch.object(_split, "BLOCK", block), _split_into(parts):
             if message is None:
                 kept = load_embeddings(path, vocabulary)
                 assert list(kept) == [token for token in full if token in vocabulary]
@@ -944,7 +944,7 @@ class TestOrder:
         write_features(path, full)
         order = [f"i{k}" for k in picks]
         with mock.patch.object(_split, "CHUNK", chunk), \
-                mock.patch.object(scenefuse_io, "_BLOCK", block), _split_into(parts):
+                mock.patch.object(_split, "BLOCK", block), _split_into(parts):
             kept = load_features(path, order)
         expected = [image_id for image_id in order if image_id in full]
         assert list(kept) == expected
@@ -989,7 +989,7 @@ class TestOrder:
         writer.start()
         order = ["i3", "x", "i0", "i4"]
         try:
-            with mock.patch.object(scenefuse_io, "_BLOCK", 2):
+            with mock.patch.object(_split, "BLOCK", 2):
                 through_pipe = load_features(pipe, order)
         finally:
             if writer.is_alive():  # the load failed before it opened the pipe

@@ -1,7 +1,8 @@
 """Which module does what, read from the source: ``io`` keeps the file formats, and
-``_split`` alone makes processes, asks whether a file is regular and holds the rule
-that splits a float table.  The package namespace holds what the README's "Library
-use" block imports from it, plus the math oracles."""
+``_split`` alone makes processes, asks whether a file is regular and holds the rules
+that split a float table across CPUs and a table into blocks of rows.  The package
+namespace holds what the README's "Library use" block imports from it, plus the math
+oracles."""
 
 import ast
 from pathlib import Path
@@ -91,6 +92,33 @@ def test_parallel_min_is_compared_in_one_place():
         if isinstance(node, ast.Compare) and names(node) & {"PARALLEL_MIN", "_PARALLEL_MIN"}
     ]
     assert len(compares) == 1, compares
+
+
+def _block_rules(tree: ast.Module) -> list[str]:
+    """Where ``tree`` binds a ``*BLOCK*`` name, or divides a literal or such a name by a width."""
+
+    def names(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+        }
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{name} = ..." for t in targets for name in names(t) if "BLOCK" in name]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+            left = names(node.left)
+            if not left or any("BLOCK" in name for name in left):
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+def test_the_block_of_rows_is_sized_in_one_place():
+    rules = {path.name: _block_rules(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    split_rules = [rule.partition(" (line")[0] for rule in rules.pop("_split.py")]
+    assert split_rules == ["BLOCK = ...", "BLOCK // width"]  # the check sees the one rule
+    assert rules == dict.fromkeys(rules, [])
 
 
 def test_no_module_but_split_asks_whether_a_file_is_regular():
