@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__, _split
 from .classifier import LabeledSet, TrainConfig, evaluate, init_model, train
 from .data import (
+    INTERACTIONS,
     Manifest,
     ManifestRow,
     SynthConfig,
@@ -162,13 +163,13 @@ def _fuse_aligned(feats_a: RowTable, feats_b: RowTable, spec: FusionSpec) -> np.
     return fused
 
 
+def _fusion_spec(args) -> FusionSpec:
+    return FusionSpec(scheme=args.scheme, sketch_dim=args.d, seeds=(args.seed + 1, args.seed + 2),
+                      normalize=not args.no_normalize)
+
+
 def _cmd_fuse(args) -> int:
-    spec = FusionSpec(
-        scheme=args.scheme,
-        sketch_dim=args.d,
-        seeds=(args.seed + 1, args.seed + 2),
-        normalize=not args.no_normalize,
-    )
+    spec = _fusion_spec(args)
     feats_a = load_features(args.a)
     feats_b = load_features(args.b)
     only_a = sorted(feats_a.keys() - feats_b.keys())
@@ -217,13 +218,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        l2=args.l2,
-    )
+    return TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+                       seed=args.seed, l2=args.l2)
 
 
 def _report(args, command: str, params: dict, results: dict) -> None:
@@ -600,10 +596,14 @@ def _add_seed(parser) -> None:
 
 
 def _add_train_flags(parser) -> None:
-    parser.add_argument("--lr", type=float, default=0.1, help="learning rate (default 0.1)")
-    parser.add_argument("--epochs", type=int, default=50, help="training epochs (default 50)")
-    parser.add_argument("--batch", type=int, default=64, help="mini-batch size (default 64)")
-    parser.add_argument("--l2", type=float, default=0.0, help="L2 penalty (default 0)")
+    parser.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                        help="learning rate (default %(default)s)")
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                        help="training epochs (default %(default)s)")
+    parser.add_argument("--batch", type=int, default=TrainConfig.batch_size,
+                        help="mini-batch size (default %(default)s)")
+    parser.add_argument("--l2", type=float, default=TrainConfig.l2,
+                        help="L2 penalty (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,8 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme", choices=FUSION_SCHEMES, default="mcb")
-    p.add_argument("--d", type=int, default=1024, help="sketch dimension for mcb (default 1024)")
+    p.add_argument("--scheme", choices=FUSION_SCHEMES, default=FusionSpec.scheme,
+                   help="fusion scheme (default %(default)s)")
+    p.add_argument("--d", type=int, default=FusionSpec.sketch_dim,
+                   help="sketch dimension for mcb (default %(default)s)")
     p.add_argument("--no-normalize", action="store_true", help="skip signed sqrt + L2 after mcb")
     _add_seed(p)
     p.set_defaults(func=_cmd_fuse)
@@ -674,8 +676,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-a", type=int, default=32)
     p.add_argument("--dim-b", type=int, default=32)
     p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--interaction", choices=("additive", "multiplicative"), default="multiplicative")
-    p.add_argument("--sigma", type=float, default=0.1)
+    p.add_argument("--interaction", choices=INTERACTIONS,
+                   default=SynthConfig.interaction, help="label structure (default %(default)s)")
+    p.add_argument("--sigma", type=float, default=SynthConfig.noise_sigma,
+                   help="noise standard deviation (default %(default)s)")
     _add_seed(p)
     p.set_defaults(func=_cmd_synth)
 

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import shutil
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -115,18 +114,17 @@ def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
 def _block_values(path, first: int, blobs: list[str], width: int) -> np.ndarray:
     """The ``(len(blobs), width)`` values of the rows ``blobs``, the first on line ``first``.
 
-    One ``np.loadtxt`` call parses them, with the correctly rounded routine
-    ``float()`` uses.  Where it rejects the block, skips a blank row, meets a
-    non-finite value or would strip a U+001F as whitespace, ``_parse_floats``
-    reads the block row by row instead, so all of ``float()``'s syntax (``1_0``,
-    non-ASCII digits) is taken and the first bad row raises.
+    One ``np.loadtxt`` call parses them, with the correctly rounded routine ``float()``
+    uses, unless a row is empty (it would skip the row) or holds a U+001F (it would strip
+    it as whitespace).  Where it is not called, rejects the block or meets a non-finite
+    value, ``_parse_floats`` reads the block row by row instead, so all of ``float()``'s
+    syntax (``1_0``, non-ASCII digits) is taken and the first bad row raises.
     """
-    if not any("\x1f" in blob for blob in blobs):
+    # with no empty row, np.loadtxt has no "input contained no data" to warn of
+    if all(blob and "\x1f" not in blob for blob in blobs):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data"
-                matrix = np.loadtxt(blobs, dtype=float, delimiter=" ", comments=None, ndmin=2)
-        except (ValueError, UserWarning):
+            matrix = np.loadtxt(blobs, dtype=float, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
             pass
         else:
             if matrix.shape == (len(blobs), width) and np.isfinite(matrix).all():
@@ -170,10 +168,9 @@ def _scan(path, lines: Iterable[str], first: int, width: int, check_row, keep, k
 
     Each row goes through ``check_row``, which splits it into its key and values, as it
     is read, and each block's values through ``_block_values``; ``put`` takes the values
-    of a block's kept rows.  Stops at the first fault in line order and returns the keys
-    kept, the rows read (the faulty one included) and that fault, or None.
+    of a block's rows kept by ``keep`` (all without it).  Stops at the first fault in line
+    order and returns the rows read (the faulty one included) and that fault, or None.
     """
-    kept: list = []
     read, fault = 0, None
     while fault is None:
         lineno, blobs, wanted = first + read, [], []
@@ -186,16 +183,15 @@ def _scan(path, lines: Iterable[str], first: int, width: int, check_row, keep, k
                 break
             if keep is None or key in keep:
                 wanted.append(len(blobs))
-                kept.append(key)
             blobs.append(blob)
         if not blobs:
             break
         try:
             block = _block_values(path, lineno, blobs, width)
         except ValueError as exc:
-            return kept, read, exc  # its line comes before any fault that check_row found
+            return read, exc  # its line comes before any fault that check_row found
         put(block[wanted])
-    return kept, read, fault
+    return read, fault
 
 
 def _float_rows(
@@ -206,8 +202,8 @@ def _float_rows(
     ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and returns
     ``(count, width, miscount)``, where ``miscount(n)`` is the message for a file of ``n``
     rows.  ``check_row(line, lineno, width, keys)`` raises ``ValueError`` on a row whose
-    structure is wrong, may record its key in ``keys``, and returns its key and values text;
-    ``keep`` holds the keys to keep (every row without it).  Line numbers start at 1.
+    structure is wrong, records its key (if any) in ``keys`` and returns its key and values
+    text; only the rows whose key is in ``keep`` are kept (all without it).  Lines count from 1.
 
     ``_ranges`` reads the file, opened once, split by ``_split.parts`` if it is regular; a
     split load in doubt (``_Doubt``) reads it again in one range from byte 0.  Faults win in
@@ -217,9 +213,10 @@ def _float_rows(
         size = _split.regular_size(fh.fileno())
         args = path, fh, size, head, read_head, check_row, keep
         try:
-            return _ranges(size is not None, *args)
+            keys, matrix = _ranges(size is not None, *args)
         except _Doubt:
-            return _ranges(False, *args)
+            keys, matrix = _ranges(False, *args)
+    return [key for key in keys if keep is None or key in keep], matrix
 
 
 class _Doubt(ValueError):
@@ -233,10 +230,10 @@ def _ranges(split: bool, path, fh, size, head, read_head, check_row, keep) -> tu
     (``fh.read`` for a pipe).  Then ``_split.parts`` of the header's values decides the
     ranges, cut at line ends past the bytes read.  The parent reads on to the end of the
     first range, holding its first bad row while the rest is counted; a forked child checks
-    and parses each other range through ``_scan`` by ``os.pread`` and hands its rows, as
-    float64 bytes in a temp file, with its row count and keys to the parent's matrix
+    and parses each other range through ``_scan`` by ``os.pread`` and hands its kept rows,
+    as float64 bytes in a temp file, then its rows read and keys, to the parent's matrix
     (``readinto``).  A fault in the parent's range, a failed child or a key seen in two
-    ranges raises ``_Doubt``.
+    ranges raises ``_Doubt``.  Returns every key read, in file order, and the kept rows.
     """
     fd = fh.fileno()
     first = _split.Span(fd, 0, size) if size is not None else fh
@@ -251,15 +248,15 @@ def _ranges(split: bool, path, fh, size, head, read_head, check_row, keep) -> tu
 
         def scan(out, start: int, end: int) -> None:
             part, seen = _lines(path, _split.Span(fd, start, end).read), {}
-            kept, read, fault = _scan(path, part, 1, width, check_row, keep, seen, out.write)
+            read, fault = _scan(path, part, 1, width, check_row, keep, seen, out.write)
             if fault is not None:
                 raise fault
-            meta = json.dumps([read, list(seen), kept]).encode()
+            meta = json.dumps([read, list(seen)]).encode()
             out.write(meta + len(meta).to_bytes(8, "little"))
 
         started = [forks.start(scan, start, end) for start, end in zip(ends, ends[1:])]
         # a row past the header's count is only counted
-        kept, read, fault = _scan(
+        read, fault = _scan(
             path, islice(lines, count), head + 1, width, check_row, keep, keys, rows.put
         )
         read += sum(1 for _ in lines)
@@ -268,21 +265,20 @@ def _ranges(split: bool, path, fh, size, head, read_head, check_row, keep) -> tu
                 raise _Doubt(f"{path}: a range was not read")
             meta_at = out.seek(-8, os.SEEK_END)
             length = int.from_bytes(out.read(8), "little")
-            out.seek(meta_at - length)
-            part_read, part_keys, part_kept = json.loads(out.read(length))
+            written = out.seek(meta_at - length)  # the bytes of the rows before the report
+            part_read, part_keys = json.loads(out.read(length))
             out.seek(0)
             read += part_read
-            known, target = len(keys), rows.take(len(part_kept))
+            known, target = len(keys), rows.take(written // (8 * width))
             keys.update(dict.fromkeys(part_keys))
             # past the header's count, take() may give fewer rows: the count check fails
             if len(keys) != known + len(part_keys) or out.readinto(target) != target.nbytes:
                 raise _Doubt(f"{path}: the ranges disagree")
-            kept += part_kept
     if read != count:
         raise ValueError(miscount(read))
     if fault is not None:
         raise fault
-    return kept, rows.result()
+    return keys, rows.result()
 
 
 _SEPARATOR_NAMES = {"\t": "tab", " ": "space"}

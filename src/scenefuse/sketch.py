@@ -117,10 +117,8 @@ def circular_convolve_naive(a, b) -> np.ndarray:
 
 def _check_pair(px: SketchParams, py: SketchParams) -> None:
     if px.sketch_dim != py.sketch_dim:
-        raise ValueError(
-            f"sketch dims must match: {px.sketch_dim} vs {py.sketch_dim}"
-        )
-    if px.seed == py.seed:
+        raise ValueError(f"sketch dims must match: {px.sketch_dim} vs {py.sketch_dim}")
+    if px.seed & _MASK64 == py.seed & _MASK64:  # splitmix64 reads a seed modulo 2**64
         raise ValueError("the two sketches must use distinct seeds")
 
 
@@ -196,7 +194,7 @@ class FusionSpec:
         if self.scheme == "mcb":
             if self.sketch_dim < 1:
                 raise ValueError("sketch_dim must be >= 1")
-            if self.seeds[0] == self.seeds[1]:
+            if self.seeds[0] & _MASK64 == self.seeds[1] & _MASK64:  # as splitmix64 reads them
                 raise ValueError("mcb requires two distinct seeds")
 
     def out_dim(self, dim_a: int, dim_b: int) -> int:

@@ -15,7 +15,14 @@ import pytest
 from scenefuse import _split, cli
 from scenefuse.classifier import LabeledSet, TrainConfig, evaluate, init_model, train
 from scenefuse.cli import main
-from scenefuse.data import Manifest, ManifestRow, VqaRecord, clean_corpus, join_labeled
+from scenefuse.data import (
+    Manifest,
+    ManifestRow,
+    SynthConfig,
+    VqaRecord,
+    clean_corpus,
+    join_labeled,
+)
 from scenefuse.io import (
     load_embeddings,
     load_features,
@@ -29,7 +36,7 @@ from scenefuse.io import (
     write_manifest,
     write_vqa,
 )
-from scenefuse.sketch import make_sketch_params
+from scenefuse.sketch import FusionSpec, make_sketch_params
 from scenefuse.text import (
     RowTable,
     TranscriptionRecord,
@@ -1476,6 +1483,28 @@ class TestFormatsCheck:
 
     def test_against_fixture_corpus(self, fixtures_dir, tmp_path):
         assert run_cli("formats-check", "--fixtures", fixtures_dir, "--out", tmp_path) == 0
+
+
+class TestDefaults:
+    """A flag left out takes the default of the config that it sets."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train-eval", "--manifest", "m"],
+        ["vqa", "--vqa", "q", "--manifest", "m", "--embeddings", "e"],
+    ], ids=["train-eval", "vqa"])
+    def test_the_train_flags_give_the_default_train_config(self, argv):
+        assert cli._train_config(cli.build_parser().parse_args(argv)) == TrainConfig()
+
+    def test_the_fuse_flags_give_the_default_spec(self):
+        args = cli.build_parser().parse_args(["fuse", "--a", "a", "--b", "b", "--out", "o"])
+        assert cli._fusion_spec(args) == FusionSpec()
+
+    def test_the_synth_flags_give_the_default_fields(self):
+        args = cli.build_parser().parse_args(["synth", "--out", "o"])
+        default = SynthConfig(n_train=1, n_test=1, dim_a=1, dim_b=1, n_classes=2)
+        assert (args.interaction, args.sigma, args.seed) == (
+            default.interaction, default.noise_sigma, default.seed
+        )
 
 
 class TestErrors:

@@ -19,6 +19,7 @@ a split named by row indices against a copy of that split's rows.
 """
 
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -129,6 +130,51 @@ def test_text_features_and_concat_fusion_do_not_depend_on_the_blas_kernel(tmp_pa
     prescott = _kernel_run(tmp_path / "prescott", OPENBLAS_CORETYPE="Prescott")
     assert {"text_k3.txt", "fused.txt"} <= set(default)
     assert default == prescott
+
+
+def _fixture_chain() -> list[list[str]]:
+    """featurize-text, mcb fuse, a two-cell train-eval and vqa on the fixtures, run in place."""
+    fixture = {name: str(FIXTURES / name) for name in (
+        "transcriptions.jsonl", "embeddings.txt", "manifest.tsv", "image_features.txt", "vqa.jsonl"
+    )}
+    return [
+        ["featurize-text", "--transcriptions", fixture["transcriptions.jsonl"],
+         "--embeddings", fixture["embeddings.txt"], "--manifest", fixture["manifest.tsv"],
+         "--out", "text_k{k}.txt", "--k", "1", "--k", "3", "--cleaning-report", "cleaning.json"],
+        ["fuse", "--a", fixture["image_features.txt"], "--b", "text_k3.txt", "--out", "fused.txt",
+         "--scheme", "mcb", "--d", "64"],
+        ["train-eval", "--manifest", fixture["manifest.tsv"], "--cell", "mcb:k3:fused.txt",
+         "--cell", "text:k1:text_k1.txt", "--report-json", "cells.json"],
+        ["vqa", "--vqa", fixture["vqa.jsonl"], "--manifest", fixture["manifest.tsv"],
+         "--embeddings", fixture["embeddings.txt"], "--image-features",
+         fixture["image_features.txt"], "--text-features", "text_k3.txt",
+         "--report-json", "vqa.json"],
+    ]
+
+
+# runs each command of the JSON list argv[1] through cli.main, in one process
+_CHAIN = "import json, sys\nfrom scenefuse.cli import main\nfor argv in json.loads(sys.argv[1]):\n" \
+    "    assert main(argv) == 0, argv\n"
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # PYTHONHASHSEED moves every str hash, and so the order of any set of strings
+    runs = {}
+    for seed in ("1", "2"):
+        directory = tmp_path / f"seed-{seed}"
+        directory.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _CHAIN, json.dumps(_fixture_chain())], cwd=directory,
+            env=_child_env(PYTHONHASHSEED=seed), capture_output=True, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), seed
+        runs[seed] = {"stdout": done.stdout} | {
+            path.name: path.read_bytes() for path in sorted(directory.iterdir())
+        }
+    assert {"text_k1.txt", "text_k3.txt", "cleaning.json", "fused.txt", "cells.json",
+            "vqa.json"} <= set(runs["1"])
+    assert runs["1"].keys() == runs["2"].keys()
+    assert [name for name in runs["1"] if runs["1"][name] != runs["2"][name]] == []
 
 
 def _shuffled(keys: list) -> list:

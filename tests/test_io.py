@@ -8,6 +8,7 @@ import shutil
 import signal
 import threading
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 from unittest import mock
 
@@ -1729,3 +1730,38 @@ class TestKeys:
             assert not path.exists()
             return
         assert load(path)[0] == key
+
+
+class TestThreads:
+    def test_loads_in_threads_leave_the_warning_filters_alone(self, tmp_path):
+        # a load that swapped the process-wide filter list (warnings.catch_warnings) could,
+        # with threads loading at once, leave a filter of another thread in place
+        path, rng = tmp_path / "features.txt", np.random.default_rng(0)
+        write_features(path, RowTable([f"img-{i}" for i in range(4000)], rng.random((4000, 8))))
+        serial, filters = load_features(path), list(warnings.filters)
+        tables, start = [], threading.Barrier(4)
+
+        def load():
+            start.wait()
+            for _ in range(5):
+                tables.append(load_features(path))
+
+        threads = [threading.Thread(target=load) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert warnings.filters == filters
+        assert len(tables) == 20
+        assert all(table == serial for table in tables)
+
+    @pytest.mark.parametrize("kind", ["embeddings", "features"])  # a model row has 2+ values
+    def test_a_block_of_empty_values_is_unparseable_and_warns_of_nothing(self, tmp_path, kind):
+        # one value per row, every one empty: np.loadtxt would skip each row and warn
+        path = tmp_path / "table.txt"
+        loader, first, _ = FLOAT_TABLES[kind]
+        path.write_text(_table_text(kind, [[""], [""]]), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"table\.txt:{first + 1}: unparseable float"):
+                loader(path)

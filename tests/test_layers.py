@@ -1,8 +1,8 @@
 """Which module does what, read from the source: ``io`` keeps the file formats, and
 ``_split`` alone makes processes, asks whether a file is regular and holds the rules
-that split a float table across CPUs and a table into blocks of rows.  The package
-namespace holds what the README's "Library use" block imports from it, plus the math
-oracles."""
+that split a float table across CPUs and a table into blocks of rows.  No module changes
+the warning filters, which every thread of the process shares.  The package namespace
+holds what the README's "Library use" block imports from it, plus the math oracles."""
 
 import ast
 from pathlib import Path
@@ -32,18 +32,23 @@ def _imported(tree: ast.Module) -> set[str]:
 _PROCESS_CALLS = {"fork", "waitpid", "kill", "_exit"}
 
 
-def _process_calls(tree: ast.Module) -> list[str]:
-    """Where ``tree`` names ``os.fork``, ``os.waitpid``, ``os.kill`` or ``os._exit``."""
+def _named(tree: ast.Module, module: str, attrs: set[str]) -> list[str]:
+    """Where ``tree`` names ``module.<attr>`` for an attr of ``attrs``, or imports one from it."""
     names = [
-        f"os.{node.attr}" for node in ast.walk(tree)
+        f"{module}.{node.attr}" for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "os" and node.attr in _PROCESS_CALLS
+        and node.value.id == module and node.attr in attrs
     ]
     return names + [
-        f"os.{alias.name}" for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "os"
-        for alias in node.names if alias.name in _PROCESS_CALLS
+        f"{module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == module
+        for alias in node.names if alias.name in attrs
     ]
+
+
+def _process_calls(tree: ast.Module) -> list[str]:
+    """Where ``tree`` names ``os.fork``, ``os.waitpid``, ``os.kill`` or ``os._exit``."""
+    return _named(tree, "os", _PROCESS_CALLS)
 
 
 _STAT_CALLS = {"os.stat", "os.fstat", "stat.S_ISREG"}
@@ -124,6 +129,18 @@ def test_the_block_of_rows_is_sized_in_one_place():
 def test_no_module_but_split_asks_whether_a_file_is_regular():
     calls = {path.name: _stat_calls(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
     assert calls.pop("_split.py")  # the check sees the calls that are there
+    assert calls == dict.fromkeys(calls, [])
+
+
+# each changes the warning filters of the whole process, every thread's
+_FILTER_CALLS = {"catch_warnings", "simplefilter", "filterwarnings"}
+
+
+def test_no_module_changes_the_warning_filters():
+    calls = {
+        path.name: _named(_tree(path.name), "warnings", _FILTER_CALLS)
+        for path in sorted(SRC.glob("*.py"))
+    }
     assert calls == dict.fromkeys(calls, [])
 
 

@@ -349,6 +349,16 @@ class TestFusionSpec:
         with pytest.raises(ValueError):
             FusionSpec(scheme="mcb", seeds=(3, 3))
 
+    @pytest.mark.parametrize("seeds", [(0, 2**64), (-1, 2**64 - 1)])
+    def test_rejects_seeds_equal_modulo_2_64(self, seeds):
+        # splitmix64 reads a seed modulo 2**64, so such seeds draw the same hashes
+        first, second = (make_sketch_params(5, 64, seed) for seed in seeds)
+        assert np.array_equal(first.h, second.h) and np.array_equal(first.s, second.s)
+        with pytest.raises(ValueError, match="mcb requires two distinct seeds"):
+            FusionSpec("mcb", 64, seeds)
+        with pytest.raises(ValueError, match="the two sketches must use distinct seeds"):
+            mcb_fuse_batch(np.ones(5), np.ones(5), first, second)
+
     def test_concat_ignores_seed_equality(self):
         FusionSpec(scheme="concat", seeds=(3, 3))
 
