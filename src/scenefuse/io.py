@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 import shutil
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -51,54 +51,43 @@ def _read_text(path) -> str:
         raise _not_utf8(path, exc) from None
 
 
-def _lines(path, read=None) -> Iterator[str]:
+def _lines(path, read=None, first: int = 1) -> Iterator[str]:
     """The lines of ``path`` as ``str.splitlines`` gives them, decoded a chunk at a time.
 
     Each chunk's last line is carried into the next, so a line, a ``\\r\\n`` or a UTF-8
-    sequence cut by a chunk boundary is joined again.  A bad byte raises the ``_not_utf8``
-    message.  ``read(n)``, when given, supplies the bytes (``_split.CHUNK`` at a time) in
-    place of ``path``, which then only names the file in messages.
+    sequence cut by a chunk boundary is joined again.  Every whole line before a bad byte
+    is given, then its ``_not_utf8`` message raises, counting lines from ``first``.
+    ``read(n)``, when given, supplies the bytes (``_split.CHUNK`` at a time) in place of
+    ``path``, which then only names the file in messages.
     """
     if read is None:
         with open(path, "rb") as fh:
-            yield from _lines(path, fh.read)
+            yield from _lines(path, fh.read, first)
         return
     decoder = codecs.getincrementaldecoder("utf-8")()
-    carry, done, final = "", 0, False
+    carry, done, final, fault = "", first - 1, False, None
     while not final:
         data = read(_split.CHUNK)
         final = not data
         try:
-            pieces = decoder.decode(data, final=final).splitlines(keepends=True)
+            text = decoder.decode(data, final=final)
         except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc, carry, done) from None
-        del data  # while the lines are read, only they are held
+            fault = _not_utf8(path, exc, carry, done)
+            # the text before the bad byte, and a stand-in for the rest of its line
+            text, final = exc.object[: exc.start].decode("utf-8") + "?", True
+        pieces = text.splitlines(keepends=True)
+        del data, text  # while the lines are read, only they are held
         if carry:  # joined to the first piece alone, where a "\r" + "\n" makes one break
             pieces[:1] = (carry + "".join(pieces[:1])).splitlines(keepends=True)
         carry = "" if final or not pieces else pieces.pop()
+        if fault is not None:
+            pieces.pop()  # the bad byte's line
         done += len(pieces)
         # a piece is a line and the one break that ends it, and lines hold no break
         yield from (piece.rstrip(_LINE_BREAKS) for piece in pieces)
         del pieces  # before the next chunk is read
-
-
-@contextmanager
-def _reading(path, read=None) -> Iterator[Iterator[str]]:
-    """The lines of ``path`` (``_lines(path, read)``), for a loader that stops at its first fault.
-
-    A ``ValueError`` raised in the block waits until the rest of the file has
-    been decoded, so a bad byte anywhere in the file outranks it, as when the
-    whole file was decoded before any line was read.
-    """
-    lines = _lines(path, read)
-    try:
-        yield lines
-    except ValueError:
-        for _ in lines:
-            pass
-        raise
-    finally:
-        lines.close()
+    if fault is not None:
+        raise fault
 
 
 def _parse_floats(parts: Sequence[str], path, lineno: int) -> np.ndarray:
@@ -163,35 +152,33 @@ class _Matrix:
         return self.matrix[: self.filled]
 
 
-def _scan(path, lines: Iterable[str], first: int, width: int, check_row, keep, keys, put):
+def _scan(path, lines: Iterable[str], first: int, width: int, check_row, keep, keys, put) -> int:
     """Check and parse ``lines``, the first on line ``first``, one ``_split`` block at a time.
 
     Each row goes through ``check_row``, which splits it into its key and values, as it
     is read, and each block's values through ``_block_values``; ``put`` takes the values
-    of a block's rows kept by ``keep`` (all without it).  Stops at the first fault in line
-    order and returns the rows read (the faulty one included) and that fault, or None.
+    of a block's rows kept by ``keep`` (all without it).  Returns the rows read.  At a
+    fault (a bad byte in ``lines`` included) the rows of its block before it are parsed
+    first, so the first faulty line raises.
     """
-    read, fault = 0, None
-    while fault is None:
-        lineno, blobs, wanted = first + read, [], []
-        for line in islice(lines, _split.block_rows(width)):
-            read += 1
-            try:
-                key, blob = check_row(line, first + read - 1, width, keys)
-            except ValueError as exc:
-                fault = exc
-                break
-            if keep is None or key in keep:
-                wanted.append(len(blobs))
-            blobs.append(blob)
-        if not blobs:
-            break
+    read = 0
+    while True:
+        lineno, blobs, wanted, fault = first + read, [], [], None
         try:
-            block = _block_values(path, lineno, blobs, width)
+            for line in islice(lines, _split.block_rows(width)):
+                key, blob = check_row(line, first + read, width, keys)
+                read += 1
+                if keep is None or key in keep:
+                    wanted.append(len(blobs))
+                blobs.append(blob)
         except ValueError as exc:
-            return read, exc  # its line comes before any fault that check_row found
-        put(block[wanted])
-    return read, fault
+            fault = exc
+        if blobs:
+            put(_block_values(path, lineno, blobs, width)[wanted])
+        if fault is not None:
+            raise fault
+        if not blobs:
+            return read
 
 
 def _float_rows(
@@ -205,79 +192,75 @@ def _float_rows(
     structure is wrong, records its key (if any) in ``keys`` and returns its key and values
     text; only the rows whose key is in ``keep`` are kept (all without it).  Lines count from 1.
 
-    ``_ranges`` reads the file, opened once, split by ``_split.parts`` if it is regular; a
-    split load in doubt (``_Doubt``) reads it again in one range from byte 0.  Faults win in
-    this order: a bad byte anywhere, the header, the header's row count, then the first bad row.
+    ``_ranges`` reads the file, opened once, split by ``_split.parts`` if it is regular.
+    The header's fault comes first, then that of the first faulty row in line order (a bad
+    byte, its structure or key, then its values).  A row past the header's count is only
+    counted, and the count is checked once every line is clean.
     """
     with open(path, "rb") as fh:
         size = _split.regular_size(fh.fileno())
-        args = path, fh, size, head, read_head, check_row, keep
-        try:
-            keys, matrix = _ranges(size is not None, *args)
-        except _Doubt:
-            keys, matrix = _ranges(False, *args)
+        keys, matrix = _ranges(path, fh, size, head, read_head, check_row, keep)
     return [key for key in keys if keep is None or key in keep], matrix
 
 
-class _Doubt(ValueError):
-    """A split load whose ranges may not show the whole file's first fault."""
+def _ranges(path, fh, size, head, read_head, check_row, keep) -> tuple:
+    """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe, read in one range).
 
-
-def _ranges(split: bool, path, fh, size, head, read_head, check_row, keep) -> tuple:
-    """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe), split only if ``split``.
-
-    The parent reads the header through ``_reading``, by ``os.pread`` from byte 0
-    (``fh.read`` for a pipe).  Then ``_split.parts`` of the header's values decides the
-    ranges, cut at line ends past the bytes read.  The parent reads on to the end of the
-    first range, holding its first bad row while the rest is counted; a forked child checks
-    and parses each other range through ``_scan`` by ``os.pread`` and hands its kept rows,
-    as float64 bytes in a temp file, then its rows read and keys, to the parent's matrix
-    (``readinto``).  A fault in the parent's range, a failed child or a key seen in two
-    ranges raises ``_Doubt``.  Returns every key read, in file order, and the kept rows.
+    The parent reads the header by ``os.pread`` from byte 0 (``fh.read`` for a pipe).
+    Then ``_split.parts`` of the header's values decides the ranges, cut at line ends past
+    the bytes read.  The parent reads on to the end of the first range; a forked child
+    checks and parses each other range through ``_scan`` by ``os.pread`` and hands its
+    kept rows, as float64 bytes in a temp file, then its rows read and keys.  The parent
+    takes each range's rows in range order: from a clean child straight into its matrix
+    (``readinto``); where the child failed or read a key already seen, by reading the
+    range itself, from the range's first line number and with the keys read so far.
+    Returns every key read, in file order, and the kept rows.
     """
     fd = fh.fileno()
     first = _split.Span(fd, 0, size) if size is not None else fh
-    with _reading(path, first.read) as lines, _split.Forks() as forks:
-        count, width, miscount = read_head(path, list(islice(lines, head)))
-        ends = []
-        if split and (parts := _split.parts(count * width)) > 1:
-            ends = _split.line_ends(fd, first.start, size, parts)
-            first.end = ends[0]
-        rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
-        keys: dict[str, None] = {}
+    lines = _lines(path, first.read)
+    count, width, miscount = read_head(path, list(islice(lines, head)))
+    ends = []
+    if size is not None and (parts := _split.parts(count * width)) > 1:
+        ends = _split.line_ends(fd, first.start, size, parts)
+        first.end = ends[0]
+    rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
+    keys: dict[str, None] = {}
+    read = 0
 
-        def scan(out, start: int, end: int) -> None:
-            part, seen = _lines(path, _split.Span(fd, start, end).read), {}
-            read, fault = _scan(path, part, 1, width, check_row, keep, seen, out.write)
-            if fault is not None:
-                raise fault
-            meta = json.dumps([read, list(seen)]).encode()
-            out.write(meta + len(meta).to_bytes(8, "little"))
-
-        started = [forks.start(scan, start, end) for start, end in zip(ends, ends[1:])]
+    def own(part: Iterator[str]) -> int:
+        """The rows of ``part``, read here, the first on line ``head + 1 + read``."""
         # a row past the header's count is only counted
-        read, fault = _scan(
-            path, islice(lines, count), head + 1, width, check_row, keep, keys, rows.put
-        )
-        read += sum(1 for _ in lines)
-        for index in started:
-            if fault is not None or (out := forks.result(index)) is None:
-                raise _Doubt(f"{path}: a range was not read")
-            meta_at = out.seek(-8, os.SEEK_END)
-            length = int.from_bytes(out.read(8), "little")
-            written = out.seek(meta_at - length)  # the bytes of the rows before the report
-            part_read, part_keys = json.loads(out.read(length))
-            out.seek(0)
+        checked = islice(part, max(0, count - read))
+        taken = _scan(path, checked, head + 1 + read, width, check_row, keep, keys, rows.put)
+        return taken + sum(1 for _ in part)
+
+    def scan(out, start: int, end: int) -> None:
+        part, seen = _lines(path, _split.Span(fd, start, end).read), {}
+        part_read = _scan(path, part, 1, width, check_row, keep, seen, out.write)
+        meta = json.dumps([part_read, list(seen)]).encode()
+        out.write(meta + len(meta).to_bytes(8, "little"))
+
+    ranges = list(zip(ends, ends[1:]))
+    with _split.Forks() as forks:
+        started = [forks.start(scan, start, end) for start, end in ranges]
+        read += own(lines)
+        for index, (start, end) in zip(started, ranges):
+            if (out := forks.result(index)) is not None:
+                meta_at = out.seek(-8, os.SEEK_END)
+                length = int.from_bytes(out.read(8), "little")
+                written = out.seek(meta_at - length)  # the bytes of the rows before the report
+                part_read, part_keys = json.loads(out.read(length))
+                out.seek(0)
+            if out is None or not keys.keys().isdisjoint(part_keys):
+                read += own(_lines(path, _split.Span(fd, start, end).read, head + 1 + read))
+                continue
             read += part_read
-            known, target = len(keys), rows.take(written // (8 * width))
             keys.update(dict.fromkeys(part_keys))
             # past the header's count, take() may give fewer rows: the count check fails
-            if len(keys) != known + len(part_keys) or out.readinto(target) != target.nbytes:
-                raise _Doubt(f"{path}: the ranges disagree")
+            out.readinto(rows.take(written // (8 * width)))
     if read != count:
         raise ValueError(miscount(read))
-    if fault is not None:
-        raise fault
     return keys, rows.result()
 
 
@@ -311,18 +294,22 @@ def _check_distinct(keys: Iterable[str], what: str) -> None:
         seen.add(key)
 
 
-def _write_rows(path, keys: Iterable[str], dim: int, rows, sep: str, kind: str, key_name: str):
+def _write_rows(path, keys: Iterable[str], dim: int, produce, sep: str, kind: str, key_name: str):
     """Write a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
 
-    ``rows(start, stop)`` is ``write_feature_rows``'s producer.  A bad or repeated key,
-    then a non-finite row, raises before the file is opened.  Values are ``repr`` of
-    Python floats, the shortest decimal that reads back to the same float64.
+    ``produce(start, stop)`` is ``write_feature_rows``'s producer, whose blocks are taken
+    as float64.  A bad or repeated key, then a non-finite row, raises before the file is
+    opened.  Values are ``repr`` of Python floats, the shortest decimal that reads back to
+    the same float64.
 
     ``_split.parts`` of the table's values gives its number of runs of rows.  The parent
     streams the header and the first run to the file; a forked child builds and writes
     each other run to a temp file, which the parent then copies in order.  A run whose
     child fails is written by the parent, so the bytes never depend on the split.
     """
+    def rows(start: int, stop: int) -> np.ndarray:  # an int or bool would not write as a float
+        return np.asarray(produce(start, stop), dtype=float)
+
     keys = list(keys)
     _check_keys(keys, sep, f"{kind} {key_name}")
     _check_distinct(keys, f"{kind} {key_name}")
@@ -523,11 +510,12 @@ def write_feature_rows(path, keys: Iterable[str], dim: int, rows) -> None:
     """Write the feature file of ``keys``, whose ``dim`` values ``rows`` produces on demand.
 
     ``rows(start, stop)`` returns the ``(stop - start, dim)`` values of the rows of
-    ``keys[start:stop]``.  It is asked for at most ``_split.block_rows(dim)`` rows at a
-    time, every row twice (once to check before the file is opened, once to write it),
-    and must give the same values each time; a forked child may make the second call.
-    So no process holds more than one block of the table.  The bytes, messages and fault
-    order are those of ``write_features`` on the same rows.
+    ``keys[start:stop]``, as anything ``np.asarray`` takes; they are written as float64.
+    It is asked for at most ``_split.block_rows(dim)`` rows at a time, every row twice
+    (once to check before the file is opened, once to write it), and must give the same
+    values each time; a forked child may make the second call.  So no process holds more
+    than one block of the table.  The bytes, messages and fault order are those of
+    ``write_features`` on the same rows.
     """
     _write_rows(path, keys, dim, rows, "\t", "feature", "id")
 
@@ -561,7 +549,7 @@ def load_transcriptions(path) -> dict[str, TranscriptionRecord]:
         # a zero is kept as read: -0.0 == 0.0 would hand back the other sign
         return TranscribedWord(share(token, token), share(conf, conf) if conf else conf)
 
-    with _reading(path) as lines:
+    with closing(_lines(path)) as lines:
         for lineno, line in enumerate(lines, start=1):
             obj = _json(path, line, lineno)
             try:
@@ -592,7 +580,7 @@ def load_manifest(path) -> Manifest:
     rows = []
     seen: set[str] = set()
     share = {}.setdefault  # one str per distinct label or split for all the rows
-    with _reading(path) as lines:
+    with closing(_lines(path)) as lines:
         for lineno, line in enumerate(lines, start=1):
             fields = line.split("\t")
             if len(fields) != 3:
@@ -619,7 +607,7 @@ def write_manifest(path, manifest: Manifest) -> None:
 
 def load_vqa(path) -> list[VqaRecord]:
     records = []
-    with _reading(path) as lines:
+    with closing(_lines(path)) as lines:
         for lineno, line in enumerate(lines, start=1):
             obj = _json(path, line, lineno)
             try:

@@ -347,15 +347,20 @@ def _fatal_in_children(target, name: str):
     return mock.patch.object(target, name, call)
 
 
-def _watching_children(results: list):
-    """Patch ``Forks.result`` to append each temp file it gives (None: the child failed)."""
-    real = _split.Forks.result
+def _returning(target, name: str, results: list):
+    """Patch ``target.name`` to append each call's result to ``results``."""
+    real = getattr(target, name)
 
-    def result(forks, index):
-        results.append(real(forks, index))
+    def call(*args):
+        results.append(real(*args))
         return results[-1]
 
-    return mock.patch.object(_split.Forks, "result", result)
+    return mock.patch.object(target, name, call)
+
+
+def _watching_children(results: list):
+    """Patch ``Forks.result`` to append each temp file it gives (None: the child failed)."""
+    return _returning(_split.Forks, "result", results)
 
 
 class TestSplit:
@@ -374,7 +379,7 @@ class TestSplit:
         with _split_into(parts), _watching_children(results), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             assert FLOAT_TABLES[kind][0](path) == self.TABLE
-        assert [call.args[0] for call in ranges.call_args_list] == [True]  # never rerun
+        assert ranges.call_count == 1
         assert len(results) == parts - 1 and None not in results
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
@@ -395,44 +400,116 @@ class TestSplit:
                 _watching_children(results), _spying(_split, "parts", asked), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             loaded = loader(tmp_path / "table.txt")
-        assert results[0] is None  # so the parent read the file again, in one range
-        assert [call.args[0] for call in ranges.call_args_list] == [True, False]  # and only once
-        assert len(asked) == 1  # by the first pass; the rerun does not ask
+        assert results[0] is None  # so the parent read that child's range itself
+        assert ranges.call_count == 1
+        assert len(asked) == 1
         assert loaded == self.TABLE
         assert _no_child_left()
 
     @pytest.mark.parametrize(
-        "line, text, message, rerun, children",
+        "line, text, message, read, children",
         [
-            # a doubt: a later range may hold an earlier bad byte or change the row count
-            (3, b"k1\t1.0 2.0 x\n", ":3: unparseable float", True, 1),
-            (38, b"k36\t1.0 2.0 x\n", ":38: unparseable float", True, 1),
-            (38, b"k0\t1.0 2.0 3.0\n", ":38: duplicate image_id 'k0'", True, 1),
-            # final on the first pass; the header decides the split, so its fault meets no child
-            (1, b"40 x\n", ":1: header must hold two integers", False, 0),
-            (4, b"k2\t\xff\n", ":4: not UTF-8 (byte 0xff at column 4)", False, 1),
-            (1, b"41 3\n", ": header count 41 but 40 data lines", False, 1),
+            # the child fails or reads a key already seen: the parent reads its range too
+            (38, b"k36\t1.0 2.0 x\n", ":38: unparseable float", [0, 1], 1),
+            (38, b"k0\t1.0 2.0 3.0\n", ":38: duplicate image_id 'k0'", [0, 1], 1),
+            # the parent's own range is faulty: it raises there; the header decides the
+            # split, so its fault meets no child
+            (3, b"k1\t1.0 2.0 x\n", ":3: unparseable float", [0], 1),
+            (1, b"40 x\n", ":1: header must hold two integers", [0], 0),
+            (4, b"k2\t\xff\n", ":4: not UTF-8 (byte 0xff at column 4)", [0], 1),
+            # every range is clean: the child's rows are taken
+            (1, b"41 3\n", ": header count 41 but 40 data lines", [0], 1),
         ],
-        ids=["bad-row-in-the-parent's-range", "bad-row-in-the-child's-range",
-             "key-in-two-ranges", "header", "bad-byte-in-the-parent's-range",
+        ids=["bad-row-in-the-child's-range", "key-in-two-ranges",
+             "bad-row-in-the-parent's-range", "header", "bad-byte-in-the-parent's-range",
              "count-off-in-clean-ranges"],
     )
-    def test_a_split_load_is_read_again_only_in_doubt(
-        self, tmp_path, line, text, message, rerun, children
+    def test_the_parent_reads_a_range_again_only_for_a_failed_child_or_a_seen_key(
+        self, tmp_path, line, text, message, read, children
     ):
         path = tmp_path / "table.txt"
         write_features(path, self.TABLE)
         lines = path.read_bytes().splitlines(keepends=True)
         lines[line - 1] = text
         path.write_bytes(b"".join(lines))
-        started = []
+        started, spans, ends = [], [], []
         with _split_into(2), _spying(_split.Forks, "start", started), \
+                _spying(_split, "Span", spans), _returning(_split, "line_ends", ends), \
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             with pytest.raises(ValueError) as exc:
                 load_features(path)
         assert str(exc.value) == f"{path}{message}"
-        assert [call.args[0] for call in ranges.call_args_list] == [True, False][: 1 + rerun]
+        starts = [0] + [end for found in ends for end in found[:-1]]  # where each range starts
+        assert [starts.index(start) for _, start, _ in spans] == read  # the parent's reads
+        assert ranges.call_count == 1
         assert len(started) == children
+        assert _no_child_left()
+
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        """A feature file of ``PARALLEL_MIN`` values, about ten reads of ``CHUNK`` bytes."""
+        path = tmp_path_factory.mktemp("large") / "table.txt"
+        rows = _split.PARALLEL_MIN // 32
+        rng = np.random.default_rng(3)
+        keys = [f"k{i}" for i in range(rows)]
+        write_features(path, RowTable(keys, rng.standard_normal((rows, 32))))
+        assert path.stat().st_size > 8 * _split.CHUNK
+        return path
+
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (1, b"4096 x\n", ":1: header must hold two integers"),
+            (3, b"k1\t1.0 x\n", ":3: expected 32 values, got 2"),
+        ],
+        ids=["header", "row-3"],
+    )
+    def test_a_faulty_load_stops_at_its_first_faulty_line(
+        self, tmp_path, large, line, text, message
+    ):
+        path = tmp_path / "table.txt"
+        lines = large.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = text
+        path.write_bytes(b"".join(lines))
+        parent, read, real_pread = os.getpid(), [], os.pread
+
+        def pread(fd, n, at):
+            data = real_pread(fd, n, at)
+            if os.getpid() == parent:
+                read.append(len(data))
+            return data
+
+        with mock.patch.object(_split, "cpus", lambda: 2), mock.patch.object(os, "pread", pread):
+            with pytest.raises(ValueError) as exc:
+                load_features(path)
+        assert str(exc.value) == f"{path}{message}"
+        assert sum(read) <= 2 * _split.CHUNK
+        assert _no_child_left()
+
+    def test_a_child_killed_mid_range_costs_one_more_read_of_its_range(self, large):
+        parent, real_pread, preads = os.getpid(), os.pread, []
+        results, read, real_read = [], [], _split.Span.read
+
+        def pread(fd, n, at):  # a child dies at its second read, inside its range
+            if os.getpid() != parent:
+                preads.append(at)
+                if len(preads) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_pread(fd, n, at)
+
+        def span_read(span, n):
+            read.append(real_read(span, n))
+            return read[-1]
+
+        with mock.patch.object(_split, "cpus", lambda: 2), mock.patch.object(os, "pread", pread), \
+                mock.patch.object(_split.Span, "read", span_read), _watching_children(results), \
+                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+            loaded = load_features(large)
+        assert results == [None]
+        assert ranges.call_count == 1
+        # the parent read its own range, then the child's, each byte once
+        assert sum(map(len, read)) == large.stat().st_size
+        assert loaded == load_features(large)  # as a load whose child was not killed
         assert _no_child_left()
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
@@ -483,7 +560,7 @@ class TestSplit:
                 mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
             loaded = _load_or_message(load_features, path)
         assert loaded == ("PATH:40: unparseable float" if faulty else table)
-        assert [call.args[0] for call in ranges.call_args_list] == [True]  # never rerun
+        assert ranges.call_count == 1
         assert started == [] and line_ends == []
         assert sum(map(len, read)) == path.stat().st_size
 
@@ -509,7 +586,7 @@ class TestSplit:
             if isinstance(one_range, str):
                 assert loaded == one_range
             else:
-                assert [call.args[0] for call in ranges.call_args_list] == [True]  # never rerun
+                assert ranges.call_count == 1
                 assert _loaded_matrix(kind, loaded).tobytes() == (
                     _loaded_matrix(kind, one_range).tobytes()
                 )
@@ -624,6 +701,22 @@ class TestFeatureRows:
                                lambda start, stop: matrix[start:stop])
         assert (base / "rows.txt").read_bytes() == (base / "table.txt").read_bytes()
 
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda m: m.astype(int), lambda m: m > 0, lambda m: m.astype(int).tolist()],
+        ids=["int", "bool", "list-of-lists"],
+    )
+    def test_a_block_of_any_numbers_writes_as_write_features_writes_its_rows(
+        self, tmp_path, make, parts
+    ):
+        values = make(np.round(self.MATRIX * 4))
+        write_features(tmp_path / "table.txt", RowTable(self.KEYS, values))
+        with _split_into(parts):
+            write_feature_rows(tmp_path / "rows.txt", self.KEYS, 3,
+                               lambda start, stop: values[start:stop])
+        assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "table.txt").read_bytes()
+
     def test_a_killed_child_leaves_its_run_to_the_parent(self, tmp_path):
         results, asks = [], tmp_path / "asks.txt"
         write_features(tmp_path / "table.txt", RowTable(self.KEYS, self.MATRIX))
@@ -673,7 +766,8 @@ class TestDecodeErrors:
         "loader, lines",
         [
             (load_features, [b"3 2", b"a\t1.0 2.0", b"b\t1.0 \xff2.0", b"c\t1.0 2.0"]),
-            (load_transcriptions, [b'{"image_id": "a", "words": []}'] * 2 + [b'{"image_id": "\xff"}']),
+            (load_transcriptions, [b'{"image_id": "a", "words": []}',
+                                   b'{"image_id": "b", "words": []}', b'{"image_id": "\xff"}']),
             (load_manifest, [b"a\tcat\ttrain", b"b\tdog\ttest", b"c\tc\xffat\ttrain"]),
             (load_cleaning_report, [b"{", b'  "total_words": 3,', b'  "kept\xff": 2', b"}"]),
         ],
@@ -692,8 +786,9 @@ class TestDecodeErrors:
         [
             (b"\xfe", "1: not UTF-8 (byte 0xfe at column 1)"),
             (b"a\tb\ttrain\r\n\xc3(", "2: not UTF-8 (byte 0xc3 at column 1)"),
-            ("\u00e9\u2028x\x1c\u00e9".encode() + b"\xed\xa0\x80", "3: not UTF-8 (byte 0xed at column 2)"),
-            (b"a\rb\r\r\x80", "4: not UTF-8 (byte 0x80 at column 1)"),
+            ("\u00e9\tl\ttrain\u2028x\tl\ttest\x1c\u00e9".encode() + b"\xed\xa0\x80",
+             "3: not UTF-8 (byte 0xed at column 2)"),
+            (b"a\tl\ttrain\rb\tl\ttest\rc\tl\ttrain\r\x80", "4: not UTF-8 (byte 0x80 at column 1)"),
         ],
         ids=["first-byte", "truncated-sequence", "unicode-line-breaks", "carriage-returns"],
     )
@@ -986,17 +1081,27 @@ class TestOrder:
         file, pipe = tmp_path / "f.txt", tmp_path / "f.pipe"
         file.write_bytes(data)
         os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+        opened = threading.Event()
+
+        def write() -> None:
+            with open(pipe, "wb") as fh:  # returns once a reader has opened the pipe
+                opened.set()
+                fh.write(data)
+
+        writer = threading.Thread(target=write)
         writer.start()
         order = ["i3", "x", "i0", "i4"]
         try:
             with mock.patch.object(_split, "BLOCK", 2):
                 through_pipe = load_features(pipe, order)
         finally:
-            if writer.is_alive():  # the load failed before it opened the pipe
+            # unset, the writer has not closed its end: the load failed before it opened
+            # the pipe, or before the writer ran on, and this open meets the writer's
+            if not opened.is_set():
                 with open(pipe, "rb") as fh:
                     fh.read()
-            writer.join()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
         assert through_pipe == load_features(file, order)
         assert list(through_pipe) == ["i3", "i0", "i4"]
 
@@ -1020,16 +1125,15 @@ class TestOrder:
         assert peak < 1.5 * table.matrix.nbytes, peak
 
 
-# per case: loader, file bytes, the message after "path"; each message is the one that the
-# whole-file reader gave, which decoded the entire file before it read any line, except for
-# a huge dim, which made an earlier reader allocate the header's matrix before any row
+# per case: loader, file bytes, the message after "path": the header's fault, then that of the
+# first faulty line, then a row count other than the header's; a huge dim or count fails with
+# its own message, not a failed allocation
 FAULT_ORDER = {
     "features-bad-float-then-bad-byte": (
-        load_features, b"3 2\na\t1.0 x\nb\t1.0 2.0\nc\t1.0 \xff\n",
-        ":4: not UTF-8 (byte 0xff at column 7)",
+        load_features, b"3 2\na\t1.0 x\nb\t1.0 2.0\nc\t1.0 \xff\n", ":2: unparseable float",
     ),
     "features-structure-and-header-count": (
-        load_features, b"3 2\na\t1.0 2.0\nb 1.0 2.0\n", ": header count 3 but 2 data lines",
+        load_features, b"3 2\na\t1.0 2.0\nb 1.0 2.0\n", ":3: expected '<image_id>\\t<values>'",
     ),
     "features-non-finite-before-duplicate": (
         load_features, b"3 2\na\t1.0 inf\nb\t1.0 2.0\na\t1.0 2.0\n", ":2: non-finite value",
@@ -1041,25 +1145,26 @@ FAULT_ORDER = {
         load_features, b"3 2\na\t1.0 2.0\nb\t1.0 1e\nc\t1.0\n", ":3: unparseable float",
     ),
     "features-header-then-bad-byte": (
-        load_features, b"3 x\na\t1.0 2.0\n\xc3(\n", ":3: not UTF-8 (byte 0xc3 at column 1)",
+        load_features, b"3 x\na\t1.0 2.0\n\xc3(\n", ":1: header must hold two integers",
     ),
     "embeddings-bad-float-then-bad-byte": (
-        load_embeddings, b"2 2\na 1.0 x\nb 1.0 \xff\n", ":3: not UTF-8 (byte 0xff at column 7)",
+        load_embeddings, b"2 2\na 1.0 x\nb 1.0 \xff\n", ":2: unparseable float",
     ),
     "embeddings-structure-and-header-count": (
-        load_embeddings, b"3 2\na 1.0\nb 1.0 2.0\n", ": header count 3 but 2 data lines",
+        load_embeddings, b"3 2\na 1.0\nb 1.0 2.0\n",
+        ":2: expected token plus 2 values, got 2 fields",
     ),
     "embeddings-non-finite-before-duplicate": (
         load_embeddings, b"3 2\na 1.0 2.0\nb -inf 2.0\na 1.0 2.0\n", ":3: non-finite value",
     ),
     "embeddings-extra-row-and-bad-float": (
-        load_embeddings, b"1 2\na 1.0 x\nb 1.0 2.0\n", ": header count 1 but 2 data lines",
+        load_embeddings, b"1 2\na 1.0 x\nb 1.0 2.0\n", ":2: unparseable float",
     ),
     "model-too-few-rows-and-bad-value": (
-        load_model, b"2 1\na\tb\n1.0 x\n", ": expected 2 weight rows, got 1",
+        load_model, b"2 1\na\tb\n1.0 x\n", ":3: unparseable float",
     ),
     "model-bad-value-then-bad-byte": (
-        load_model, b"2 1\na\tb\n1.0 x\n1.0 \x80\n", ":4: not UTF-8 (byte 0x80 at column 5)",
+        load_model, b"2 1\na\tb\n1.0 x\n1.0 \x80\n", ":3: unparseable float",
     ),
     "model-structure-before-non-finite": (
         load_model, b"2 1\na\tb\n1.0\n1.0 nan\n", ":3: expected 2 values, got 1",
@@ -1088,7 +1193,7 @@ FAULT_ORDER = {
     ),
     "manifest-bad-row-then-bad-byte": (
         load_manifest, b"a\tcat\ttrain\nb\tcat\nc\tdog\ttest\xfe\n",
-        ":3: not UTF-8 (byte 0xfe at column 11)",
+        ":2: expected 'image_id\\tlabel\\tsplit'",
     ),
     "manifest-duplicate-then-bad-split": (
         load_manifest, b"a\tcat\ttrain\na\tcat\ttrain\nb\tcat\tdev\n", ":2: duplicate image_id 'a'",
@@ -1096,13 +1201,13 @@ FAULT_ORDER = {
     "transcriptions-bad-json-then-bad-byte": (
         load_transcriptions,
         b'{"image_id": "a", "words": []}\n{"image_id": \n{"image_id": "\xff", "words": []}\n',
-        ":3: not UTF-8 (byte 0xff at column 15)",
+        ":2: bad JSON: Expecting value",
     ),
     "vqa-bad-record-then-bad-byte": (
         load_vqa,
         b'{"image_id": "a", "question": "q", "answer": ""}\n'
         b'{"image_id": "\xe2\x80", "question": "q", "answer": "x"}\n',
-        ":2: not UTF-8 (byte 0xe2 at column 15)",
+        ":1: bad VQA record: image_id, question and answer must all be non-empty",
     ),
 }
 
