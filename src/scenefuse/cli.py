@@ -424,10 +424,17 @@ def _cmd_vqa(args) -> int:
     answer_index = {answer: i for i, answer in enumerate(vocab)}
 
     def labeled(rows) -> LabeledSet:
-        """The question sums, then each block's image rows, filled into one matrix."""
+        """The question sums, then each block's image rows, filled into one matrix.
+
+        A sum that overflowed raises, naming its question: the features were checked
+        finite when loaded, so a question is the one input a row's fault can come from.
+        """
         X = np.empty((len(rows), table.dim + sum(feats.dim for feats in blocks.values())))
         for at, r in enumerate(rows):
             X[at, : table.dim] = aggregate(words[r.question], table).vector
+            if not np.isfinite(X[at, : table.dim]).all():
+                raise ValueError(f"embedding sum of question {r.question!r} (image "
+                                 f"{r.image_id!r}) has non-finite values")
         left = table.dim
         for feats in blocks.values():
             picks = np.array([feats.index[r.image_id] for r in rows], dtype=np.intp)
@@ -694,7 +701,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflowing sum or fusion gives a non-finite row, which the checks before
+        # each write and before training name; numpy's error state is this thread's
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -186,7 +186,8 @@ def _float_rows(
 ) -> tuple[list, np.ndarray]:
     """The keys and the ``(rows, width)`` values of the rows after the ``head`` header lines.
 
-    ``read_head(path, lines)`` checks the header lines (fewer in a shorter file) and returns
+    ``read_head(path, lines)`` takes the ``head`` header lines from ``lines``, the line
+    iterator the rows then come from, checking each before it takes the next, and returns
     ``(count, width, miscount)``, where ``miscount(n)`` is the message for a file of ``n``
     rows.  ``check_row(line, lineno, width, keys)`` raises ``ValueError`` on a row whose
     structure is wrong, records its key (if any) in ``keys`` and returns its key and values
@@ -219,7 +220,7 @@ def _ranges(path, fh, size, head, read_head, check_row, keep) -> tuple:
     fd = fh.fileno()
     first = _split.Span(fd, 0, size) if size is not None else fh
     lines = _lines(path, first.read)
-    count, width, miscount = read_head(path, list(islice(lines, head)))
+    count, width, miscount = read_head(path, lines)
     ends = []
     if size is not None and (parts := _split.parts(count * width)) > 1:
         ends = _split.line_ends(fd, first.start, size, parts)
@@ -397,11 +398,12 @@ def _header_ints(path, line: str, form: str) -> tuple[int, int]:
         raise ValueError(f"{path}:1: header must hold two integers") from None
 
 
-def _count_dim_header(path, lines: list[str]):
+def _count_dim_header(path, lines: Iterator[str]):
     """``_float_rows``'s ``read_head`` for a ``<count> <dim>`` header line."""
-    if not lines:
+    line = next(lines, None)
+    if line is None:
         raise ValueError(f"{path}:1: empty file, expected '<count> <dim>' header")
-    count, dim = _header_ints(path, lines[0], "'<count> <dim>'")
+    count, dim = _header_ints(path, line, "'<count> <dim>'")
     if count < 0 or dim < 1:
         raise ValueError(f"{path}:1: bad header values count={count} dim={dim}")
     return count, dim, lambda rows: f"{path}: header count {count} but {rows} data lines"
@@ -432,7 +434,7 @@ def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable
         tokens[token] = None
         return token, blob
 
-    def read_head(path, lines: list[str]):
+    def read_head(path, lines: Iterator[str]):
         count, dim, miscount = _count_dim_header(path, lines)
         if not count:
             raise ValueError(f"{path}:1: embedding table is empty")
@@ -641,15 +643,16 @@ def save_model(path, model: ClassifierModel) -> None:
 def load_model(path) -> ClassifierModel:
     names: list[str] = []
 
-    def read_head(path, lines: list[str]):
-        if len(lines) < 2:
-            raise ValueError(f"{path}:1: truncated model file")
-        n_classes, dim = _header_ints(path, lines[0], "'C D'")
-        if n_classes < 2 or dim < 1:
-            raise ValueError(
-                f"{path}:1: bad header values C={n_classes} D={dim}, need C >= 2 and D >= 1"
-            )
-        names[:] = lines[1].split("\t")
+    def read_head(path, lines: Iterator[str]):
+        try:  # line 1 is checked before line 2 is read
+            n_classes, dim = _header_ints(path, next(lines), "'C D'")
+            if n_classes < 2 or dim < 1:
+                raise ValueError(
+                    f"{path}:1: bad header values C={n_classes} D={dim}, need C >= 2 and D >= 1"
+                )
+            names[:] = next(lines).split("\t")
+        except StopIteration:
+            raise ValueError(f"{path}:1: truncated model file") from None
         if len(names) != n_classes:
             raise ValueError(f"{path}:2: expected {n_classes} class names, got {len(names)}")
         seen: set[str] = set()

@@ -1507,6 +1507,46 @@ class TestDefaults:
         )
 
 
+# the checkout's package first, for a child process
+_PYTHONPATH = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")
+]))
+
+# commands whose sum or fusion overflows: each makes a non-finite row from finite inputs
+OVERFLOWS = ["featurize-text", "fuse-average", "fuse-mcb", "vqa"]
+
+
+def _overflow(case: str, fixtures_dir, tmp_path) -> tuple[list, str]:
+    """The argv of a command whose sum or fusion overflows in ``tmp_path``, and its message."""
+    out = tmp_path / "out.txt"
+    if case.startswith("fuse-"):
+        features = tmp_path / "features.txt"
+        features.write_text("2 2\nb\t1.0 2.0\na\t1e308 1e308\n")
+        scheme = case.removeprefix("fuse-")
+        argv = ["fuse", "--a", features, "--b", features, "--out", out, "--scheme", scheme,
+                "--d", 16]
+        return argv, "feature for 'a' has non-finite values"
+    lexicon = tmp_path / "lexicon.txt"
+    if case == "featurize-text":
+        lexicon.write_text("2 2\nsun 1e308 1e308\nsea 1e308 -1.0\n")
+        transcriptions = tmp_path / "t.jsonl"
+        transcriptions.write_text(
+            '{"image_id": "a", "words": [{"token": "sun", "conf": 0.9}]}\n'
+            '{"image_id": "b", "words": [{"token": "sun", "conf": 0.9}, '
+            '{"token": "sea", "conf": 0.9}]}\n'
+        )
+        argv = ["featurize-text", "--transcriptions", transcriptions, "--embeddings", lexicon,
+                "--out", out, "--k", 2, "--cleaning-report", tmp_path / "clean.json"]
+        return argv, "feature for 'b' has non-finite values"
+    # the fixture lexicon with every value 1e308: a question of two known words overflows
+    table = load_embeddings(fixtures_dir / "embeddings.txt")
+    write_embeddings(lexicon, RowTable(table, np.full(table.matrix.shape, 1e308)))
+    argv = ["vqa", "--vqa", fixtures_dir / "vqa.jsonl", "--manifest", fixtures_dir / "manifest.tsv",
+            "--embeddings", lexicon, "--mode", "question", "--report-json", out]
+    return argv, ("embedding sum of question 'what brand is shown' (image 'ad-0001') has "
+                  "non-finite values")
+
+
 class TestErrors:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = run_cli(
@@ -1524,6 +1564,27 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {features}:2: expected 1000000000000 values, got 2\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    def test_an_overflow_fails_as_a_non_finite_row(self, fixtures_dir, tmp_path, capsys, case):
+        argv, message = _overflow(case, fixtures_dir, tmp_path)
+        before = sorted(tmp_path.iterdir())
+        errors = np.geterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert np.geterr() == errors  # the command's error state ends with it
+
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    def test_an_overflow_warns_of_nothing_under_w_error(self, fixtures_dir, tmp_path, case):
+        argv, message = _overflow(case, fixtures_dir, tmp_path)
+        before = sorted(tmp_path.iterdir())
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "scenefuse", *map(str, argv)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _PYTHONPATH},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def _traced_peak(*argv) -> int:

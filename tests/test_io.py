@@ -1169,6 +1169,9 @@ FAULT_ORDER = {
     "model-structure-before-non-finite": (
         load_model, b"2 1\na\tb\n1.0\n1.0 nan\n", ":3: expected 2 values, got 1",
     ),
+    "model-header-then-bad-byte": (
+        load_model, b"x y\n\xff\n1 2\n", ":1: header must hold two integers",
+    ),
     "features-huge-dim": (
         load_features, b"1 1000000000000\na\t1.0 2.0\n", ":2: expected 1000000000000 values, got 2",
     ),
@@ -1257,11 +1260,17 @@ class TestHeaders:
             ("2 one\na\tb\n1.0 0.0\n1.0 0.0\n", "1: header must hold two integers"),
             ("2 1\n\tb\n1.0 0.0\n1.0 0.0\n", "2: empty class name"),
             ("2 1\na\ta\n1.0 0.0\n1.0 0.0\n", "2: duplicate class name 'a'"),
+            # line 1 is checked before line 2 is read
+            ("x y\n\udcff\n1 2\n", "1: header must hold two integers"),
+            ("x y\n", "1: header must hold two integers"),
+            ("2\n", "1: header must be 'C D'"),
+            ("1 1\n\udcff\n", "1: bad header values C=1 D=1, need C >= 2 and D >= 1"),
+            ("2 1\n\udcff\n1.0 0.0\n1.0 0.0\n", "2: not UTF-8 (byte 0xff at column 1)"),
         ],
     )
     def test_model_header_messages(self, tmp_path, text, message):
         path = tmp_path / "model.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")  # "\udcff": byte 0xff
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{message}')}$"):
             load_model(path)
 

@@ -1,8 +1,9 @@
 """Which module does what, read from the source: ``io`` keeps the file formats, and
 ``_split`` alone makes processes, asks whether a file is regular and holds the rules
 that split a float table across CPUs and a table into blocks of rows.  No module changes
-the warning filters, which every thread of the process shares.  The package namespace
-holds what the README's "Library use" block imports from it, plus the math oracles."""
+the warning filters, which every thread of the process shares, nor numpy's error state
+past the block that needs it.  The package namespace holds what the README's "Library
+use" block imports from it, plus the math oracles."""
 
 import ast
 from pathlib import Path
@@ -139,6 +140,19 @@ _FILTER_CALLS = {"catch_warnings", "simplefilter", "filterwarnings"}
 def test_no_module_changes_the_warning_filters():
     calls = {
         path.name: _named(_tree(path.name), "warnings", _FILTER_CALLS)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert calls == dict.fromkeys(calls, [])
+
+
+# each changes numpy's error state for the rest of the thread's life; np.errstate restores it
+_ERROR_STATE_CALLS = {"seterr", "seterrcall"}
+
+
+def test_no_module_changes_numpy_error_state_for_good():
+    calls = {
+        path.name: [name for module in ("np", "numpy")
+                    for name in _named(_tree(path.name), module, _ERROR_STATE_CALLS)]
         for path in sorted(SRC.glob("*.py"))
     }
     assert calls == dict.fromkeys(calls, [])
