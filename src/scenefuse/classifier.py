@@ -8,6 +8,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .sketch import splitmix64
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if seed >= 2**64:  # splitmix64 reads a seed modulo 2**64: a larger one would alias
+        raise ValueError(f"seed must be below 2**64, got {seed}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -29,8 +38,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.l2 < 0:
             raise ValueError("l2 must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -81,8 +89,28 @@ class LabeledSet:
         return self.y.shape[0]
 
 
+def _streams(seed: int) -> tuple[int, int]:
+    """The seeds of the init and order streams of ``seed``: its first two splitmix64 words."""
+    init, order = splitmix64(seed, 2).tolist()
+    return init, order
+
+
+def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
+    """The order ``train`` visits ``n`` rows in, in epoch ``epoch`` (from 1).
+
+    It is the stable argsort of that epoch's ``n`` words of the order stream of
+    ``seed``, so every epoch's order is a permutation of ``range(n)``.
+    """
+    words = splitmix64(_streams(seed)[1], n, start=(epoch - 1) * n)
+    return np.argsort(words, kind="stable")
+
+
 def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierModel:
-    """Uniform(-0.01, 0.01) weights from the given seed, zero biases."""
+    """Zero biases, and weights ``-0.01 + 0.02 * u`` in [-0.01, 0.01).
+
+    Each ``u`` is a uniform in [0, 1) from the top 53 bits of a word of the init
+    stream of ``seed``, taken in row-major order.
+    """
     names = [str(n) for n in class_names]
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -90,10 +118,10 @@ def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierMod
         raise ValueError("need at least two classes")
     if len(set(names)) != len(names):
         raise ValueError("duplicate class names")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    W = rng.uniform(-0.01, 0.01, size=(len(names), dim))
+    _check_seed(seed)
+    words = splitmix64(_streams(seed)[0], len(names) * dim)
+    u = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    W = (-0.01 + 0.02 * u).reshape(len(names), dim)
     return ClassifierModel(W=W, b=np.zeros(len(names)), class_names=names)
 
 
@@ -149,10 +177,11 @@ def train(
 ) -> tuple[ClassifierModel, list[float]]:
     """Mini-batch SGD over shuffled epochs; returns the trained copy and per-epoch mean loss.
 
-    Raises ValueError as soon as a batch loss is not finite, or when the last step leaves
-    weights that are not (training diverged).  Every step writes its (C, D) gradient and
-    scratch into the same two buffers, made once per call, so no step allocates an array
-    as large as W.
+    Epoch ``e`` visits the rows in ``_epoch_order(cfg.seed, e, n)``.  Raises ValueError
+    as soon as a batch loss is not finite, or when the last step leaves weights that are
+    not (training diverged).  Every step gathers its rows into one batch buffer and writes
+    its (C, D) gradient and scratch into two more, all made once per call, so no step
+    allocates an array as large as W or as its batch.
     """
     if not data:
         raise ValueError("no training data")
@@ -161,17 +190,20 @@ def train(
     W = model.W.copy()
     b = model.b.copy()
     grad_w, scratch = np.empty_like(W), np.empty_like(W)
-    rng = np.random.default_rng(cfg.seed)
     n = len(data)
+    batch = np.empty((min(cfg.batch_size, n), model.dim))
     history: list[float] = []
     # an overflow shows up as a loss or weights that are not finite, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(n)
+            order = _epoch_order(cfg.seed, epoch, n)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                loss, _, grad_b = _loss_grad(W, b, data.X[idx], y[idx], cfg.l2, grad_w, scratch)
+                # "clip" gathers straight into the buffer (every index is in range);
+                # "raise" would buffer its output anew on every step
+                rows = np.take(data.X, idx, axis=0, out=batch[: idx.size], mode="clip")
+                loss, _, grad_b = _loss_grad(W, b, rows, y[idx], cfg.l2, grad_w, scratch)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged in epoch {epoch}: loss is {loss}; "

@@ -29,6 +29,7 @@ from .data import (
 )
 from .io import (
     RunManifest,
+    check_feature_rows,
     load_cleaning_report,
     load_embeddings,
     load_features,
@@ -112,6 +113,8 @@ def _cmd_featurize_text(args) -> int:
     model = fit_tfidf(corpus.values())
     # each k's tokens are the first k of one ranking, at the largest k
     ranked = [select_top_k(record, model, max(ks)) for record in corpus.values()]
+    for k in ks:  # every k's table is checked before the first is written
+        check_feature_rows(corpus, table.dim, _summed(ranked, k, table))
     for k in ks:
         misses = sum(token not in table.index for tokens in ranked for token in tokens[:k])
         out = Path(str(args.out).replace("{k}", str(k)))

@@ -295,18 +295,11 @@ def _check_distinct(keys: Iterable[str], what: str) -> None:
         seen.add(key)
 
 
-def _write_rows(path, keys: Iterable[str], dim: int, produce, sep: str, kind: str, key_name: str):
-    """Write a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
+def _checked(keys: Iterable[str], dim: int, produce, sep: str, kind: str, key_name: str):
+    """``keys`` as a list and their rows' producer, which gives float64, once both are checked.
 
-    ``produce(start, stop)`` is ``write_feature_rows``'s producer, whose blocks are taken
-    as float64.  A bad or repeated key, then a non-finite row, raises before the file is
-    opened.  Values are ``repr`` of Python floats, the shortest decimal that reads back to
-    the same float64.
-
-    ``_split.parts`` of the table's values gives its number of runs of rows.  The parent
-    streams the header and the first run to the file; a forked child builds and writes
-    each other run to a temp file, which the parent then copies in order.  A run whose
-    child fails is written by the parent, so the bytes never depend on the split.
+    ``produce(start, stop)`` is ``write_feature_rows``'s producer.  A bad key, then a
+    repeated key, then a non-finite row raises, in that order.
     """
     def rows(start: int, stop: int) -> np.ndarray:  # an int or bool would not write as a float
         return np.asarray(produce(start, stop), dtype=float)
@@ -315,6 +308,21 @@ def _write_rows(path, keys: Iterable[str], dim: int, produce, sep: str, kind: st
     _check_keys(keys, sep, f"{kind} {key_name}")
     _check_distinct(keys, f"{kind} {key_name}")
     _check_finite(keys, dim, rows, kind)
+    return keys, rows
+
+
+def _write_rows(path, keys: Iterable[str], dim: int, produce, sep: str, kind: str, key_name: str):
+    """Write a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
+
+    The keys and rows are ``_checked`` before the file is opened.  Values are ``repr``
+    of Python floats, the shortest decimal that reads back to the same float64.
+
+    ``_split.parts`` of the table's values gives its number of runs of rows.  The parent
+    streams the header and the first run to the file; a forked child builds and writes
+    each other run to a temp file, which the parent then copies in order.  A run whose
+    child fails is written by the parent, so the bytes never depend on the split.
+    """
+    keys, rows = _checked(keys, dim, produce, sep, kind, key_name)
     parts = _split.parts(len(keys) * dim)
     bounds = [len(keys) * part // parts for part in range(parts + 1)]
 
@@ -520,6 +528,15 @@ def write_feature_rows(path, keys: Iterable[str], dim: int, rows) -> None:
     ``write_features`` on the same rows.
     """
     _write_rows(path, keys, dim, rows, "\t", "feature", "id")
+
+
+def check_feature_rows(keys: Iterable[str], dim: int, rows) -> None:
+    """Raise what ``write_feature_rows(path, keys, dim, rows)`` raises before it opens ``path``.
+
+    The checks are the writer's own, in its order, and ``rows`` is asked for each
+    block once, as in the writer's check pass.
+    """
+    _checked(keys, dim, rows, "\t", "feature", "id")
 
 
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}

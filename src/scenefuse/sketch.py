@@ -9,7 +9,7 @@ be verified at small sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +21,17 @@ _SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def splitmix64(seed: int, count: int) -> np.ndarray:
-    """First ``count`` words of the splitmix64 stream for ``seed``.
+def splitmix64(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """``count`` words of the splitmix64 stream for ``seed``, after its first ``start``.
 
-    Fixed mixer so hash parameters regenerate identically on every platform;
-    all arithmetic wraps modulo 2**64.
+    Fixed mixer so hash parameters and training streams regenerate identically on
+    every platform and numpy version; all arithmetic wraps modulo 2**64.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    steps = np.arange(1, count + 1, dtype=np.uint64)
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + steps * _SM_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
     z = (z ^ (z >> np.uint64(27))) * _SM_MIX2
@@ -45,6 +47,8 @@ class SketchParams:
     h: np.ndarray  # int64, values in [0, sketch_dim)
     s: np.ndarray  # float64, values in {-1.0, +1.0}
     seed: int
+    # the support_mask of this hash with the last one it was paired with, by that object
+    _support: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def make_sketch_params(input_dim: int, sketch_dim: int, seed: int) -> SketchParams:
@@ -131,6 +135,10 @@ def _signed_sqrt_l2(values: np.ndarray) -> np.ndarray:
 def support_mask(px: SketchParams, py: SketchParams) -> np.ndarray:
     """Buckets of the fused sketch that some pair hash (px.h[i] + py.h[j]) mod d reaches.
 
+    The mask is read-only and kept on ``px`` for its last partner: asked again for
+    the same two objects, it is the same array, so a table fused block by block
+    builds it once.
+
     Every other bucket of ``mcb_fuse_batch`` is exactly zero for any input.  The
     number of pairs that reach each bucket is the circular convolution of the two
     bucket counts (the count-sketch identity applied to the hashes themselves), so
@@ -139,9 +147,15 @@ def support_mask(px: SketchParams, py: SketchParams) -> np.ndarray:
     and d=16000, where about 1e-11 is measured), stays far below the 0.5 at which a
     bucket counts as reached.
     """
-    _check_pair(px, py)
-    counts = [np.bincount(p.h, minlength=p.sketch_dim) for p in (px, py)]
-    return circular_convolve(*counts) > 0.5
+    reachable = px._support.get(py)
+    if reachable is None:
+        _check_pair(px, py)
+        counts = [np.bincount(p.h, minlength=p.sketch_dim) for p in (px, py)]
+        reachable = circular_convolve(*counts) > 0.5
+        reachable.flags.writeable = False
+        px._support.clear()  # one partner's mask at a time, however many px meets
+        px._support[py] = reachable
+    return reachable
 
 
 def mcb_fuse_batch(xs, ys, px: SketchParams, py: SketchParams, normalize: bool = True) -> np.ndarray:
@@ -187,6 +201,8 @@ class FusionSpec:
     sketch_dim: int = 1024
     seeds: tuple[int, int] = (1, 2)
     normalize: bool = True
+    # the hash pair of each pair of input widths, made on first use by ``sketch_params``
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in FUSION_SCHEMES:
@@ -202,11 +218,18 @@ class FusionSpec:
         return {"concat": dim_a + dim_b, "average": dim_a, "mcb": self.sketch_dim}[self.scheme]
 
     def sketch_params(self, dim_a: int, dim_b: int) -> tuple[SketchParams, SketchParams]:
-        """The hash pair that mcb fusion of dim_a- and dim_b-wide inputs uses."""
-        return (
-            make_sketch_params(dim_a, self.sketch_dim, self.seeds[0]),
-            make_sketch_params(dim_b, self.sketch_dim, self.seeds[1]),
-        )
+        """The hash pair that mcb fusion of dim_a- and dim_b-wide inputs uses.
+
+        Asked again by the same spec object with the same widths, it is the same pair,
+        so ``fuse_rows`` over a table's blocks builds it, and its support, once.
+        """
+        pair = self._pairs.get((dim_a, dim_b))
+        if pair is None:
+            pair = self._pairs[dim_a, dim_b] = (
+                make_sketch_params(dim_a, self.sketch_dim, self.seeds[0]),
+                make_sketch_params(dim_b, self.sketch_dim, self.seeds[1]),
+            )
+        return pair
 
 
 def fuse_rows(a_rows, b_rows, spec: FusionSpec) -> np.ndarray:

@@ -1,13 +1,17 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from scenefuse import classifier
 from scenefuse.classifier import (
     ClassifierModel,
     LabeledSet,
     TrainConfig,
+    _epoch_order,
+    _streams,
     evaluate,
     init_model,
     loss_and_grad,
@@ -101,9 +105,71 @@ class TestInitModel:
         with pytest.raises(ValueError):
             init_model(4, ["only"], seed=0)
 
-    def test_a_negative_seed_is_named(self):
-        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
-            init_model(4, ["a", "b"], seed=-1)
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, r"^seed must be nonnegative, got -1$"),
+         (2**64, r"^seed must be below 2\*\*64, got 18446744073709551616$")],
+        ids=["negative", "2**64"],
+    )
+    def test_a_seed_outside_the_stream_range_is_named(self, seed, message):
+        # splitmix64 reads a seed modulo 2**64, so 2**64 would draw seed 0's weights
+        with pytest.raises(ValueError, match=message):
+            init_model(4, ["a", "b"], seed=seed)
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(seed=seed)
+
+    def test_the_largest_seed_is_taken(self):
+        assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+        assert init_model(4, ["a", "b"], seed=2**64 - 1).W.shape == (2, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1])
+    def test_weights_lie_in_the_half_open_range_and_repeat_for_a_seed(self, seed):
+        W = init_model(300, [f"c{i}" for i in range(40)], seed=seed).W
+        assert W.min() >= -0.01 and W.max() < 0.01
+        assert W.min() < -0.0099 and W.max() > 0.0099  # the range is covered, not a corner of it
+        assert W.tobytes() == init_model(300, [f"c{i}" for i in range(40)], seed=seed).W.tobytes()
+
+    def test_the_weights_are_the_init_stream_in_row_major_order(self):
+        # the first rows of a wider model are the leading words of a narrower model's stream
+        small = init_model(3, ["a", "b"], seed=5).W
+        wide = init_model(6, ["a", "b"], seed=5).W
+        assert small.ravel().tolist() == wide.ravel()[:6].tolist()
+
+
+class TestStreams:
+    @pytest.mark.parametrize("n", [1, 2, 10, 203, 4096])
+    def test_every_epoch_order_is_a_permutation(self, n):
+        for epoch in (1, 2, 50):
+            assert sorted(_epoch_order(3, epoch, n).tolist()) == list(range(n))
+
+    def test_two_epochs_and_two_seeds_give_different_orders(self):
+        first = _epoch_order(3, 1, 200)
+        assert first.tolist() != _epoch_order(3, 2, 200).tolist()
+        assert first.tolist() != _epoch_order(4, 1, 200).tolist()
+        assert first.tolist() == _epoch_order(3, 1, 200).tolist()
+
+    def test_the_init_and_order_streams_differ(self):
+        for seed in (0, 1, 2**64 - 1):
+            init, order = _streams(seed)
+            assert init != order
+            assert (init, order) == _streams(seed)
+
+    def test_training_visits_rows_in_the_epoch_order(self):
+        # one row per batch: row i is the only one whose column i is not zero
+        X = np.eye(5) * np.arange(1, 6)[:, None]
+        data = LabeledSet(X, [0, 1, 0, 1, 0])
+        model = init_model(5, ["a", "b"], seed=1)
+        seen = []
+
+        def step(W, b, X, *rest):  # X is the batch buffer, refilled each step: read it now
+            seen.append(int(np.argmax(X[0])))
+            return loss_grad(W, b, X, *rest)
+
+        loss_grad = classifier._loss_grad
+        cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=1, seed=9)
+        with mock.patch("scenefuse.classifier._loss_grad", step):
+            train(model, data, cfg)
+        assert seen == [row for epoch in (1, 2, 3) for row in _epoch_order(9, epoch, 5).tolist()]
 
 
 def _softmax_of(model, x) -> np.ndarray:
@@ -333,14 +399,14 @@ def _reference_loss_grad(W, b, X, y, l2):
 
 
 def _reference_train(model, data, cfg):
-    """``classifier.train`` as it was before its step buffers, messages included."""
+    """``classifier.train`` as it was before its step buffers, messages included: each
+    batch is gathered into a new array, in the epoch order ``train`` takes."""
     y, W, b = data.y, model.W.copy(), model.b.copy()
-    rng = np.random.default_rng(cfg.seed)
     n = len(data)
     history = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(n)
+            order = _epoch_order(cfg.seed, epoch, n)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
@@ -396,7 +462,8 @@ def _sets(rng, n, dim, classes, layout):
 
 
 class TestStepBuffers:
-    """train with its two (C, D) step buffers against a copy of the loop that allocated per step."""
+    """train with its batch and two (C, D) step buffers against a copy of the loop that
+    allocated per step."""
 
     @pytest.mark.parametrize("layout", ["copies", "runs", "scattered"])
     @pytest.mark.parametrize("l2", [0.0, 0.003])

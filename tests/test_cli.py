@@ -657,13 +657,16 @@ class TestTrainEval:
             (["--features", "{x}", "--lr", "nan"], "learning_rate must be finite, got nan"),
             (["--features", "{x}", "--epochs", "0"], "epochs must be >= 1"),
             (["--features", "{x}", "--seed", "-1"], "seed must be nonnegative, got -1"),
+            (["--features", "{x}", "--seed", str(2**64)],
+             "seed must be below 2**64, got 18446744073709551616"),
             (["--cell", "bad"], "--cell must be ROW:COL:PATH"),
             (["--cell", "a:b:{x}", "--cell", "a:b:{y}"], "ROW:COL pairs must be distinct"),
             (["--cell", "a:b:{x}", "--cell", "c:d:{y}", "--save-model", "{y}"],
              "--save-model keeps one model, but 2 cells were given"),
             ([], "provide --features or at least one --cell"),
         ],
-        ids=["lr", "epochs", "seed", "cell", "repeated-cell", "save-model", "no-cell"],
+        ids=["lr", "epochs", "seed", "seed-2**64", "cell", "repeated-cell", "save-model",
+             "no-cell"],
     )
     def test_flags_are_checked_before_the_manifest_is_read(
         self, tmp_path, capsys, flags, message
@@ -1357,7 +1360,8 @@ class TestVqa:
          ("--l2", "inf", "l2 must be finite, got inf"),
          ("--epochs", "0", "epochs must be >= 1"),
          ("--batch", "0", "batch_size must be >= 1"),
-         ("--seed", "-1", "seed must be nonnegative, got -1")],
+         ("--seed", "-1", "seed must be nonnegative, got -1"),
+         ("--seed", str(2**64), "seed must be below 2**64, got 18446744073709551616")],
     )
     def test_training_flags_are_checked_before_any_file_is_read(
         self, tmp_path, capsys, flag, value, message
@@ -1513,7 +1517,7 @@ _PYTHONPATH = os.pathsep.join(filter(None, [
 ]))
 
 # commands whose sum or fusion overflows: each makes a non-finite row from finite inputs
-OVERFLOWS = ["featurize-text", "fuse-average", "fuse-mcb", "vqa"]
+OVERFLOWS = ["featurize-text", "featurize-text-k1-k2", "fuse-average", "fuse-mcb", "vqa"]
 
 
 def _overflow(case: str, fixtures_dir, tmp_path) -> tuple[list, str]:
@@ -1527,7 +1531,7 @@ def _overflow(case: str, fixtures_dir, tmp_path) -> tuple[list, str]:
                 "--d", 16]
         return argv, "feature for 'a' has non-finite values"
     lexicon = tmp_path / "lexicon.txt"
-    if case == "featurize-text":
+    if case.startswith("featurize-text"):
         lexicon.write_text("2 2\nsun 1e308 1e308\nsea 1e308 -1.0\n")
         transcriptions = tmp_path / "t.jsonl"
         transcriptions.write_text(
@@ -1535,8 +1539,11 @@ def _overflow(case: str, fixtures_dir, tmp_path) -> tuple[list, str]:
             '{"image_id": "b", "words": [{"token": "sun", "conf": 0.9}, '
             '{"token": "sea", "conf": 0.9}]}\n'
         )
+        # with --k 1 too, b's k=1 row ('sea' alone) is finite, and its table is checked first
+        ks = ["--out", out, "--k", 2] if case == "featurize-text" else [
+            "--out", tmp_path / "k{k}.txt", "--k", 1, "--k", 2]
         argv = ["featurize-text", "--transcriptions", transcriptions, "--embeddings", lexicon,
-                "--out", out, "--k", 2, "--cleaning-report", tmp_path / "clean.json"]
+                *ks, "--cleaning-report", tmp_path / "clean.json"]
         return argv, "feature for 'b' has non-finite values"
     # the fixture lexicon with every value 1e308: a question of two known words overflows
     table = load_embeddings(fixtures_dir / "embeddings.txt")

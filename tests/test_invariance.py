@@ -31,7 +31,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from scenefuse import _split, classifier, cli
+from scenefuse import _split, classifier, cli, sketch
 from scenefuse import io as scenefuse_io
 from scenefuse.cli import main
 from scenefuse.data import Manifest, ManifestRow, join_labeled
@@ -175,6 +175,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             "vqa.json"} <= set(runs["1"])
     assert runs["1"].keys() == runs["2"].keys()
     assert [name for name in runs["1"] if runs["1"][name] != runs["2"][name]] == []
+
+
+def test_training_commands_never_import_numpy_random(tmp_path):
+    # the training streams are splitmix64's; only synth draws from numpy.random
+    check = _CHAIN + "assert 'numpy.random' not in sys.modules\n"
+    done = subprocess.run([sys.executable, "-c", check, json.dumps(_fixture_chain())],
+                          cwd=tmp_path, env=_child_env(), capture_output=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert {"cells.json", "vqa.json"} <= {path.name for path in tmp_path.iterdir()}
 
 
 def _shuffled(keys: list) -> list:
@@ -354,15 +363,29 @@ def test_fuse_output_does_not_depend_on_its_block_size(tmp_path, monkeypatch, sc
     assert all(outputs == runs[None] for outputs in runs.values())
 
 
+def test_an_mcb_fuse_builds_its_hash_pair_and_support_once(tmp_path, monkeypatch):
+    # one row per block: each block's fusion is one convolution, and the support one more
+    rows = 60
+    _aligned_pair(tmp_path, rows, 6)
+    monkeypatch.setattr(_split, "BLOCK", 1000)
+    argv = ["fuse", "--a", "a.txt", "--b", "b.txt", "--out", "fused.txt", "--scheme", "mcb",
+            "--d", "1000"]
+    for command in range(2):  # a second command builds its own
+        pair = mock.patch.object(sketch, "make_sketch_params", wraps=sketch.make_sketch_params)
+        convolve = mock.patch.object(sketch, "circular_convolve", wraps=sketch.circular_convolve)
+        with pair as made, convolve as convolved:
+            _outputs(tmp_path, monkeypatch, *argv)
+        assert (made.call_count, convolved.call_count) == (2, rows + 1), command
+
+
 def _train_gathered(model, X, y, cfg):
     """``classifier.train`` as it was when a split held a copy of its rows: ``X`` is that copy."""
     W, b = model.W.copy(), model.b.copy()
-    rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     history = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n)
+        for epoch in range(1, cfg.epochs + 1):
+            order = classifier._epoch_order(cfg.seed, epoch, n)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]

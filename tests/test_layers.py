@@ -2,7 +2,8 @@
 ``_split`` alone makes processes, asks whether a file is regular and holds the rules
 that split a float table across CPUs and a table into blocks of rows.  No module changes
 the warning filters, which every thread of the process shares, nor numpy's error state
-past the block that needs it.  The package namespace holds what the README's "Library
+past the block that needs it.  Only ``data`` draws from ``numpy.random``, whose stream
+numpy may change; the rest take splitmix64's.  The package namespace holds what the README's "Library
 use" block imports from it, plus the math oracles."""
 
 import ast
@@ -156,6 +157,23 @@ def test_no_module_changes_numpy_error_state_for_good():
         for path in sorted(SRC.glob("*.py"))
     }
     assert calls == dict.fromkeys(calls, [])
+
+
+def _numpy_random(tree: ast.Module) -> list[str]:
+    """Where ``tree`` names ``np.random`` or ``numpy.random``, or imports it or from it."""
+    names = _named(tree, "np", {"random"}) + _named(tree, "numpy", {"random"})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            names.append(node.module)
+    return names
+
+
+def test_no_module_but_data_names_numpy_random():
+    names = {path.name: _numpy_random(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    assert names.pop("data.py")  # the check sees the names that are there
+    assert names == dict.fromkeys(names, [])
 
 
 _ORACLES = {"circular_convolve_naive", "outer_sketch_oracle", "loss_and_grad"}

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,17 @@ class TestSplitmix64:
 
     def test_negative_seed_wraps(self):
         assert np.array_equal(splitmix64(-1, 4), splitmix64(0xFFFFFFFFFFFFFFFF, 4))
+
+    @pytest.mark.parametrize("start, count", [(0, 5), (7, 5), (12, 0), (1000, 3)])
+    def test_start_skips_the_first_words_of_the_stream(self, start, count):
+        longer = splitmix64(9, start + count)
+        assert splitmix64(9, count, start=start).tolist() == longer[start:].tolist()
+
+    def test_rejects_a_negative_count_or_start(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            splitmix64(9, -1)
+        with pytest.raises(ValueError, match="start must be nonnegative"):
+            splitmix64(9, 3, start=-1)
 
 
 class TestMakeSketchParams:
@@ -261,6 +274,8 @@ class TestMcbFuse:
         px = make_sketch_params(2048, 16000, seed=1)
         py = make_sketch_params(300, 16000, seed=2)
         support_mask(px, py)  # numpy's FFT caches its plan on the first call
+        # a pair of new objects, which the mask of the last pair asked for does not serve
+        px, py = make_sketch_params(2048, 16000, seed=1), make_sketch_params(300, 16000, seed=2)
         tracemalloc.start()
         try:
             support_mask(px, py)
@@ -268,6 +283,50 @@ class TestMcbFuse:
         finally:
             tracemalloc.stop()
         assert peak < 2048 * 300 * 8 / 2  # half the pair matrix; about 0.9 MB here
+
+    def test_the_same_pair_gets_the_same_read_only_mask(self):
+        px, py = make_sketch_params(30, 64, seed=1), make_sketch_params(20, 64, seed=2)
+        mask = support_mask(px, py)
+        assert support_mask(px, py) is mask and not mask.flags.writeable
+        # an equal pair of other objects gets a mask of its own, equal to it
+        again = support_mask(make_sketch_params(30, 64, 1), make_sketch_params(20, 64, 2))
+        assert again is not mask and again.tolist() == mask.tolist()
+        assert support_mask(py, px) is not again
+        # px keeps its last partner's mask only
+        support_mask(px, make_sketch_params(20, 64, seed=3))
+        rebuilt = support_mask(px, py)
+        assert rebuilt is not mask and rebuilt.tolist() == mask.tolist()
+
+    def test_threads_sharing_a_spec_fuse_as_one_thread_does(self):
+        # each thread fuses rows of several widths, so the spec's pairs and each pair's
+        # support are made while other threads read them
+        spec = FusionSpec(scheme="mcb", sketch_dim=64, seeds=(5, 6))
+        rng = np.random.default_rng(4)
+        inputs = [(rng.standard_normal((3, 4 + w % 3)), rng.standard_normal((3, 2 + w % 4)))
+                  for w in range(12)]
+        expected = [fuse_rows(a, b, FusionSpec(scheme="mcb", sketch_dim=64, seeds=(5, 6)))
+                    for a, b in inputs]
+        results = [[] for _ in range(8)]
+
+        def work(out):
+            for _ in range(20):
+                out.append([fuse_rows(a, b, spec) for a, b in inputs])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(out) for out in results] == [20] * 8
+        for out in results:
+            for fused in out:
+                assert [f.tobytes() for f in fused] == [e.tobytes() for e in expected]
 
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("d", [1000, 1024])
@@ -358,6 +417,19 @@ class TestFusionSpec:
             FusionSpec("mcb", 64, seeds)
         with pytest.raises(ValueError, match="the two sketches must use distinct seeds"):
             mcb_fuse_batch(np.ones(5), np.ones(5), first, second)
+
+    def test_a_spec_gives_the_same_pair_for_the_same_widths(self):
+        spec = FusionSpec(scheme="mcb", sketch_dim=16, seeds=(1, 2))
+        pair = spec.sketch_params(5, 7)
+        assert all(a is b for a, b in zip(spec.sketch_params(5, 7), pair))
+        other = spec.sketch_params(7, 5)
+        assert (other[0].input_dim, other[1].input_dim) == (7, 5)
+        # an equal spec is another object, with a pair of its own of the same hashes
+        fresh = FusionSpec(scheme="mcb", sketch_dim=16, seeds=(1, 2)).sketch_params(5, 7)
+        assert all(a is not b for a, b in zip(fresh, pair))
+        assert [(p.h.tolist(), p.s.tolist()) for p in fresh] == [
+            (p.h.tolist(), p.s.tolist()) for p in pair
+        ]
 
     def test_concat_ignores_seed_equality(self):
         FusionSpec(scheme="concat", seeds=(3, 3))
