@@ -41,11 +41,28 @@ class TrainConfig:
         _check_seed(self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifierModel:
+    """Weights ``W`` (C, D >= 1) and biases ``b`` (C,) of C >= 2 distinct ``class_names``.
+
+    Frozen, so no field can be swapped for one that breaks these after the checks.
+    """
+
     W: np.ndarray  # (C, D)
     b: np.ndarray  # (C,)
     class_names: list[str]
+
+    def __post_init__(self):
+        classes = len(self.class_names)
+        if classes < 2:
+            raise ValueError("need at least two classes")
+        if len(set(self.class_names)) != classes:
+            raise ValueError("duplicate class names")
+        shape = np.shape(self.W)
+        if len(shape) != 2 or shape[0] != classes or shape[1] < 1:
+            raise ValueError(f"W must be ({classes}, D >= 1) for {classes} classes, not {shape}")
+        if np.shape(self.b) != (classes,):
+            raise ValueError(f"b must be ({classes},) for {classes} classes, not {np.shape(self.b)}")
 
     @property
     def n_classes(self) -> int:
@@ -114,10 +131,6 @@ def init_model(dim: int, class_names: Sequence[str], seed: int) -> ClassifierMod
     names = [str(n) for n in class_names]
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if len(names) < 2:
-        raise ValueError("need at least two classes")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate class names")
     _check_seed(seed)
     words = splitmix64(_streams(seed)[0], len(names) * dim)
     u = (words >> np.uint64(11)).astype(float) * 2.0**-53

@@ -29,7 +29,6 @@ from .data import (
 )
 from .io import (
     RunManifest,
-    check_feature_rows,
     load_cleaning_report,
     load_embeddings,
     load_features,
@@ -41,7 +40,7 @@ from .io import (
     save_model,
     write_cleaning_report,
     write_embeddings,
-    write_feature_rows,
+    write_feature_tables,
     write_features,
     write_manifest,
     write_run_manifest,
@@ -83,7 +82,7 @@ def _check_distinct(values, what: str) -> None:
 
 
 def _summed(ranked: list[list[str]], k: int, table: RowTable):
-    """``write_feature_rows``'s producer: per image, the sum of the first ``k`` of its tokens."""
+    """``write_feature_tables``' producer: per image, the sum of the first ``k`` of its tokens."""
     return lambda start, stop: np.array(
         [aggregate(tokens[:k], table).vector for tokens in ranked[start:stop]]
     )
@@ -113,12 +112,10 @@ def _cmd_featurize_text(args) -> int:
     model = fit_tfidf(corpus.values())
     # each k's tokens are the first k of one ranking, at the largest k
     ranked = [select_top_k(record, model, max(ks)) for record in corpus.values()]
-    for k in ks:  # every k's table is checked before the first is written
-        check_feature_rows(corpus, table.dim, _summed(ranked, k, table))
-    for k in ks:
+    outs = {k: Path(str(args.out).replace("{k}", str(k))) for k in ks}
+    write_feature_tables([(outs[k], _summed(ranked, k, table)) for k in ks], corpus, table.dim)
+    for k, out in outs.items():
         misses = sum(token not in table.index for tokens in ranked for token in tokens[:k])
-        out = Path(str(args.out).replace("{k}", str(k)))
-        write_feature_rows(out, corpus, table.dim, _summed(ranked, k, table))
         manifest = _run_manifest(
             "featurize-text",
             params={

@@ -295,34 +295,39 @@ def _check_distinct(keys: Iterable[str], what: str) -> None:
         seen.add(key)
 
 
-def _checked(keys: Iterable[str], dim: int, produce, sep: str, kind: str, key_name: str):
-    """``keys`` as a list and their rows' producer, which gives float64, once both are checked.
+def _write_tables(tables, keys: Iterable[str], dim: int, sep: str, kind: str, key_name: str):
+    """Write each ``(path, produce)`` of ``tables``, a table of ``keys`` and ``dim`` values a row.
 
-    ``produce(start, stop)`` is ``write_feature_rows``'s producer.  A bad key, then a
-    repeated key, then a non-finite row raises, in that order.
+    ``produce(start, stop)`` is ``write_feature_tables``' producer.  Every table is
+    checked before the first file is opened: a bad key, then a repeated key, then a
+    width below 1, then each table's first non-finite row, in table order.
     """
-    def rows(start: int, stop: int) -> np.ndarray:  # an int or bool would not write as a float
-        return np.asarray(produce(start, stop), dtype=float)
+    def floats(produce):  # an int or bool would not write as a float
+        return lambda start, stop: np.asarray(produce(start, stop), dtype=float)
 
     keys = list(keys)
     _check_keys(keys, sep, f"{kind} {key_name}")
     _check_distinct(keys, f"{kind} {key_name}")
-    _check_finite(keys, dim, rows, kind)
-    return keys, rows
+    if dim < 1:
+        raise ValueError(f"{kind} width must be at least 1, got {dim}")
+    tables = [(path, floats(produce)) for path, produce in tables]
+    for _, rows in tables:
+        _check_finite(keys, dim, rows, kind)
+    for path, rows in tables:
+        _write_rows(path, keys, dim, rows, sep)
 
 
-def _write_rows(path, keys: Iterable[str], dim: int, produce, sep: str, kind: str, key_name: str):
+def _write_rows(path, keys: list[str], dim: int, rows, sep: str) -> None:
     """Write a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
 
-    The keys and rows are ``_checked`` before the file is opened.  Values are ``repr``
-    of Python floats, the shortest decimal that reads back to the same float64.
+    ``_write_tables`` has checked the keys and rows.  Values are ``repr`` of Python
+    floats, the shortest decimal that reads back to the same float64.
 
     ``_split.parts`` of the table's values gives its number of runs of rows.  The parent
     streams the header and the first run to the file; a forked child builds and writes
     each other run to a temp file, which the parent then copies in order.  A run whose
     child fails is written by the parent, so the bytes never depend on the split.
     """
-    keys, rows = _checked(keys, dim, produce, sep, kind, key_name)
     parts = _split.parts(len(keys) * dim)
     bounds = [len(keys) * part // parts for part in range(parts + 1)]
 
@@ -453,7 +458,9 @@ def load_embeddings(path, vocabulary: Collection[str] | None = None) -> RowTable
 
 
 def write_embeddings(path, table: RowTable) -> None:
-    _write_rows(path, table, table.dim, _slices(table.matrix), " ", "embedding", "token")
+    if not table:  # as load_embeddings rejects it at the header
+        raise ValueError("embedding table is empty")
+    _write_tables([(path, _slices(table.matrix))], table, table.dim, " ", "embedding", "token")
 
 
 # -- feature file: "<count> <dim>" then "<image_id>\t<v1> <v2> ..." -----------
@@ -512,31 +519,27 @@ def load_features(path, order: Sequence[str] | None = None) -> RowTable:
     return RowTable(ids, matrix)
 
 
-def write_features(path, features: RowTable) -> None:
-    _write_rows(path, features, features.dim, _slices(features.matrix), "\t", "feature", "id")
-
-
-def write_feature_rows(path, keys: Iterable[str], dim: int, rows) -> None:
-    """Write the feature file of ``keys``, whose ``dim`` values ``rows`` produces on demand.
+def write_feature_tables(tables: Sequence[tuple], keys: Iterable[str], dim: int) -> None:
+    """Write each ``(path, rows)`` of ``tables``: the feature file of ``keys``, ``dim`` wide.
 
     ``rows(start, stop)`` returns the ``(stop - start, dim)`` values of the rows of
     ``keys[start:stop]``, as anything ``np.asarray`` takes; they are written as float64.
     It is asked for at most ``_split.block_rows(dim)`` rows at a time, every row twice
-    (once to check before the file is opened, once to write it), and must give the same
-    values each time; a forked child may make the second call.  So no process holds more
-    than one block of the table.  The bytes, messages and fault order are those of
-    ``write_features`` on the same rows.
+    (once to check before the first file is opened, once to write it), and must give the
+    same values each time; a forked child may make the second call.  So no process holds
+    more than one block of a table, and a fault leaves no file of any table.  The bytes,
+    messages and fault order of each are those of ``write_features`` on the same rows.
     """
-    _write_rows(path, keys, dim, rows, "\t", "feature", "id")
+    _write_tables(tables, keys, dim, "\t", "feature", "id")
 
 
-def check_feature_rows(keys: Iterable[str], dim: int, rows) -> None:
-    """Raise what ``write_feature_rows(path, keys, dim, rows)`` raises before it opens ``path``.
+def write_features(path, features: RowTable) -> None:
+    write_feature_tables([(path, _slices(features.matrix))], features, features.dim)
 
-    The checks are the writer's own, in its order, and ``rows`` is asked for each
-    block once, as in the writer's check pass.
-    """
-    _checked(keys, dim, rows, "\t", "feature", "id")
+
+def write_feature_rows(path, keys: Iterable[str], dim: int, rows) -> None:
+    """``write_feature_tables`` of the one table ``(path, rows)``."""
+    write_feature_tables([(path, rows)], keys, dim)
 
 
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}

@@ -152,6 +152,32 @@ class TestFeaturizeText:
         for k in (5, 35, 100):
             assert (tmp_path / f"text_k{k}.txt").exists()
 
+    def test_each_k_is_asked_for_every_row_twice(self, fixtures_dir, tmp_path):
+        asked, summed = Counter(), cli._summed
+
+        def counting(ranked, k, table):
+            """``cli._summed``'s producer, counting each ``(k, row)`` it is asked for."""
+            produce = summed(ranked, k, table)
+
+            def rows(start: int, stop: int):
+                asked.update((k, row) for row in range(start, stop))
+                return produce(start, stop)
+
+            return rows
+
+        # on one CPU, so no forked child asks for rows
+        with mock.patch.object(cli, "_summed", counting), \
+                mock.patch.object(_split, "cpus", lambda: 1):
+            assert run_cli(
+                "featurize-text",
+                "--transcriptions", fixtures_dir / "transcriptions.jsonl",
+                "--embeddings", fixtures_dir / "embeddings.txt",
+                "--out", tmp_path / "text_k{k}.txt", "--k", 1, "--k", 3,
+            ) == 0
+        images = len(load_features(tmp_path / "text_k1.txt"))
+        # once to check it before the first file opens, once to write it
+        assert asked == Counter({(k, row): 2 for k in (1, 3) for row in range(images)})
+
     def test_multiple_k_without_placeholder_fails(self, fixtures_dir, tmp_path, capsys):
         rc = run_cli(
             "featurize-text",
@@ -1591,6 +1617,74 @@ class TestErrors:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _PYTHONPATH},
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+
+def _vqa_case(case: str, fixtures_dir, tmp_path) -> list:
+    """The argv of a vqa run in ``tmp_path`` whose records or features ``case`` spoils."""
+    records = load_vqa(fixtures_dir / "vqa.jsonl")
+    split_of = {row.image_id: row.split for row in load_manifest(fixtures_dir / "manifest.tsv").rows}
+    image = fixtures_dir / "image_features.txt"
+    if case == "id-missing-from-manifest":
+        records.append(VqaRecord("ad-0099", "what is shown", "nike"))
+    elif case == "id-missing-from-features":
+        table = load_features(image)
+        image = tmp_path / "image.txt"
+        write_features(image, RowTable(list(table)[:-1], table.matrix[:-1]))
+    elif case in ("no-train-records", "no-test-records"):
+        records = [r for r in records if split_of[r.image_id] != case.split("-")[1]]
+    elif case == "one-training-answer":
+        records = [r for r in records if split_of[r.image_id] == "test" or r.answer == "nike"]
+    write_vqa(tmp_path / "vqa.jsonl", records)
+    return ["vqa", "--vqa", tmp_path / "vqa.jsonl", "--manifest", fixtures_dir / "manifest.tsv",
+            "--embeddings", fixtures_dir / "embeddings.txt", "--image-features", image,
+            "--mode", "question-image", "--report-json", tmp_path / "report.json"]
+
+
+class TestErrorBranches:
+    """Faults of the input or flags that each command names before it writes any file."""
+
+    CASES = {
+        "train-eval-empty-test-split": "manifest split 'test' is empty",
+        "train-eval-negative-l2": "l2 must be nonnegative",
+        "vqa-id-missing-from-manifest": "vqa image ids missing from manifest: ad-0099",
+        "vqa-id-missing-from-features": "vqa image ids missing from image features: ad-0012",
+        "vqa-no-train-records": "no vqa records fall in the train split",
+        "vqa-no-test-records": "no vqa records fall in the test split",
+        "vqa-one-training-answer": "answer vocabulary needs at least two distinct training answers",
+        "synth-dim-a-0": "dim_a and dim_b must be >= 1",
+        "featurize-text-conf-out-of-range": "{path}:1: bad transcription record: conf {conf} is "
+                                            "out of range",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_fault_exits_2_with_its_message_and_writes_nothing(
+        self, fixtures_dir, tmp_path, capsys, case
+    ):
+        features, manifest = fixtures_dir / "image_features.txt", fixtures_dir / "manifest.tsv"
+        message = self.CASES[case]
+        if case == "train-eval-empty-test-split":
+            manifest = tmp_path / "manifest.tsv"
+            manifest.write_text("ad-0001\tfootwear\ttrain\nad-0002\tdrinks\ttrain\n")
+        if case.startswith("train-eval"):
+            flags = ["--l2", -1] if case.endswith("l2") else []
+            argv = ["train-eval", "--manifest", manifest, "--features", features, *flags,
+                    "--report-json", tmp_path / "report.json"]
+        elif case.startswith("vqa"):
+            argv = _vqa_case(case.removeprefix("vqa-"), fixtures_dir, tmp_path)
+        elif case == "synth-dim-a-0":
+            argv = ["synth", "--out", tmp_path / "synth", "--dim-a", 0]
+        else:
+            # a JSON integer beyond the float range: float() of it overflows
+            conf, path = 10**400, tmp_path / "t.jsonl"
+            path.write_text(json.dumps({"image_id": "a", "words": [{"token": "nike", "conf": conf}]}))
+            message = message.format(path=path, conf=conf)
+            argv = ["featurize-text", "--transcriptions", path,
+                    "--embeddings", fixtures_dir / "embeddings.txt", "--out", tmp_path / "text.txt",
+                    "--cleaning-report", tmp_path / "clean.json"]
+        before = sorted(tmp_path.iterdir())
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.iterdir()) == before
 
 

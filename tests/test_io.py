@@ -761,6 +761,107 @@ class TestFeatureRows:
         assert not path.exists()
 
 
+_SMALL_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _small_tables(draw):
+    """Keys of 0-3 rows, some of which may repeat, and a finite matrix of theirs 0-3 wide."""
+    keys = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=3))
+    width = draw(st.integers(0, 3))
+    return keys, draw(arrays(np.float64, (len(keys), width), elements=_SMALL_FLOATS))
+
+
+@st.composite
+def _small_models(draw):
+    """Class names (0-3, some may repeat) and finite weights and biases of 0-3 rows, 0-3 wide."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=3))
+    rows, width = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    W = draw(arrays(np.float64, (rows, width), elements=_SMALL_FLOATS))
+    return names, W, draw(arrays(np.float64, (rows,), elements=_SMALL_FLOATS))
+
+
+class TestWritersAgreeWithLoaders:
+    """A value a writer writes loads back equal; any other is refused before its file opens,
+    where it is built or where it is written."""
+
+    @given(kind=st.sampled_from(["features", "feature-rows", "embeddings"]), table=_small_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_a_table_loads_back_equal_or_leaves_no_file(self, tmp_path_factory, kind, table):
+        keys, matrix = table
+        path = tmp_path_factory.getbasetemp() / "agree-table.txt"
+        path.unlink(missing_ok=True)
+        try:
+            if kind == "feature-rows":
+                write_feature_rows(path, keys, matrix.shape[1], lambda start, stop: matrix[start:stop])
+            else:
+                write = write_embeddings if kind == "embeddings" else write_features
+                write(path, RowTable(keys, matrix))
+        except ValueError:
+            assert not path.exists()
+            return
+        loaded = (load_embeddings if kind == "embeddings" else load_features)(path)
+        assert list(loaded) == keys and loaded.matrix.tobytes() == matrix.tobytes()
+
+    @given(model=_small_models())
+    @settings(max_examples=200, deadline=None)
+    def test_a_model_loads_back_equal_or_leaves_no_file(self, tmp_path_factory, model):
+        names, W, b = model
+        path = tmp_path_factory.getbasetemp() / "agree-model.txt"
+        path.unlink(missing_ok=True)
+        try:
+            built = ClassifierModel(W=W, b=b, class_names=names)
+            save_model(path, built)
+        except ValueError:
+            assert not path.exists()
+            return
+        assert load_model(path) == built
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda path: write_embeddings(path, RowTable([], np.empty((0, 2)))),
+             "embedding table is empty"),
+            (lambda path: write_feature_rows(path, ["a"], 0, lambda start, stop: np.empty((1, 0))),
+             "feature width must be at least 1, got 0"),
+            (lambda path: write_feature_rows(path, [], 0, lambda start, stop: np.empty((0, 0))),
+             "feature width must be at least 1, got 0"),
+        ],
+        ids=["empty-lexicon", "width-0", "width-0-no-rows"],
+    )
+    def test_a_table_its_loader_rejects_is_named_before_the_file_opens(
+        self, tmp_path, write, message
+    ):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "W, b, names, message",
+        [
+            (np.zeros((1, 2)), np.zeros(1), ["a"], "need at least two classes"),
+            (np.zeros((2, 2)), np.zeros(2), ["a", "a"], "duplicate class names"),
+            (np.zeros((2, 0)), np.zeros(2), ["a", "b"], r"W must be \(2, D >= 1\) for 2 classes, "
+                                                        r"not \(2, 0\)"),
+            (np.zeros((3, 2)), np.zeros(3), ["a", "b"], r"W must be \(2, D >= 1\) for 2 classes, "
+                                                        r"not \(3, 2\)"),
+            (np.zeros((2, 2)), np.zeros(3), ["a", "b"], r"b must be \(2,\) for 2 classes, "
+                                                        r"not \(3,\)"),
+        ],
+        ids=["one-class", "repeated-name", "no-weight-column", "more-rows-than-names",
+             "bias-of-another-length"],
+    )
+    def test_a_model_its_loader_rejects_cannot_be_built(self, W, b, names, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClassifierModel(W=W, b=b, class_names=names)
+
+    def test_a_built_model_keeps_its_fields(self):
+        model = init_model(2, ["a", "b"], seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.class_names = ["a"]  # save_model would write C=1, which load_model rejects
+
+
 class TestDecodeErrors:
     @pytest.mark.parametrize(
         "loader, lines",

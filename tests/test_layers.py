@@ -2,7 +2,8 @@
 ``_split`` alone makes processes, asks whether a file is regular and holds the rules
 that split a float table across CPUs and a table into blocks of rows.  No module changes
 the warning filters, which every thread of the process shares, nor numpy's error state
-past the block that needs it.  Only ``data`` draws from ``numpy.random``, whose stream
+past the block that needs it.  Only ``io`` opens a file, so every file a command
+reads or writes passes its checks.  Only ``data`` draws from ``numpy.random``, whose stream
 numpy may change; the rest take splitmix64's.  The package namespace holds what the README's "Library
 use" block imports from it, plus the math oracles."""
 
@@ -174,6 +175,28 @@ def test_no_module_but_data_names_numpy_random():
     names = {path.name: _numpy_random(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
     assert names.pop("data.py")  # the check sees the names that are there
     assert names == dict.fromkeys(names, [])
+
+
+# a Path's methods that open a file; the builtin open is named alone
+_FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _file_opens(tree: ast.Module) -> list[str]:
+    """Where ``tree`` calls the builtin ``open`` or a method of ``_FILE_METHODS``."""
+    return [
+        f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr in _FILE_METHODS
+        )
+    ]
+
+
+def test_no_module_but_io_opens_a_file():
+    # _split's tempfile.TemporaryFile makes a child's temp file: it opens no named file
+    opens = {path.name: _file_opens(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    assert opens.pop("io.py")  # the check sees the calls that are there
+    assert opens == dict.fromkeys(opens, [])
 
 
 _ORACLES = {"circular_convolve_naive", "outer_sketch_oracle", "loss_and_grad"}
