@@ -45,14 +45,16 @@ class TrainConfig:
 class ClassifierModel:
     """Weights ``W`` (C, D >= 1) and biases ``b`` (C,) of C >= 2 distinct ``class_names``.
 
-    Frozen, so no field can be swapped for one that breaks these after the checks.
+    Frozen, so no field can be swapped for one that breaks these after the checks, and
+    the names are held as a tuple copy, so they cannot change after them either.
     """
 
     W: np.ndarray  # (C, D)
     b: np.ndarray  # (C,)
-    class_names: list[str]
+    class_names: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "class_names", tuple(self.class_names))
         classes = len(self.class_names)
         if classes < 2:
             raise ValueError("need at least two classes")
@@ -231,7 +233,7 @@ def train(
             f"training diverged in epoch {cfg.epochs}: the weights are not finite; "
             f"lower the learning rate (now {cfg.learning_rate:g})"
         )
-    return ClassifierModel(W=W, b=b, class_names=list(model.class_names)), history
+    return ClassifierModel(W=W, b=b, class_names=model.class_names), history
 
 
 def evaluate(model: ClassifierModel, data: LabeledSet) -> tuple[float, np.ndarray]:

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 import shutil
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -152,35 +152,6 @@ class _Matrix:
         return self.matrix[: self.filled]
 
 
-def _scan(path, lines: Iterable[str], first: int, width: int, check_row, keep, keys, put) -> int:
-    """Check and parse ``lines``, the first on line ``first``, one ``_split`` block at a time.
-
-    Each row goes through ``check_row``, which splits it into its key and values, as it
-    is read, and each block's values through ``_block_values``; ``put`` takes the values
-    of a block's rows kept by ``keep`` (all without it).  Returns the rows read.  At a
-    fault (a bad byte in ``lines`` included) the rows of its block before it are parsed
-    first, so the first faulty line raises.
-    """
-    read = 0
-    while True:
-        lineno, blobs, wanted, fault = first + read, [], [], None
-        try:
-            for line in islice(lines, _split.block_rows(width)):
-                key, blob = check_row(line, first + read, width, keys)
-                read += 1
-                if keep is None or key in keep:
-                    wanted.append(len(blobs))
-                blobs.append(blob)
-        except ValueError as exc:
-            fault = exc
-        if blobs:
-            put(_block_values(path, lineno, blobs, width)[wanted])
-        if fault is not None:
-            raise fault
-        if not blobs:
-            return read
-
-
 def _float_rows(
     path, head: int, read_head, check_row, keep: Collection[str] | None = None
 ) -> tuple[list, np.ndarray]:
@@ -193,76 +164,93 @@ def _float_rows(
     structure is wrong, records its key (if any) in ``keys`` and returns its key and values
     text; only the rows whose key is in ``keep`` are kept (all without it).  Lines count from 1.
 
-    ``_ranges`` reads the file, opened once, split by ``_split.parts`` if it is regular.
-    The header's fault comes first, then that of the first faulty row in line order (a bad
-    byte, its structure or key, then its values).  A row past the header's count is only
-    counted, and the count is checked once every line is clean.
+    The file is opened once.  The header is read by ``os.pread`` from byte 0 (``read``
+    for a pipe, which is read in one range).  Then ``_split.parts`` of the header's values
+    decides the ranges of a regular file, cut at line ends past the bytes read.  The
+    parent reads on to the end of the first range; a forked child checks and parses each
+    other range by ``os.pread`` and hands its kept rows, as float64 bytes in a temp file,
+    then its rows read and keys.  The parent takes each range's rows in range order: from
+    a clean child straight into its matrix (``readinto``); where the child failed or read
+    a key already seen, by reading the range itself, from the range's first line number
+    and with the keys read so far.  So the header's fault comes first, then that of the
+    first faulty row in line order (a bad byte, its structure or key, then its values).
+    A row past the header's count is only counted, and the count is checked once every
+    line is clean.
     """
-    with open(path, "rb") as fh:
-        size = _split.regular_size(fh.fileno())
-        keys, matrix = _ranges(path, fh, size, head, read_head, check_row, keep)
-    return [key for key in keys if keep is None or key in keep], matrix
 
+    def scan(lines: Iterable[str], first: int, keys, put) -> int:
+        """Check and parse ``lines``, the first on line ``first``, one ``_split`` block at a time.
 
-def _ranges(path, fh, size, head, read_head, check_row, keep) -> tuple:
-    """``_float_rows`` over ``fh``, of ``size`` bytes (None: a pipe, read in one range).
-
-    The parent reads the header by ``os.pread`` from byte 0 (``fh.read`` for a pipe).
-    Then ``_split.parts`` of the header's values decides the ranges, cut at line ends past
-    the bytes read.  The parent reads on to the end of the first range; a forked child
-    checks and parses each other range through ``_scan`` by ``os.pread`` and hands its
-    kept rows, as float64 bytes in a temp file, then its rows read and keys.  The parent
-    takes each range's rows in range order: from a clean child straight into its matrix
-    (``readinto``); where the child failed or read a key already seen, by reading the
-    range itself, from the range's first line number and with the keys read so far.
-    Returns every key read, in file order, and the kept rows.
-    """
-    fd = fh.fileno()
-    first = _split.Span(fd, 0, size) if size is not None else fh
-    lines = _lines(path, first.read)
-    count, width, miscount = read_head(path, lines)
-    ends = []
-    if size is not None and (parts := _split.parts(count * width)) > 1:
-        ends = _split.line_ends(fd, first.start, size, parts)
-        first.end = ends[0]
-    rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
-    keys: dict[str, None] = {}
-    read = 0
+        Each row goes through ``check_row`` as it is read, and each block's values
+        through ``_block_values``; ``put`` takes the values of a block's kept rows.
+        Returns the rows read.  At a fault (a bad byte in ``lines`` included) the rows of
+        its block before it are parsed first, so the first faulty line raises.
+        """
+        read = 0
+        while True:
+            lineno, blobs, wanted, fault = first + read, [], [], None
+            try:
+                for line in islice(lines, _split.block_rows(width)):
+                    key, blob = check_row(line, first + read, width, keys)
+                    read += 1
+                    if keep is None or key in keep:
+                        wanted.append(len(blobs))
+                    blobs.append(blob)
+            except ValueError as exc:
+                fault = exc
+            if blobs:
+                put(_block_values(path, lineno, blobs, width)[wanted])
+            if fault is not None:
+                raise fault
+            if not blobs:
+                return read
 
     def own(part: Iterator[str]) -> int:
         """The rows of ``part``, read here, the first on line ``head + 1 + read``."""
         # a row past the header's count is only counted
-        checked = islice(part, max(0, count - read))
-        taken = _scan(path, checked, head + 1 + read, width, check_row, keep, keys, rows.put)
+        taken = scan(islice(part, max(0, count - read)), head + 1 + read, keys, rows.put)
         return taken + sum(1 for _ in part)
 
-    def scan(out, start: int, end: int) -> None:
+    def child(out, start: int, end: int) -> None:
         part, seen = _lines(path, _split.Span(fd, start, end).read), {}
-        part_read = _scan(path, part, 1, width, check_row, keep, seen, out.write)
+        part_read = scan(part, 1, seen, out.write)
         meta = json.dumps([part_read, list(seen)]).encode()
         out.write(meta + len(meta).to_bytes(8, "little"))
 
-    ranges = list(zip(ends, ends[1:]))
-    with _split.Forks() as forks:
-        started = [forks.start(scan, start, end) for start, end in ranges]
-        read += own(lines)
-        for index, (start, end) in zip(started, ranges):
-            if (out := forks.result(index)) is not None:
-                meta_at = out.seek(-8, os.SEEK_END)
-                length = int.from_bytes(out.read(8), "little")
-                written = out.seek(meta_at - length)  # the bytes of the rows before the report
-                part_read, part_keys = json.loads(out.read(length))
-                out.seek(0)
-            if out is None or not keys.keys().isdisjoint(part_keys):
-                read += own(_lines(path, _split.Span(fd, start, end).read, head + 1 + read))
-                continue
-            read += part_read
-            keys.update(dict.fromkeys(part_keys))
-            # past the header's count, take() may give fewer rows: the count check fails
-            out.readinto(rows.take(written // (8 * width)))
-    if read != count:
-        raise ValueError(miscount(read))
-    return keys, rows.result()
+    with open(path, "rb") as fh:
+        fd = fh.fileno()
+        size = _split.regular_size(fd)
+        first = _split.Span(fd, 0, size) if size is not None else fh
+        lines = _lines(path, first.read)
+        count, width, miscount = read_head(path, lines)
+        ends = []
+        if size is not None and (parts := _split.parts(count * width)) > 1:
+            ends = _split.line_ends(fd, first.start, size, parts)
+            first.end = ends[0]
+        rows = _Matrix(count if keep is None else min(count, len(keep)), width, size)
+        keys: dict[str, None] = {}
+        read = 0
+        ranges = list(zip(ends, ends[1:]))
+        with _split.Forks() as forks:
+            started = [forks.start(child, start, end) for start, end in ranges]
+            read += own(lines)
+            for index, (start, end) in zip(started, ranges):
+                if (out := forks.result(index)) is not None:
+                    meta_at = out.seek(-8, os.SEEK_END)
+                    length = int.from_bytes(out.read(8), "little")
+                    written = out.seek(meta_at - length)  # the bytes of the rows before the report
+                    part_read, part_keys = json.loads(out.read(length))
+                    out.seek(0)
+                if out is None or not keys.keys().isdisjoint(part_keys):
+                    read += own(_lines(path, _split.Span(fd, start, end).read, head + 1 + read))
+                    continue
+                read += part_read
+                keys.update(dict.fromkeys(part_keys))
+                # past the header's count, take() may give fewer rows: the count check fails
+                out.readinto(rows.take(written // (8 * width)))
+        if read != count:
+            raise ValueError(miscount(read))
+    return [key for key in keys if keep is None or key in keep], rows.result()
 
 
 _SEPARATOR_NAMES = {"\t": "tab", " ": "space"}
@@ -300,7 +288,9 @@ def _write_tables(tables, keys: Iterable[str], dim: int, sep: str, kind: str, ke
 
     ``produce(start, stop)`` is ``write_feature_tables``' producer.  Every table is
     checked before the first file is opened: a bad key, then a repeated key, then a
-    width below 1, then each table's first non-finite row, in table order.
+    width below 1, then each table's first non-finite row, in table order.  If a later
+    step raises (an open, a write, a child's copy, a producer call), every regular file
+    opened so far is removed before the fault goes on; a pipe, device or link is left.
     """
     def floats(produce):  # an int or bool would not write as a float
         return lambda start, stop: np.asarray(produce(start, stop), dtype=float)
@@ -313,12 +303,22 @@ def _write_tables(tables, keys: Iterable[str], dim: int, sep: str, kind: str, ke
     tables = [(path, floats(produce)) for path, produce in tables]
     for _, rows in tables:
         _check_finite(keys, dim, rows, kind)
-    for path, rows in tables:
-        _write_rows(path, keys, dim, rows, sep)
+    opened = []
+    try:
+        for path, rows in tables:
+            with open(path, "w", encoding="utf-8") as fh:
+                if _split.regular_size(fh.fileno()) is not None and not os.path.islink(path):
+                    opened.append(path)
+                _write_rows(fh, keys, dim, rows, sep)
+    except BaseException:
+        for path in opened:
+            with suppress(OSError):  # a path given twice is removed once
+                os.remove(path)
+        raise
 
 
-def _write_rows(path, keys: list[str], dim: int, rows, sep: str) -> None:
-    """Write a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
+def _write_rows(fh, keys: list[str], dim: int, rows, sep: str) -> None:
+    """Write to ``fh`` a ``<count> <dim>`` header, then one ``key + sep + values`` line per row.
 
     ``_write_tables`` has checked the keys and rows.  Values are ``repr`` of Python
     floats, the shortest decimal that reads back to the same float64.
@@ -342,7 +342,7 @@ def _write_rows(path, keys: list[str], dim: int, rows, sep: str) -> None:
             text.writelines(lines(start, end))
 
     runs = list(zip(bounds[1:], bounds[2:]))
-    with open(path, "w", encoding="utf-8") as fh, _split.Forks() as forks:
+    with _split.Forks() as forks:
         started = [forks.start(write, start, end) for start, end in runs]
         fh.write(f"{len(keys)} {dim}\n")
         fh.writelines(lines(0, bounds[1]))
@@ -535,11 +535,6 @@ def write_feature_tables(tables: Sequence[tuple], keys: Iterable[str], dim: int)
 
 def write_features(path, features: RowTable) -> None:
     write_feature_tables([(path, _slices(features.matrix))], features, features.dim)
-
-
-def write_feature_rows(path, keys: Iterable[str], dim: int, rows) -> None:
-    """``write_feature_tables`` of the one table ``(path, rows)``."""
-    write_feature_tables([(path, rows)], keys, dim)
 
 
 # -- transcriptions: JSON lines {"image_id":…, "words":[{"token":…, "conf":…}]}

@@ -217,6 +217,23 @@ class TestFeaturizeText:
         assert "--k values must be distinct, but these repeat: 3" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_a_table_that_cannot_be_opened_leaves_no_earlier_table(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d1").mkdir()  # and no d2/, so the k=2 table cannot be opened
+        rc = run_cli(
+            "featurize-text",
+            "--transcriptions", fixtures_dir / "transcriptions.jsonl",
+            "--embeddings", fixtures_dir / "embeddings.txt",
+            "--out", "d{k}/t.txt", "--k", 1, "--k", 2,
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'd2/t.txt'\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "d1"]
+
     @pytest.mark.parametrize("image_id", ["ad\t1", "ad\n1", "ad\u20281"])
     def test_an_image_id_the_feature_file_cannot_hold_fails_before_writing(
         self, fixtures_dir, tmp_path, capsys, image_id

@@ -35,7 +35,7 @@ from scenefuse.io import (
     save_model,
     write_cleaning_report,
     write_embeddings,
-    write_feature_rows,
+    write_feature_tables,
     write_features,
     write_manifest,
     write_run_manifest,
@@ -377,7 +377,7 @@ class TestSplit:
         self.WRITERS[kind](path, self.TABLE)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         with _split_into(parts), _watching_children(results), \
-                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+                mock.patch.object(scenefuse_io, "_float_rows", wraps=scenefuse_io._float_rows) as ranges:
             assert FLOAT_TABLES[kind][0](path) == self.TABLE
         assert ranges.call_count == 1
         assert len(results) == parts - 1 and None not in results
@@ -398,7 +398,7 @@ class TestSplit:
         self.WRITERS[kind](tmp_path / "table.txt", self.TABLE)
         with _split_into(3), _fatal_in_children(_split, "Span"), \
                 _watching_children(results), _spying(_split, "parts", asked), \
-                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+                mock.patch.object(scenefuse_io, "_float_rows", wraps=scenefuse_io._float_rows) as ranges:
             loaded = loader(tmp_path / "table.txt")
         assert results[0] is None  # so the parent read that child's range itself
         assert ranges.call_count == 1
@@ -435,7 +435,7 @@ class TestSplit:
         started, spans, ends = [], [], []
         with _split_into(2), _spying(_split.Forks, "start", started), \
                 _spying(_split, "Span", spans), _returning(_split, "line_ends", ends), \
-                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+                mock.patch.object(scenefuse_io, "_float_rows", wraps=scenefuse_io._float_rows) as ranges:
             with pytest.raises(ValueError) as exc:
                 load_features(path)
         assert str(exc.value) == f"{path}{message}"
@@ -503,7 +503,7 @@ class TestSplit:
 
         with mock.patch.object(_split, "cpus", lambda: 2), mock.patch.object(os, "pread", pread), \
                 mock.patch.object(_split.Span, "read", span_read), _watching_children(results), \
-                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+                mock.patch.object(scenefuse_io, "_float_rows", wraps=scenefuse_io._float_rows) as ranges:
             loaded = load_features(large)
         assert results == [None]
         assert ranges.call_count == 1
@@ -557,7 +557,7 @@ class TestSplit:
                 _spying(_split.Forks, "start", started), \
                 _spying(_split, "line_ends", line_ends), \
                 mock.patch.object(_split.Span, "read", span_read), \
-                mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+                mock.patch.object(scenefuse_io, "_float_rows", wraps=scenefuse_io._float_rows) as ranges:
             loaded = _load_or_message(load_features, path)
         assert loaded == ("PATH:40: unparseable float" if faulty else table)
         assert ranges.call_count == 1
@@ -581,7 +581,7 @@ class TestSplit:
         for chunk in range(1, len(text) + 1):
             with mock.patch.object(_split, "CHUNK", chunk), _split_into(2), \
                     _spying(_split, "line_ends", starts), \
-                    mock.patch.object(scenefuse_io, "_ranges", wraps=scenefuse_io._ranges) as ranges:
+                    mock.patch.object(scenefuse_io, "_float_rows", wraps=scenefuse_io._float_rows) as ranges:
                 loaded = _load_or_message(loader, path)
             if isinstance(one_range, str):
                 assert loaded == one_range
@@ -655,7 +655,8 @@ def _asked(path) -> list[tuple[int, int]]:
 
 
 class TestFeatureRows:
-    """``write_feature_rows``: a feature file whose rows a producer makes a block at a time."""
+    """``write_feature_tables`` of one table: a feature file whose rows a producer makes a block
+    at a time."""
 
     KEYS = [f"k{i}" for i in range(40)]
     MATRIX = np.random.default_rng(1).standard_normal((40, 3))
@@ -665,7 +666,7 @@ class TestFeatureRows:
     def test_rows_are_asked_for_a_block_at_a_time_twice_each(self, tmp_path, parts, block):
         asks = tmp_path / "asks.txt"
         with mock.patch.object(_split, "BLOCK", block), _split_into(parts):
-            write_feature_rows(tmp_path / "t.txt", self.KEYS, 3, _asking(asks, self.MATRIX))
+            write_feature_tables([(tmp_path / "t.txt", _asking(asks, self.MATRIX))], self.KEYS, 3)
         step = max(1, block // 3)
         asked = _asked(asks)
         assert all(0 < stop - start <= step for start, stop in asked)
@@ -688,7 +689,7 @@ class TestFeatureRows:
         with _split_into(parts), mock.patch.object(_split, "BLOCK", 6), \
                 _spying(_split.Forks, "start", started), \
                 pytest.raises(ValueError, match=f"^feature for 'k{bad}' has non-finite values$"):
-            write_feature_rows(path, self.KEYS, 3, lambda start, stop: matrix[start:stop])
+            write_feature_tables([(path, lambda start, stop: matrix[start:stop])], self.KEYS, 3)
         assert not path.exists() and not started
 
     @given(matrix=FINITE_MATRICES, parts=st.sampled_from([1, 2, 3]), block=st.integers(1, 9))
@@ -697,8 +698,8 @@ class TestFeatureRows:
         base, keys = tmp_path_factory.getbasetemp(), [f"k{i}" for i in range(len(matrix))]
         write_features(base / "table.txt", RowTable(keys, matrix))
         with mock.patch.object(_split, "BLOCK", block), _split_into(parts):
-            write_feature_rows(base / "rows.txt", keys, matrix.shape[1],
-                               lambda start, stop: matrix[start:stop])
+            write_feature_tables([(base / "rows.txt", lambda start, stop: matrix[start:stop])],
+                                 keys, matrix.shape[1])
         assert (base / "rows.txt").read_bytes() == (base / "table.txt").read_bytes()
 
     @pytest.mark.parametrize("parts", [1, 2])
@@ -713,8 +714,8 @@ class TestFeatureRows:
         values = make(np.round(self.MATRIX * 4))
         write_features(tmp_path / "table.txt", RowTable(self.KEYS, values))
         with _split_into(parts):
-            write_feature_rows(tmp_path / "rows.txt", self.KEYS, 3,
-                               lambda start, stop: values[start:stop])
+            write_feature_tables([(tmp_path / "rows.txt", lambda start, stop: values[start:stop])],
+                                 self.KEYS, 3)
         assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "table.txt").read_bytes()
 
     def test_a_killed_child_leaves_its_run_to_the_parent(self, tmp_path):
@@ -722,7 +723,7 @@ class TestFeatureRows:
         write_features(tmp_path / "table.txt", RowTable(self.KEYS, self.MATRIX))
         with _split_into(3), mock.patch.object(_split, "BLOCK", 6), \
                 _fatal_in_children(builtins, "open"), _watching_children(results):
-            write_feature_rows(tmp_path / "rows.txt", self.KEYS, 3, _asking(asks, self.MATRIX))
+            write_feature_tables([(tmp_path / "rows.txt", _asking(asks, self.MATRIX))], self.KEYS, 3)
         assert results == [None, None]  # so the parent wrote both children's rows
         assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "table.txt").read_bytes()
         assert _no_child_left()
@@ -742,22 +743,52 @@ class TestFeatureRows:
         with mock.patch.object(_split, "cpus", lambda: 1):
             tracemalloc.start()
             try:
-                write_feature_rows(tmp_path / "t.txt", keys, dim, rows)
+                write_feature_tables([(tmp_path / "t.txt", rows)], keys, dim)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak < 2 * _split.BLOCK * 8, peak
 
+    def _failing_on_write(self):
+        """A producer of ``MATRIX`` that raises ``OSError`` once the check pass is done."""
+        asked = []
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            asked.append(start)  # the 40 rows are one block, asked for once to check them
+            if len(asked) > 1:
+                raise OSError("rows are gone")
+            return self.MATRIX[start:stop]
+
+        return rows
+
+    def test_a_later_table_that_fails_to_write_leaves_no_table(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        tables = [(first, lambda start, stop: self.MATRIX[start:stop]),
+                  (second, self._failing_on_write())]
+        with pytest.raises(OSError, match="^rows are gone$"):
+            write_feature_tables(tables, self.KEYS, 3)
+        assert not first.exists() and not second.exists()
+
+    def test_a_link_written_through_is_left_when_a_later_table_fails(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        link.symlink_to(target)
+        tables = [(link, lambda start, stop: self.MATRIX[start:stop]),
+                  (tmp_path / "b.txt", self._failing_on_write())]
+        with pytest.raises(OSError, match="^rows are gone$"):
+            write_feature_tables(tables, self.KEYS, 3)
+        assert link.is_symlink() and target.exists()
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
     def test_a_repeated_key_raises_before_the_file_exists(self, tmp_path):
         path = tmp_path / "t.txt"
         with pytest.raises(ValueError, match="^feature id 'k1' repeats$"):
-            write_feature_rows(path, ["k0", "k1", "k1"], 3, lambda a, b: self.MATRIX[a:b])
+            write_feature_tables([(path, lambda a, b: self.MATRIX[a:b])], ["k0", "k1", "k1"], 3)
         assert not path.exists()
 
     def test_a_block_of_the_wrong_shape_raises_before_the_file_exists(self, tmp_path):
         path = tmp_path / "t.txt"
         with pytest.raises(ValueError, match=r"^rows 0 to 2 came as \(2, 2\), not \(2, 3\)$"):
-            write_feature_rows(path, ["a", "b"], 3, lambda a, b: self.MATRIX[a:b, :2])
+            write_feature_tables([(path, lambda a, b: self.MATRIX[a:b, :2])], ["a", "b"], 3)
         assert not path.exists()
 
 
@@ -793,7 +824,8 @@ class TestWritersAgreeWithLoaders:
         path.unlink(missing_ok=True)
         try:
             if kind == "feature-rows":
-                write_feature_rows(path, keys, matrix.shape[1], lambda start, stop: matrix[start:stop])
+                write_feature_tables([(path, lambda start, stop: matrix[start:stop])],
+                                     keys, matrix.shape[1])
             else:
                 write = write_embeddings if kind == "embeddings" else write_features
                 write(path, RowTable(keys, matrix))
@@ -822,9 +854,11 @@ class TestWritersAgreeWithLoaders:
         [
             (lambda path: write_embeddings(path, RowTable([], np.empty((0, 2)))),
              "embedding table is empty"),
-            (lambda path: write_feature_rows(path, ["a"], 0, lambda start, stop: np.empty((1, 0))),
+            (lambda path: write_feature_tables([(path, lambda start, stop: np.empty((1, 0)))],
+                                               ["a"], 0),
              "feature width must be at least 1, got 0"),
-            (lambda path: write_feature_rows(path, [], 0, lambda start, stop: np.empty((0, 0))),
+            (lambda path: write_feature_tables([(path, lambda start, stop: np.empty((0, 0)))],
+                                               [], 0),
              "feature width must be at least 1, got 0"),
         ],
         ids=["empty-lexicon", "width-0", "width-0-no-rows"],
@@ -860,6 +894,13 @@ class TestWritersAgreeWithLoaders:
         model = init_model(2, ["a", "b"], seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.class_names = ["a"]  # save_model would write C=1, which load_model rejects
+
+    def test_the_names_a_model_was_built_from_can_change_without_it(self, tmp_path):
+        names = ["a", "b"]
+        model = ClassifierModel(W=np.ones((2, 3)), b=np.zeros(2), class_names=names)
+        names.append("c")
+        save_model(tmp_path / "model.txt", model)
+        assert load_model(tmp_path / "model.txt") == model
 
 
 class TestDecodeErrors:
@@ -1883,8 +1924,8 @@ KEYED_WRITERS = {
         lambda path: list(load_features(path)),
     ),
     "feature-rows": (
-        lambda path, key: write_feature_rows(
-            path, [key, "z"], 1, lambda start, stop: np.array([[1.0], [2.0]])[start:stop]
+        lambda path, key: write_feature_tables(
+            [(path, lambda start, stop: np.array([[1.0], [2.0]])[start:stop])], [key, "z"], 1
         ),
         lambda path: list(load_features(path)),
     ),

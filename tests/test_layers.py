@@ -3,7 +3,8 @@
 that split a float table across CPUs and a table into blocks of rows.  No module changes
 the warning filters, which every thread of the process shares, nor numpy's error state
 past the block that needs it.  Only ``io`` opens a file, so every file a command
-reads or writes passes its checks.  Only ``data`` draws from ``numpy.random``, whose stream
+reads or writes passes its checks, and only ``io._float_rows`` cuts a file into ranges and
+reads them, so one function reads every float table.  Only ``data`` draws from ``numpy.random``, whose stream
 numpy may change; the rest take splitmix64's.  The package namespace holds what the README's "Library
 use" block imports from it, plus the math oracles."""
 
@@ -197,6 +198,21 @@ def test_no_module_but_io_opens_a_file():
     opens = {path.name: _file_opens(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
     assert opens.pop("io.py")  # the check sees the calls that are there
     assert opens == dict.fromkeys(opens, [])
+
+
+def _split_readers(tree: ast.Module) -> list[str]:
+    """The top-level statements of ``tree`` (a function or class by its name) that name
+    ``_split.Span`` or ``_split.line_ends``."""
+    return [
+        getattr(node, "name", f"line {node.lineno}") for node in tree.body
+        if _named(node, "_split", {"Span", "line_ends"})
+    ]
+
+
+def test_one_function_reads_every_float_table():
+    readers = {path.name: _split_readers(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    assert readers.pop("io.py") == ["_float_rows"]
+    assert readers == dict.fromkeys(readers, [])
 
 
 _ORACLES = {"circular_convolve_naive", "outer_sketch_oracle", "loss_and_grad"}
