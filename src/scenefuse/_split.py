@@ -17,7 +17,7 @@ import tempfile
 import threading
 
 CHUNK = 1 << 18  # bytes per read of a line loader
-BLOCK = 1 << 14  # values (rows x width) per np.loadtxt call, producer request or fuse_rows call
+BLOCK = 1 << 14  # values (rows x width) per np.loadtxt call, producer request or fused block
 PARALLEL_MIN = 1 << 17  # values (rows x width) from which a float table is split across CPUs
 
 _in_child = False  # set in a child of ``Forks``

@@ -47,7 +47,7 @@ from .io import (
     write_transcriptions,
     write_vqa,
 )
-from .sketch import FUSION_SCHEMES, FusionSpec, fuse_rows, support_mask
+from .sketch import FUSION_SCHEMES, FusionSpec, fuse_tables
 from .text import (
     RowTable,
     TranscribedWord,
@@ -149,20 +149,6 @@ def _cmd_featurize_text(args) -> int:
 # -- fuse ----------------------------------------------------------------------
 
 
-def _fuse_aligned(feats_a: RowTable, feats_b: RowTable, spec: FusionSpec) -> np.ndarray:
-    """``fuse_rows`` of each id's rows of a and b, in a's order, one ``_split`` block at a time.
-
-    Beside the output, only one block's rows of b and its ``fuse_rows`` temporaries
-    are held: no reordered copy of b, and no temporary as large as the output (mcb's
-    are d wide, whatever the widths of a and b).
-    """
-    b_rows = np.array([feats_b.index[key] for key in feats_a])
-    fused = np.empty((len(feats_a), spec.out_dim(feats_a.dim, feats_b.dim)))
-    for block in _split.blocks(0, len(fused), fused.shape[1]):
-        fused[block] = fuse_rows(feats_a.matrix[block], feats_b.matrix[b_rows[block]], spec)
-    return fused
-
-
 def _fusion_spec(args) -> FusionSpec:
     return FusionSpec(scheme=args.scheme, sketch_dim=args.d, seeds=(args.seed + 1, args.seed + 2),
                       normalize=not args.no_normalize)
@@ -186,14 +172,15 @@ def _cmd_fuse(args) -> int:
             f"average requires equal dims, but {args.a} has {feats_a.dim} and "
             f"{args.b} has {feats_b.dim}"
         )
-    fused = RowTable(feats_a, _fuse_aligned(feats_a, feats_b, spec))
+    b_rows = np.array([feats_b.index[key] for key in feats_a])
+    matrix, occupancy = fuse_tables(feats_a.matrix, feats_b.matrix, b_rows, spec)
+    fused = RowTable(feats_a, matrix)
     write_features(args.out, fused)
     results = {
         "rows": len(fused), "dim_a": feats_a.dim, "dim_b": feats_b.dim, "dim_out": fused.dim,
     }
-    if spec.scheme == "mcb":
-        px, py = spec.sketch_params(feats_a.dim, feats_b.dim)
-        results["sketch_occupancy"] = float(support_mask(px, py).mean())
+    if occupancy is not None:
+        results["sketch_occupancy"] = occupancy
     manifest = _run_manifest(
         "fuse",
         params={

@@ -644,14 +644,14 @@ def write_vqa(path, records: Sequence[VqaRecord]) -> None:
     ))
 
 
-# -- classifier model: "C D" / names / C rows of D+1 floats at 17 digits ------
+# -- classifier model: "C D" / names / C rows of D+1 floats -------------------
 
 
 def save_model(path, model: ClassifierModel) -> None:
     _check_keys(model.class_names, "\t", "class name")
     matrix = np.column_stack([model.W, model.b])
     _check_finite(model.class_names, matrix.shape[1], _slices(matrix), "model row")
-    rows = (" ".join(f"{v:.17g}" for v in (*row, bias)) for row, bias in zip(model.W, model.b))
+    rows = (" ".join(map(repr, row)) for row in matrix.tolist())
     _write_lines(path, [f"{model.n_classes} {model.dim}", "\t".join(model.class_names), *rows])
 
 

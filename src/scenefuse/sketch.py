@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _split
+
 FUSION_SCHEMES = ("concat", "average", "mcb")
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -201,8 +203,6 @@ class FusionSpec:
     sketch_dim: int = 1024
     seeds: tuple[int, int] = (1, 2)
     normalize: bool = True
-    # the hash pair of each pair of input widths, made on first use by ``sketch_params``
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in FUSION_SCHEMES:
@@ -218,25 +218,17 @@ class FusionSpec:
         return {"concat": dim_a + dim_b, "average": dim_a, "mcb": self.sketch_dim}[self.scheme]
 
     def sketch_params(self, dim_a: int, dim_b: int) -> tuple[SketchParams, SketchParams]:
-        """The hash pair that mcb fusion of dim_a- and dim_b-wide inputs uses.
-
-        Asked again by the same spec object with the same widths, it is the same pair,
-        so ``fuse_rows`` over a table's blocks builds it, and its support, once.
-        """
-        pair = self._pairs.get((dim_a, dim_b))
-        if pair is None:
-            pair = self._pairs[dim_a, dim_b] = (
-                make_sketch_params(dim_a, self.sketch_dim, self.seeds[0]),
-                make_sketch_params(dim_b, self.sketch_dim, self.seeds[1]),
-            )
-        return pair
+        """The hash pair that mcb fusion of dim_a- and dim_b-wide inputs uses, made anew."""
+        return (make_sketch_params(dim_a, self.sketch_dim, self.seeds[0]),
+                make_sketch_params(dim_b, self.sketch_dim, self.seeds[1]))
 
 
 def fuse_rows(a_rows, b_rows, spec: FusionSpec) -> np.ndarray:
     """Apply a FusionSpec along the last axis of two aligned vectors or row batches.
 
     concat puts a's entries before b's, average takes the elementwise mean of
-    equal-width inputs, and mcb is ``mcb_fuse_batch`` with ``spec.sketch_params``.
+    equal-width inputs, and mcb is ``mcb_fuse_batch`` with ``spec.sketch_params``, made
+    per call: ``fuse_tables`` fuses a whole table with one pair.
     """
     a_rows = _as_vectors(a_rows)
     b_rows = _as_vectors(b_rows)
@@ -250,3 +242,22 @@ def fuse_rows(a_rows, b_rows, spec: FusionSpec) -> np.ndarray:
         return (a_rows + b_rows) / 2.0
     px, py = spec.sketch_params(a_rows.shape[-1], b_rows.shape[-1])
     return mcb_fuse_batch(a_rows, b_rows, px, py, normalize=spec.normalize)
+
+
+def fuse_tables(a, b, b_rows, spec: FusionSpec) -> tuple[np.ndarray, float | None]:
+    """Row i of the output fuses ``a[i]`` with ``b[b_rows[i]]``; beside it, mcb's occupancy.
+
+    Filled one ``_split`` block of rows at a time, so no reordered copy of b and no
+    temporary as large as the output is made.  mcb makes its hash pair once, and the
+    occupancy is the share of buckets its ``support_mask`` holds; else it is None.
+    """
+    fused = np.empty((len(a), spec.out_dim(a.shape[1], b.shape[1])))
+    blocks = _split.blocks(0, len(fused), fused.shape[1])
+    if spec.scheme != "mcb":
+        for block in blocks:
+            fused[block] = fuse_rows(a[block], b[b_rows[block]], spec)
+        return fused, None
+    px, py = spec.sketch_params(a.shape[1], b.shape[1])
+    for block in blocks:
+        fused[block] = mcb_fuse_batch(a[block], b[b_rows[block]], px, py, normalize=spec.normalize)
+    return fused, float(support_mask(px, py).mean())

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -26,3 +27,14 @@ def perfbench(monkeypatch):
         return module
 
     return load
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process it made unreaped, whichever path forked it."""
+    yield
+    try:
+        reaped = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left unreaped (waitpid gave {reaped})")

@@ -612,7 +612,7 @@ class TestFuse:
         image, text = fixtures_dir / "image_features.txt", self.featurize(fixtures_dir, tmp_path)
         capsys.readouterr()
         out = tmp_path / "fused.txt"
-        with mock.patch.object(cli, "_fuse_aligned", side_effect=AssertionError("fused")):
+        with mock.patch.object(cli, "fuse_tables", side_effect=AssertionError("fused")):
             rc = run_cli("fuse", "--a", image, "--b", text, "--out", out, "--scheme", "average")
         assert rc == 2
         assert capsys.readouterr().err == (
@@ -629,7 +629,7 @@ class TestFuse:
             "Unable to allocate 87.3 TiB for an array with shape (12, 1000000000000) and data "
             "type float64"
         )
-        with mock.patch.object(cli, "_fuse_aligned", side_effect=refused):
+        with mock.patch.object(cli, "fuse_tables", side_effect=refused):
             rc = run_cli("fuse", "--a", image, "--b", image, "--out", out, "--d", 10**12)
         assert rc == 2
         assert capsys.readouterr().err == f"error: {refused}\n"

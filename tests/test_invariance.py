@@ -353,10 +353,12 @@ def test_fuse_output_does_not_depend_on_its_block_size(tmp_path, monkeypatch, sc
     _aligned_pair(tmp_path, rows, 6)
     argv = ["fuse", "--a", "a.txt", "--b", "b.txt", "--out", "fused.txt", "--scheme", *scheme]
     runs = {}
+    # the sketch function that fuses each block
+    each_block = "mcb_fuse_batch" if scheme[0] == "mcb" else "fuse_rows"
     for block_rows in (1, 7, None, rows, 10 * rows):
         if block_rows is not None:
             monkeypatch.setattr(_split, "BLOCK", width * block_rows)
-        with mock.patch.object(cli, "fuse_rows", wraps=cli.fuse_rows) as fused:
+        with mock.patch.object(sketch, each_block, wraps=getattr(sketch, each_block)) as fused:
             runs[block_rows] = _outputs(tmp_path, monkeypatch, *argv)
         assert fused.call_count == -(-rows // max(1, _split.BLOCK // width))
         monkeypatch.undo()

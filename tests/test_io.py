@@ -1814,6 +1814,21 @@ class TestModelFormat:
         save_model(twice, again)
         assert out.read_bytes() == twice.read_bytes()
 
+    def test_values_are_written_as_their_shortest_round_trip_decimal(self, tmp_path):
+        # as every float table is: repr, not 17 significant digits (0.10000000000000001)
+        model = ClassifierModel(np.array([[0.1], [-0.0]]), np.array([0.0, 1.0 / 3.0]), ["a", "b"])
+        out = tmp_path / "model.txt"
+        save_model(out, model)
+        assert out.read_text() == "2 1\na\tb\n0.1 0.0\n-0.0 0.3333333333333333\n"
+
+    def test_a_file_at_17_significant_digits_still_loads_bit_equal(self, tmp_path):
+        old = tmp_path / "model.txt"
+        old.write_text("2 1\na\tb\n0.10000000000000001 0\n-0 3.3333333333333331e-01\n")
+        model = load_model(old)
+        assert model.W.tobytes() == np.array([[0.1], [-0.0]]).tobytes()
+        assert model.b.tobytes() == np.array([0.0, 1.0 / 3.0]).tobytes()
+        assert model.class_names == ("a", "b")
+
     def test_wrong_row_count(self, tmp_path):
         bad = tmp_path / "model.txt"
         bad.write_text("2 1\na\tb\n1.0 0.0\n")

@@ -215,6 +215,29 @@ def test_one_function_reads_every_float_table():
     assert readers == dict.fromkeys(readers, [])
 
 
+# what fuses rows with a pair of hashes, which ``sketch.fuse_tables`` makes once per table
+_ROW_FUSION = {"fuse_rows", "mcb_fuse_batch", "support_mask", "sketch_params"}
+
+
+def _row_fusion_names(tree: ast.Module) -> list[str]:
+    """Where ``tree`` names a function of ``_ROW_FUSION``: as a name, an attribute or an import."""
+    names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    names += [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    return [name for name in names if name in _ROW_FUSION]
+
+
+def test_no_module_but_sketch_fuses_rows():
+    names = {path.name: _row_fusion_names(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    assert names.pop("sketch.py")  # the check sees the names that are there
+    # the package namespace re-exports two for library use, and calls none
+    assert sorted(names.pop("__init__.py")) == ["fuse_rows", "mcb_fuse_batch"]
+    assert names == dict.fromkeys(names, [])
+
+
 _ORACLES = {"circular_convolve_naive", "outer_sketch_oracle", "loss_and_grad"}
 
 

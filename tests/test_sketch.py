@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenefuse import _split
 from scenefuse.sketch import (
     FusionSpec,
     SketchParams,
@@ -14,6 +16,7 @@ from scenefuse.sketch import (
     circular_convolve_naive,
     count_sketch,
     fuse_rows,
+    fuse_tables,
     make_sketch_params,
     mcb_fuse_batch,
     outer_sketch_oracle,
@@ -298,8 +301,8 @@ class TestMcbFuse:
         assert rebuilt is not mask and rebuilt.tolist() == mask.tolist()
 
     def test_threads_sharing_a_spec_fuse_as_one_thread_does(self):
-        # each thread fuses rows of several widths, so the spec's pairs and each pair's
-        # support are made while other threads read them
+        # a spec holds only its settings: each thread fuses rows of several widths, each
+        # call making its own pair and that pair's support while other threads do the same
         spec = FusionSpec(scheme="mcb", sketch_dim=64, seeds=(5, 6))
         rng = np.random.default_rng(4)
         inputs = [(rng.standard_normal((3, 4 + w % 3)), rng.standard_normal((3, 2 + w % 4)))
@@ -418,18 +421,9 @@ class TestFusionSpec:
         with pytest.raises(ValueError, match="the two sketches must use distinct seeds"):
             mcb_fuse_batch(np.ones(5), np.ones(5), first, second)
 
-    def test_a_spec_gives_the_same_pair_for_the_same_widths(self):
-        spec = FusionSpec(scheme="mcb", sketch_dim=16, seeds=(1, 2))
-        pair = spec.sketch_params(5, 7)
-        assert all(a is b for a, b in zip(spec.sketch_params(5, 7), pair))
-        other = spec.sketch_params(7, 5)
-        assert (other[0].input_dim, other[1].input_dim) == (7, 5)
-        # an equal spec is another object, with a pair of its own of the same hashes
-        fresh = FusionSpec(scheme="mcb", sketch_dim=16, seeds=(1, 2)).sketch_params(5, 7)
-        assert all(a is not b for a, b in zip(fresh, pair))
-        assert [(p.h.tolist(), p.s.tolist()) for p in fresh] == [
-            (p.h.tolist(), p.s.tolist()) for p in pair
-        ]
+    def test_a_spec_is_its_four_settings(self):
+        fields = [f.name for f in dataclasses.fields(FusionSpec)]
+        assert fields == ["scheme", "sketch_dim", "seeds", "normalize"]
 
     def test_concat_ignores_seed_equality(self):
         FusionSpec(scheme="concat", seeds=(3, 3))
@@ -457,3 +451,26 @@ class TestFusionSpec:
         rng = np.random.default_rng(1)
         fused = fuse_rows(rng.standard_normal((2, dim_a)), rng.standard_normal((2, dim_b)), spec)
         assert fused.shape == (2, spec.out_dim(dim_a, dim_b))
+
+
+class TestFuseTables:
+    @pytest.mark.parametrize("spec", [
+        FusionSpec(scheme="concat"),
+        FusionSpec(scheme="average"),
+        FusionSpec(scheme="mcb", sketch_dim=64, seeds=(3, 4)),
+        FusionSpec(scheme="mcb", sketch_dim=50, seeds=(3, 4), normalize=False),
+    ], ids=["concat", "average", "mcb", "mcb-no-normalize"])
+    @pytest.mark.parametrize("block_rows", [1, 7, None, 23], ids=["1", "7", "default", "whole"])
+    def test_a_table_fuses_as_its_gathered_rows_do(self, monkeypatch, spec, block_rows):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((23, 5)), rng.standard_normal((23, 5))
+        b_rows = rng.permutation(23)
+        width = spec.out_dim(5, 5)
+        if block_rows is not None:
+            monkeypatch.setattr(_split, "BLOCK", width * block_rows)
+        fused, occupancy = fuse_tables(a, b, b_rows, spec)
+        assert fused.tobytes() == fuse_rows(a, b[b_rows], spec).tobytes()
+        if spec.scheme == "mcb":
+            assert occupancy == support_mask(*spec.sketch_params(5, 5)).mean()
+        else:
+            assert occupancy is None
